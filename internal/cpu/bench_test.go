@@ -38,7 +38,6 @@ func benchWindow(n int) []vm.DynInst {
 	insts := make([]vm.DynInst, n)
 	for i := range insts {
 		d := vm.DynInst{
-			Seq:    uint64(i),
 			PC:     0x1000 + uint64(i)*isa.InstBytes,
 			NextPC: 0x1000 + uint64(i+1)*isa.InstBytes,
 		}

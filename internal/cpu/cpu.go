@@ -24,7 +24,7 @@ type Source interface {
 // restSource is optionally implemented by replay sources that expose
 // their remaining records as a directly-indexable slice (trace.Replay).
 // The core then fetches through its own cursor over the shared backing
-// array — no per-instruction interface call, no 48-byte record copy
+// array — no per-instruction interface call, no 32-byte record copy
 // into a lookahead buffer — which matters when the same decoded trace
 // feeds a whole column of simulations.
 type restSource interface {
@@ -266,7 +266,7 @@ type CPU struct {
 	// (stores dispatch and commit in order), with the fields the
 	// disambiguation scan reads — sequence number and byte range —
 	// mirrored into parallel arrays so the scan never touches the
-	// 48-byte instruction records.
+	// 32-byte instruction records.
 	storeQ     []int32
 	storeSeqQ  []uint64
 	storeLoQ   []uint64

@@ -334,9 +334,9 @@ func TestLoadStoreCounts(t *testing.T) {
 }
 
 func TestSliceSource(t *testing.T) {
-	s := &SliceSource{Insts: []vm.DynInst{{Seq: 0}, {Seq: 1}}}
+	s := &SliceSource{Insts: []vm.DynInst{{PC: 0x1000}, {PC: 0x1004}}}
 	d, ok := s.Next()
-	if !ok || d.Seq != 0 {
+	if !ok || d.PC != 0x1000 {
 		t.Fatal("first Next wrong")
 	}
 	s.Next()

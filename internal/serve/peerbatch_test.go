@@ -250,24 +250,25 @@ func TestClusterWarmPush(t *testing.T) {
 		t.Fatalf("warm target %q is not a member", target)
 	}
 
+	// The successor counts a push just after caching it, and the owner
+	// counts it only once it has read the successor's reply, so both
+	// counters can trail the cache entry: wait for all three.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if res, _, ok := srvs[succ].cache.peek(fp); ok {
+		res, _, cached := srvs[succ].cache.peek(fp)
+		sent := srvs[owner].Stats().Peer.WarmPushSent
+		recv := srvs[succ].Stats().Peer.WarmPushReceived
+		if cached && sent > 0 && recv > 0 {
 			if !bytes.Equal(EncodeResult(res), canonical) {
 				t.Fatal("warm-pushed bytes differ from the owner's response")
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("successor cache never received the warm push")
+			t.Fatalf("warm push incomplete: successor cached %v, owner counted %d sent, successor %d received",
+				cached, sent, recv)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-	if sent := srvs[owner].Stats().Peer.WarmPushSent; sent == 0 {
-		t.Error("owner counted no warm pushes sent")
-	}
-	if recv := srvs[succ].Stats().Peer.WarmPushReceived; recv == 0 {
-		t.Error("successor counted no warm pushes received")
 	}
 	// The successor now serves the cell from memory: no extra sim.
 	resp, replica := postSim(t, tss[succ], body)

@@ -271,6 +271,7 @@ func TestServerRequestValidation(t *testing.T) {
 		{"unknown scheme", `{"bench":"health","scheme":"nope"}`, "unknown scheme"},
 		{"scheme conflict", `{"bench":"health","scheme":"Base","schemes":["Base"]}`, "not both"},
 		{"multi cell", `{"bench":"all","scheme":"Base"}`, "/v1/batch"},
+		{"overflowing budget", `{"bench":"health","scheme":"Base","insts":18446744073709551515}`, "at MaxInsts"},
 	}
 	for _, tc := range cases {
 		resp, body := postSim(t, ts, tc.body)

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/cpu"
 	"repro/internal/trace"
@@ -65,16 +67,29 @@ func TraceKey(w workload.Workload, cfg Config) trace.Key {
 // the commit point — speculatively issued loads shape the stats — so
 // the recording extends MaxInsts by the maximum number of in-flight
 // instructions (ROB + fetch queue + one commit group, plus slack).
-// Zero means "to program completion" (MaxInsts == 0 runs unbounded).
+// Zero means "to program completion" (MaxInsts == 0 runs unbounded). A
+// length past the uint64 range saturates at math.MaxUint64; Validate
+// rejects such budgets.
 func TraceNeed(cfg Config) uint64 {
+	need, ok := traceNeed(cfg)
+	if !ok {
+		return math.MaxUint64
+	}
+	return need
+}
+
+// traceNeed is TraceNeed with the overflow reported: ok is false when
+// the recording length does not fit in a uint64.
+func traceNeed(cfg Config) (need uint64, ok bool) {
 	if cfg.MaxInsts == 0 {
-		return 0
+		return 0, true
 	}
 	margin := cfg.CPU.ROBSize + cfg.CPU.FetchQueueSize + cfg.CPU.CommitWidth
 	if margin < 0 {
 		margin = 0
 	}
-	need := cfg.MaxInsts + uint64(margin) + 8
+	tail := uint64(margin) + 8
+	need, carry := bits.Add64(cfg.MaxInsts, tail, 0)
 	if cfg.SampleMode != SampleOff {
 		// The last measurement interval starts at a jittered offset
 		// within the final period stratum below MaxInsts and runs
@@ -82,11 +97,12 @@ func TraceNeed(cfg Config) uint64 {
 		// exceeds one period), plus the same in-flight margin.
 		period, _, _ := cfg.sampleSpec()
 		last := (cfg.MaxInsts - 1) / period * period
-		if n := last + period + uint64(margin) + 8; n > need {
-			need = n
-		}
+		n, c1 := bits.Add64(last, period, 0)
+		n, c2 := bits.Add64(n, tail, 0)
+		carry |= c1 | c2
+		need = max(need, n)
 	}
-	return need
+	return need, carry == 0
 }
 
 // source returns the instruction stream for one run: the live

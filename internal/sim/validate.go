@@ -53,6 +53,10 @@ func (cfg Config) Validate() error {
 		return &ConfigError{Field: "MaxInsts",
 			Err: errors.New("instruction budget must be positive (the benchmarks loop forever)")}
 	}
+	if _, ok := traceNeed(cfg); !ok {
+		return &ConfigError{Field: "MaxInsts",
+			Err: fmt.Errorf("instruction budget %d is too large: the stream it records (budget plus in-flight margin) overflows uint64", cfg.MaxInsts)}
+	}
 	if cfg.TraceMode < TraceOff || cfg.TraceMode > TraceDisk {
 		return &ConfigError{Field: "TraceMode",
 			Err: fmt.Errorf("unknown trace mode %d (want off, memory or disk)", int(cfg.TraceMode))}

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -53,6 +54,66 @@ func TestValidateRejectsBrokenFields(t *testing.T) {
 			}
 			if ce.Field != tc.field {
 				t.Errorf("ConfigError.Field = %q, want %q", ce.Field, tc.field)
+			}
+		})
+	}
+}
+
+// TestValidateRejectsOverflowingBudget: the recording a run needs is
+// MaxInsts plus the in-flight margin (and, sampled, up to one more
+// period). A budget whose recording length overflows uint64 used to
+// wrap to a tiny need, so the run silently stopped after a few dozen
+// instructions; Validate now rejects it, and RunChecked with it. The
+// largest budget that fits still validates.
+func TestValidateRejectsOverflowingBudget(t *testing.T) {
+	exact := Default()
+	sampled := Default()
+	sampled.TraceMode = TraceMemory
+	sampled.SampleMode = SampleOn
+	tail := uint64(exact.CPU.ROBSize+exact.CPU.FetchQueueSize+exact.CPU.CommitWidth) + 8
+	period, _, _ := sampled.sampleSpec()
+	// The sampled need is last + period + tail, where last is the start
+	// of the period stratum holding instruction MaxInsts-1.
+	room := math.MaxUint64 - period - tail
+	largestSampled := room/period*period + period
+
+	cases := []struct {
+		name  string
+		cfg   Config
+		insts uint64
+		ok    bool
+	}{
+		{"exact max", exact, math.MaxUint64, false},
+		{"exact max-100", exact, math.MaxUint64 - 100, false},
+		{"exact largest", exact, math.MaxUint64 - tail, true},
+		{"exact largest+1", exact, math.MaxUint64 - tail + 1, false},
+		{"sampled max", sampled, math.MaxUint64, false},
+		{"sampled max-100", sampled, math.MaxUint64 - 100, false},
+		{"sampled largest", sampled, largestSampled, true},
+		{"sampled largest+1", sampled, largestSampled + 1, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.MaxInsts = tc.insts
+			err := cfg.Validate()
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("Validate rejected budget %d: %v", tc.insts, err)
+				}
+				if need := TraceNeed(cfg); need < cfg.MaxInsts+tail {
+					t.Fatalf("TraceNeed(%d) = %d wrapped", tc.insts, need)
+				}
+				return
+			}
+			var ce *ConfigError
+			if !errors.As(err, &ce) || ce.Field != "MaxInsts" {
+				t.Fatalf("Validate(budget %d) = %v, want a *ConfigError at MaxInsts", tc.insts, err)
+			}
+			r, err := RunChecked(context.Background(), workload.All()[0], core.PSBConfPriority, cfg)
+			if !errors.As(err, &ce) || r.CPU.Committed != 0 {
+				t.Fatalf("RunChecked(budget %d) = %d insts, %v; want a *ConfigError before any work",
+					tc.insts, r.CPU.Committed, err)
 			}
 		})
 	}

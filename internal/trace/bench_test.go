@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"testing"
+	"unsafe"
 
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -11,6 +12,10 @@ import (
 
 // benchStream records one real workload stream once per process.
 var benchStream []vm.DynInst
+
+// recordBytes is the decoded size of one record, the unit SetBytes
+// reports throughput in.
+const recordBytes = int64(unsafe.Sizeof(vm.DynInst{}))
 
 func stream(b *testing.B) []vm.DynInst {
 	b.Helper()
@@ -40,7 +45,7 @@ func BenchmarkEncode(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(buf.Len())/float64(len(insts)), "bytes/inst")
-	b.SetBytes(int64(len(insts)) * 48) // decoded size: 48-byte DynInst records
+	b.SetBytes(int64(len(insts)) * recordBytes)
 }
 
 func BenchmarkDecode(b *testing.B) {
@@ -53,7 +58,7 @@ func BenchmarkDecode(b *testing.B) {
 	}
 	enc := buf.Bytes()
 	b.ReportAllocs()
-	b.SetBytes(int64(len(insts)) * 48)
+	b.SetBytes(int64(len(insts)) * recordBytes)
 	for i := 0; i < b.N; i++ {
 		dec, err := NewDecoder(bytes.NewReader(enc))
 		if err != nil {
@@ -79,7 +84,7 @@ func BenchmarkDecode(b *testing.B) {
 // of the interpreter.
 func BenchmarkReplay(b *testing.B) {
 	insts := stream(b)
-	b.SetBytes(int64(len(insts)) * 48)
+	b.SetBytes(int64(len(insts)) * recordBytes)
 	for i := 0; i < b.N; i++ {
 		r := Replay{insts: insts}
 		for {

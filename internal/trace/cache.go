@@ -69,6 +69,13 @@ func satisfies(insts []vm.DynInst, complete bool, need uint64) bool {
 	return need > 0 && uint64(len(insts)) >= need
 }
 
+// maxReserve caps the records a recording reserves before it steps.
+// Every benchmark recording fits under it (the largest needs 2,000,176
+// records), so each takes one allocation; past the cap the recording
+// grows by append as it steps, so a huge requested budget claims no
+// more memory up front than this.
+const maxReserve = 1 << 22
+
 // Cache records each workload's dynamic instruction stream once and
 // hands out zero-copy replay sources. The zero value is ready to use;
 // Shared returns the process-wide instance the simulator uses.
@@ -198,6 +205,13 @@ func (c *Cache) record(e *entry, k Key, need uint64, dir string,
 		insts, complete = nil, false
 		m = build()
 	}
+	// Reserve the need (up to maxReserve) before stepping, so the loop
+	// below does not grow the slice: a fresh recording allocates once,
+	// an extension reallocates once, straight to its new length.
+	if want := min(need, maxReserve); uint64(cap(insts)) < want {
+		insts = append(make([]vm.DynInst, 0, want), insts...)
+	}
+	start := len(insts)
 	for !complete && (need == 0 || uint64(len(insts)) < need) {
 		d, serr := m.Step()
 		if serr != nil {
@@ -207,7 +221,13 @@ func (c *Cache) record(e *entry, k Key, need uint64, dir string,
 			break
 		}
 		insts = append(insts, d)
-		c.recorded.Add(1)
+	}
+	c.recorded.Add(uint64(len(insts) - start))
+	if unused := cap(insts) - len(insts); unused > cap(insts)/8 {
+		// The recording ended well short of its capacity (the program
+		// halted): keep a copy of just the recording, so the cache
+		// never pins capacity no replay can reach.
+		insts = append(make([]vm.DynInst, 0, len(insts)), insts...)
 	}
 	if complete {
 		m = nil // free the guest machine; the recording is final
@@ -237,7 +257,11 @@ func (c *Cache) load(k Key, dir string) ([]vm.DynInst, bool, error) {
 		return nil, false, fmt.Errorf("trace: %s was recorded for %s/seed=%d/n=%d",
 			k.filename(), hdr.Workload, hdr.Seed, hdr.MaxInsts)
 	}
-	insts, err := dec.ReadAll()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, false, err
+	}
+	insts, err := dec.ReadAll(fi.Size())
 	if err != nil {
 		return nil, false, err
 	}

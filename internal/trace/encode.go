@@ -9,10 +9,10 @@
 // The package provides three layers:
 //
 //   - a compact binary encoding of vm.DynInst records (Encoder and
-//     Decoder): sequence numbers, PCs and effective addresses are
-//     delta-encoded against the previous record and written as
-//     varints, so the common record (sequential PC, small address
-//     stride) costs ~6 bytes instead of 48;
+//     Decoder): PCs and effective addresses are delta-encoded against
+//     the previous record and written as varints, so the common record
+//     (sequential PC, small address stride) costs ~6 bytes instead of
+//     32;
 //   - an in-memory Replay source over a recorded []vm.DynInst slice,
 //     structurally satisfying the timing core's Source interface;
 //   - a process-wide Cache keyed by (workload, seed, MaxInsts) that
@@ -42,15 +42,16 @@ const (
 )
 
 // Per-record flag bits. Fields whose bit is clear take their common
-// value (sequential Seq, fall-through PC/NextPC, no memory access) and
-// are omitted from the encoding.
+// value (fall-through PC/NextPC, no memory access) and are omitted from
+// the encoding. Bit 2 is retired: it marked a sequence-number gap, which
+// no stream from the VM ever had, so no file sets it and the decoder
+// rejects it like any unknown bit.
 const (
 	flagTaken   = 1 << 0 // control left the fall-through path
 	flagMem     = 1 << 1 // record carries MemSize + EffAddr delta
-	flagSeq     = 1 << 2 // Seq != previous Seq + 1
 	flagPC      = 1 << 3 // PC != previous NextPC
 	flagNextPC  = 1 << 4 // NextPC != PC + isa.InstBytes
-	flagUnknown = ^byte(flagTaken | flagMem | flagSeq | flagPC | flagNextPC)
+	flagUnknown = ^byte(flagTaken | flagMem | flagPC | flagNextPC)
 )
 
 // Header describes one encoded stream.
@@ -69,15 +70,11 @@ type Header struct {
 }
 
 // prevState is the delta-encoding context shared by Encoder and
-// Decoder. The initial previous sequence number is ^0 so the expected
-// first Seq is 0 without a special case.
+// Decoder; both start from its zero value.
 type prevState struct {
-	seq     uint64
 	nextPC  uint64
 	effAddr uint64
 }
-
-func initialPrev() prevState { return prevState{seq: ^uint64(0)} }
 
 // zigzag folds a signed delta into an unsigned varint-friendly form.
 func zigzag(v uint64) uint64 { return (v << 1) ^ uint64(int64(v)>>63) }
@@ -113,7 +110,7 @@ func NewEncoder(w io.Writer, hdr Header) (*Encoder, error) {
 	if _, err := bw.Write(buf); err != nil {
 		return nil, err
 	}
-	return &Encoder{w: bw, prev: initialPrev(), buf: buf[:0]}, nil
+	return &Encoder{w: bw, buf: buf[:0]}, nil
 }
 
 // Write appends one record.
@@ -126,9 +123,6 @@ func (e *Encoder) Write(d vm.DynInst) error {
 	if d.MemSize != 0 {
 		flags |= flagMem
 	}
-	if d.Seq != e.prev.seq+1 {
-		flags |= flagSeq
-	}
 	if d.PC != e.prev.nextPC {
 		flags |= flagPC
 	}
@@ -136,9 +130,6 @@ func (e *Encoder) Write(d vm.DynInst) error {
 		flags |= flagNextPC
 	}
 	b = append(b, byte(d.Op), flags, byte(d.Rd), byte(d.Rs1), byte(d.Rs2))
-	if flags&flagSeq != 0 {
-		b = binary.AppendUvarint(b, zigzag(d.Seq-(e.prev.seq+1)))
-	}
 	if flags&flagPC != 0 {
 		b = binary.AppendUvarint(b, zigzag(d.PC-e.prev.nextPC))
 	}
@@ -150,7 +141,6 @@ func (e *Encoder) Write(d vm.DynInst) error {
 	if flags&flagNextPC != 0 {
 		b = binary.AppendUvarint(b, zigzag(d.NextPC-(d.PC+isa.InstBytes)))
 	}
-	e.prev.seq = d.Seq
 	e.prev.nextPC = d.NextPC
 	e.buf = b
 	_, err := e.w.Write(b)
@@ -168,21 +158,40 @@ var ErrCorrupt = errors.New("trace: corrupt stream")
 // corrupt header cannot demand an absurd allocation.
 const maxWorkloadName = 256
 
+// minRecordBytes is the shortest encoded record: opcode, flags and
+// three register bytes. n bytes of input therefore hold at most
+// n/minRecordBytes records, whatever the header's Count claims.
+const minRecordBytes = 5
+
 // A Decoder reads an encoded stream. Next returns records one at a
 // time; it is cheap enough to stream a multi-gigabyte trace without
 // materializing it.
 type Decoder struct {
 	r      *bufio.Reader
+	src    *countingReader // r's input, counting the bytes r pulled
 	hdr    Header
 	prev   prevState
 	read   uint64
 	sticky error
 }
 
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
 // NewDecoder parses the header, leaving the decoder positioned at the
 // first record.
 func NewDecoder(r io.Reader) (*Decoder, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	src := &countingReader{r: r}
+	br := bufio.NewReaderSize(src, 1<<16)
 	magic := make([]byte, len(Magic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("%w: short magic: %v", ErrCorrupt, err)
@@ -216,11 +225,14 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 	if hdr.Count, err = binary.ReadUvarint(br); err != nil {
 		return nil, fmt.Errorf("%w: bad count", ErrCorrupt)
 	}
-	return &Decoder{r: br, hdr: hdr, prev: initialPrev()}, nil
+	return &Decoder{r: br, src: src, hdr: hdr}, nil
 }
 
 // Header returns the stream's header.
 func (d *Decoder) Header() Header { return d.hdr }
+
+// offset returns the number of input bytes decoded so far.
+func (d *Decoder) offset() int64 { return d.src.n - int64(d.r.Buffered()) }
 
 // Next returns the next record. It returns io.EOF after the last
 // record and ErrCorrupt (wrapped) on malformed input; either way the
@@ -241,8 +253,10 @@ func (d *Decoder) next() (vm.DynInst, error) {
 	if d.read >= d.hdr.Count {
 		return vm.DynInst{}, io.EOF
 	}
-	var fixed [5]byte
-	if _, err := io.ReadFull(d.r, fixed[:]); err != nil {
+	// Peek reads the fixed fields in place; io.ReadFull into a local
+	// array would move the array to the heap, one allocation per record.
+	fixed, err := d.r.Peek(minRecordBytes)
+	if err != nil {
 		return vm.DynInst{}, fmt.Errorf("%w: short record: %v", ErrCorrupt, err)
 	}
 	op, flags := isa.Op(fixed[0]), fixed[1]
@@ -255,14 +269,7 @@ func (d *Decoder) next() (vm.DynInst, error) {
 		Rs1: isa.Reg(fixed[3]),
 		Rs2: isa.Reg(fixed[4]),
 	}
-	di.Seq = d.prev.seq + 1
-	if flags&flagSeq != 0 {
-		delta, err := binary.ReadUvarint(d.r)
-		if err != nil {
-			return vm.DynInst{}, fmt.Errorf("%w: bad seq delta", ErrCorrupt)
-		}
-		di.Seq += unzigzag(delta)
-	}
+	_, _ = d.r.Discard(minRecordBytes) // cannot fail: Peek just buffered these bytes
 	di.PC = d.prev.nextPC
 	if flags&flagPC != 0 {
 		delta, err := binary.ReadUvarint(d.r)
@@ -293,20 +300,20 @@ func (d *Decoder) next() (vm.DynInst, error) {
 		di.NextPC += unzigzag(delta)
 	}
 	di.Taken = flags&flagTaken != 0
-	d.prev.seq = di.Seq
 	d.prev.nextPC = di.NextPC
 	d.read++
 	return di, nil
 }
 
-// ReadAll decodes every remaining record. The preallocation is capped
-// so a corrupt count cannot demand gigabytes up front.
-func (d *Decoder) ReadAll() ([]vm.DynInst, error) {
-	capHint := d.hdr.Count - d.read
-	if capHint > 1<<20 {
-		capHint = 1 << 20
-	}
-	out := make([]vm.DynInst, 0, capHint)
+// ReadAll decodes every remaining record into one slice, reserved up
+// front for the records the header still promises. size is the input's
+// total length in bytes, header included: it caps the reservation at
+// what the unread bytes can hold, so an honest stream decodes into one
+// allocation while a hostile Count claims no more memory than the
+// input bounds.
+func (d *Decoder) ReadAll(size int64) ([]vm.DynInst, error) {
+	room := uint64(max(size-d.offset(), 0)) / minRecordBytes
+	out := make([]vm.DynInst, 0, min(d.hdr.Count-d.read, room))
 	for {
 		di, err := d.Next()
 		if err == io.EOF {

@@ -2,13 +2,16 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
@@ -81,17 +84,20 @@ func TestRoundTrip(t *testing.T) {
 		if got != hdr {
 			t.Fatalf("%s: header round-trip: got %+v want %+v", name, got, hdr)
 		}
-		out, err := dec.ReadAll()
+		out, err := dec.ReadAll(int64(len(enc)))
 		if err != nil {
 			t.Fatalf("%s: ReadAll: %v", name, err)
 		}
 		if !reflect.DeepEqual(out, insts) {
 			t.Fatalf("%s: decoded stream differs (%d vs %d records)", name, len(out), len(insts))
 		}
+		if cap(out) != len(insts) {
+			t.Errorf("%s: ReadAll reserved %d records for %d", name, cap(out), len(insts))
+		}
 		if _, err := dec.Next(); err != io.EOF {
 			t.Fatalf("%s: want io.EOF after last record, got %v", name, err)
 		}
-		// 48 bytes raw per DynInst; the delta encoding should stay
+		// 32 bytes raw per DynInst; the delta encoding should stay
 		// under 8 bytes/record even on the branchy pointer chasers.
 		if len(insts) > 0 && len(enc) > len(insts)*8 {
 			t.Errorf("%s: encoding is not compact: %d bytes for %d records", name, len(enc), len(insts))
@@ -230,11 +236,84 @@ func TestCacheComplete(t *testing.T) {
 	if r.Len() != len(want) {
 		t.Fatalf("want %d insts to halt, got %d", len(want), r.Len())
 	}
+	// The recorder reserved the whole need of 10,000 records; a
+	// recording that halted far short of it keeps only its own length.
+	if got := cap(r.Rest()); got != r.Len() {
+		t.Fatalf("halted recording pins capacity %d for %d records", got, r.Len())
+	}
 	if _, err := c.Source(k, 0, "", func() *vm.Machine {
 		t.Fatal("complete recording must satisfy need=0 without rebuilding")
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// heapBytes returns the bytes fn allocated on the heap.
+func heapBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCacheRecordingReservesOnce: a fresh recording reserves its whole
+// need in one backing allocation, and extending it reallocates exactly
+// once, straight to the new need. Growing by append instead would
+// allocate about twice the final slice along the way, so a heap total
+// within an eighth of one slice proves a single allocation. The guest
+// machine is built before measuring.
+func TestCacheRecordingReservesOnce(t *testing.T) {
+	const first, second = 1 << 14, 3 << 14
+	rec := uint64(unsafe.Sizeof(vm.DynInst{}))
+	m := countingLoop(1 << 20)
+	build := func() *vm.Machine { return m }
+	var c Cache
+	k := Key{Workload: "loop", Seed: 1, MaxInsts: first}
+
+	for _, need := range []uint64{first, second} {
+		var r *Replay
+		var err error
+		got := heapBytes(func() { r, err = c.Source(k, need, "", build) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Len() != int(need) || cap(r.Rest()) != int(need) {
+			t.Fatalf("need %d: recorded %d records with capacity %d", need, r.Len(), cap(r.Rest()))
+		}
+		if want := need * rec; got < want || got > want+want/8 {
+			t.Errorf("need %d: allocated %d bytes, want one %d-byte slice", need, got, want)
+		}
+	}
+	if st := c.Stats(); st.RecordedInsts != second || st.Misses != 2 {
+		t.Fatalf("want 2 recordings of %d insts in all, got %+v", second, st)
+	}
+}
+
+// TestDecoderRejectsSeqFlag: bit 2 of a record's flags once flagged a
+// sequence-number gap. Records no longer carry a sequence number, so
+// the decoder treats the bit as corrupt input.
+func TestDecoderRejectsSeqFlag(t *testing.T) {
+	insts := record(t, countingLoop(2), 0)
+	enc := encodeAll(t, Header{Workload: "loop", Complete: true}, insts)
+	dec, err := NewDecoder(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dec.Next(); err != nil {
+		t.Fatal(err)
+	}
+	// Record 1 starts where the decoder stopped; its flags byte
+	// follows the opcode byte.
+	enc[dec.offset()+1] |= 1 << 2
+	dec, err = NewDecoder(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec.Next()
+	if _, err := dec.Next(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("flag bit 2: want ErrCorrupt, got %v", err)
 	}
 }
 
@@ -268,6 +347,10 @@ func TestCacheDisk(t *testing.T) {
 	}
 	if st := c2.Stats(); st.DiskLoads != 1 || st.Misses != 0 {
 		t.Fatalf("want 1 disk load and no misses, got %+v", st)
+	}
+	// The loader reserves the file's records once: no slack past them.
+	if got := cap(r2.Rest()); got != r2.Len() {
+		t.Fatalf("disk load reserved %d records for %d", got, r2.Len())
 	}
 	if !reflect.DeepEqual(drain(r1), drain(r2)) {
 		t.Fatal("disk round-trip changed the stream")

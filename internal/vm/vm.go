@@ -19,18 +19,20 @@ import (
 // as an unmapped guard region.
 const DefaultTextBase = 0x0000_0000_0001_0000
 
-// DynInst is one executed (committed-path) dynamic instruction.
+// DynInst is one executed (committed-path) dynamic instruction. The
+// three 8-byte fields come first so the record packs into 32 bytes. It
+// carries no sequence number: a record's position in the stream is its
+// number, and the timing core numbers instructions itself.
 type DynInst struct {
-	Seq     uint64  // dynamic instruction number, starting at 0
 	PC      uint64  // byte address of the instruction
+	EffAddr uint64  // effective address for memory ops
+	NextPC  uint64  // address of the next executed instruction
 	Op      isa.Op  // opcode
 	Rd      isa.Reg // destination register or RegNone
 	Rs1     isa.Reg // first source or RegNone
 	Rs2     isa.Reg // second source or RegNone
-	EffAddr uint64  // effective address for memory ops
 	MemSize uint8   // access size in bytes for memory ops
 	Taken   bool    // for CTIs: whether control left the fall-through path
-	NextPC  uint64  // address of the next executed instruction
 }
 
 // IsLoad reports whether the instruction reads guest memory.
@@ -123,7 +125,6 @@ func (m *Machine) Step() (DynInst, error) {
 
 	s1, s2 := in.Srcs()
 	d := DynInst{
-		Seq: m.seq,
 		PC:  m.PC,
 		Op:  in.Op,
 		Rd:  in.Dst(),

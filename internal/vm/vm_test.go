@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
@@ -206,8 +207,8 @@ func TestDynInstFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d0.Seq != 0 || d0.PC != m.TextBase || d0.Op != isa.ADDI {
-		t.Errorf("first DynInst = %+v", d0)
+	if m.Executed() != 1 || d0.PC != m.TextBase || d0.Op != isa.ADDI {
+		t.Errorf("first DynInst = %+v (executed %d)", d0, m.Executed())
 	}
 
 	d1, _ := m.Step() // ld
@@ -232,6 +233,15 @@ func TestDynInstFields(t *testing.T) {
 	}
 	if d3.NextPC != d3.PC+2*isa.InstBytes {
 		t.Errorf("branch NextPC = %#x, want %#x", d3.NextPC, d3.PC+2*isa.InstBytes)
+	}
+}
+
+// TestDynInstSize pins the record at 32 bytes. Trace memory (one
+// record per recorded instruction) and every fetch-queue and ROB copy
+// scale with this size, so a field that grows it must pay for itself.
+func TestDynInstSize(t *testing.T) {
+	if got := unsafe.Sizeof(DynInst{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(DynInst{}) = %d, want 32", got)
 	}
 }
 
