@@ -21,8 +21,7 @@
 //	POST /v1/sim        one cell; body {"bench":"health","scheme":"ConfAlloc-Priority"}
 //	POST /v1/batch      many cells; body {"jobs":[...]}
 //	POST /v1/artifact   a named table or figure; body {"name":"fig5"}
-//	POST /v1/peer/sim   peer cache-fill, one cell (cluster members only)
-//	POST /v1/peer/batch peer cache-fill, many cells in one RPC (cluster members only)
+//	POST /v1/peer/batch peer cache-fill, one RPC per owner per request (cluster members only)
 //	POST /v1/peer/warm  successor warm-push replication (cluster members only)
 //
 // With -peers, every node places the full membership on a consistent-
@@ -30,12 +29,13 @@
 // per member). A node receiving a cell it does not own forwards it to
 // the owner and caches the returned bytes, so each unique cell costs
 // one simulation cluster-wide no matter which node the request lands
-// on. Batches scatter-gather: cells are grouped by owner and travel in
-// one /v1/peer/batch RPC per owner, with concurrent fills for the same
-// fingerprint coalesced node-wide. After a cold simulation the entry
-// is also warm-pushed, best-effort, to the fingerprint's next ring
-// successor (-warm-push-queue bounds the replication queue) so
-// failover lands on a warm cache. A dead owner (probes and forwards
+// on. Fills scatter-gather: a request's cells are grouped by owner and
+// travel in one /v1/peer/batch RPC per owner (a single /v1/sim cell is
+// a batch of one), with concurrent fills for the same fingerprint
+// coalesced node-wide. After a cold simulation the entry is also
+// warm-pushed, best-effort, to the fingerprint's next ring successor
+// (-warm-push-queue bounds the replication queue) so failover lands
+// on a warm cache. A dead owner (probes and forwards
 // fail) is routed around: the receiving node simulates locally and the
 // cluster degrades to independent nodes rather than failing requests.
 //

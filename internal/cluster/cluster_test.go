@@ -169,7 +169,7 @@ func TestClusterForwardRetriesTransportErrors(t *testing.T) {
 	defer c.Close()
 
 	// HTTP-level error: exactly one attempt, response returned.
-	resp, err := c.Forward(t.Context(), peer.URL, "/v1/peer/sim", []byte("{}"), nil)
+	resp, err := c.Forward(t.Context(), peer.URL, "/v1/peer/batch", []byte("{}"), nil)
 	if err != nil {
 		t.Fatalf("forward to live peer: %v", err)
 	}
@@ -182,7 +182,7 @@ func TestClusterForwardRetriesTransportErrors(t *testing.T) {
 	// surfaced as an error.
 	dead := "http://127.0.0.1:1"
 	before := c.Stats().Forwards
-	if _, err := c.Forward(t.Context(), dead, "/v1/peer/sim", []byte("{}"), nil); err == nil {
+	if _, err := c.Forward(t.Context(), dead, "/v1/peer/batch", []byte("{}"), nil); err == nil {
 		t.Fatal("forward to dead peer succeeded")
 	}
 	st := c.Stats()

@@ -280,75 +280,6 @@ func TestClusterOwnerDownDegrades(t *testing.T) {
 	}
 }
 
-// TestPeerSimLoopGuard checks the hop budget: a peer request claiming
-// more than one hop can only be a forwarding loop and is refused with
-// 508 before any work happens.
-func TestPeerSimLoopGuard(t *testing.T) {
-	base := tinyCfg()
-	srvs, tss, _ := newTestCluster(t, 2, base)
-	w := workload.All()[0]
-	body := fmt.Sprintf(`{"bench":%q,"scheme":%q}`, w.Name, core.Variants()[0].String())
-
-	req, _ := http.NewRequest(http.MethodPost, tss[0].URL+"/v1/peer/sim", strings.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(PeerHopHeader, "2")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("POST /v1/peer/sim: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusLoopDetected {
-		t.Fatalf("status = %d, want 508", resp.StatusCode)
-	}
-	if st := srvs[0].Stats(); st.Peer.LoopRejects != 1 {
-		t.Errorf("loop_rejects = %d, want 1", st.Peer.LoopRejects)
-	}
-	if n := totalSims(srvs); n != 0 {
-		t.Errorf("a looped request still simulated (%d sims)", n)
-	}
-}
-
-// TestPeerSimFingerprintSkew checks the identity guard: when caller
-// and owner expand the same body to different fingerprints (skewed
-// base flags), the owner refuses with 409 rather than poisoning a
-// shared cache.
-func TestPeerSimFingerprintSkew(t *testing.T) {
-	base := tinyCfg()
-	srvs, tss, _ := newTestCluster(t, 2, base)
-	w := workload.All()[0]
-	body := fmt.Sprintf(`{"bench":%q,"scheme":%q}`, w.Name, core.Variants()[0].String())
-
-	req, _ := http.NewRequest(http.MethodPost, tss[0].URL+"/v1/peer/sim", strings.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(PeerHopHeader, "1")
-	req.Header.Set(PeerFingerprintHeader, "0123456789abcdef")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("POST /v1/peer/sim: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("status = %d, want 409", resp.StatusCode)
-	}
-	if st := srvs[0].Stats(); st.Peer.SkewRejects != 1 {
-		t.Errorf("skew_rejects = %d, want 1", st.Peer.SkewRejects)
-	}
-}
-
-// TestPeerSimWithoutCluster checks a standalone node refuses the peer
-// endpoint outright.
-func TestPeerSimWithoutCluster(t *testing.T) {
-	_, ts := newTestServer(t, Config{Base: tinyCfg(), Workers: 1})
-	resp, err := http.Post(ts.URL+"/v1/peer/sim", "application/json", strings.NewReader(`{}`))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("status = %d, want 404 on a non-cluster node", resp.StatusCode)
-	}
-}
-
 // TestClusterHealthSection checks /healthz grows a cluster block on
 // cluster members and /v1/stats exposes peer and cluster counters.
 func TestClusterHealthSection(t *testing.T) {

@@ -108,7 +108,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "psb_peer_fills_total %d\n", st.Peer.Fills)
 		mf("psb_peer_fallbacks_total", "counter", "Cells simulated locally because the owner was unreachable or refused.")
 		fmt.Fprintf(&b, "psb_peer_fallbacks_total %d\n", st.Peer.Fallbacks)
-		mf("psb_peer_served_total", "counter", "Cells answered on behalf of peers via /v1/peer/sim.")
+		mf("psb_peer_served_total", "counter", "Cells answered on behalf of peers via /v1/peer/batch.")
 		fmt.Fprintf(&b, "psb_peer_served_total %d\n", st.Peer.Served)
 		mf("psb_peer_loop_rejects_total", "counter", "Peer requests refused by the forwarding-loop guard.")
 		fmt.Fprintf(&b, "psb_peer_loop_rejects_total %d\n", st.Peer.LoopRejects)

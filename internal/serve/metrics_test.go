@@ -84,12 +84,12 @@ func TestMetricsClusterSeries(t *testing.T) {
 		"psb_cluster_peers_alive 3",
 		fmt.Sprintf("psb_cluster_peer_up{peer=%q} 1", tss[owner].URL),
 		`psb_cells_total{tier="peer"} 1`,
-		// Scatter-gather and warm-push series exist from the first
-		// scrape (single-cell traffic leaves the batch counters at 0;
-		// warm-push is disabled in newTestCluster so all outcomes are 0).
+		// A single /v1/sim fill is a batch of one: one RPC carrying one
+		// cell. Warm-push is disabled in newTestCluster, so all its
+		// outcomes are 0.
 		"# TYPE psb_peer_batch_rpcs_total counter",
-		"psb_peer_batch_rpcs_total 0",
-		"psb_peer_batch_cells_total 0",
+		"psb_peer_batch_rpcs_total 1",
+		"psb_peer_batch_cells_total 1",
 		"psb_peer_coalesced_fills_total 0",
 		"# TYPE psb_warm_push_total counter",
 		`psb_warm_push_total{outcome="sent"} 0`,

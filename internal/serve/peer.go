@@ -1,11 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
 	"time"
 
 	"repro/internal/cpu"
@@ -14,94 +9,35 @@ import (
 )
 
 // The peer-fill protocol rides the existing HTTP surface: a node that
-// receives a job it does not own forwards the (normalized) request to
-// the fingerprint's owner at POST /v1/peer/sim, and caches the
-// returned canonical bytes locally — replica fan-out for hot
-// artifacts. Three headers carry the protocol:
+// receives cells it does not own sends them, grouped by owner, to
+// POST /v1/peer/batch (peerbatch.go) and caches the returned canonical
+// bytes locally — replica fan-out for hot artifacts. A single /v1/sim
+// cell travels as a batch of one. Each cell in the body carries the
+// caller's fingerprint for it. The owner recomputes its own and
+// refuses that cell on mismatch (409): the nodes disagree on the
+// cell's identity, which means their base configurations have skewed
+// and a shared cache would serve wrong bytes. Two headers complete
+// the protocol:
 //
 //   - PeerHopHeader counts forwarding hops. Ingress requests carry
-//     none; a forward sets 1. The peer endpoint never forwards, so a
+//     none; a forward sets 1. The peer endpoints never forward, so a
 //     higher count can only mean a routing loop (or a spoofer) and is
 //     rejected with 508 Loop Detected.
-//   - PeerFingerprintHeader is the caller's fingerprint for the job.
-//     The owner recomputes its own and refuses on mismatch (409):
-//     the nodes disagree on the cell's identity, which means their
-//     base configurations have skewed and a shared cache would serve
-//     wrong bytes.
 //   - PeerOwnerHeader on responses names the node that answered a
 //     forwarded request (diagnostics).
 const (
-	PeerHopHeader         = "X-Psb-Peer-Hop"
-	PeerFingerprintHeader = "X-Psb-Expect-Fingerprint"
-	PeerOwnerHeader       = "X-Psb-Owner"
-	PeerTierHeader        = "X-Psb-Peer-Tier"
+	PeerHopHeader   = "X-Psb-Peer-Hop"
+	PeerOwnerHeader = "X-Psb-Owner"
 )
 
 // maxPeerHops is the hop budget: ingress forwards once, the owner
 // serves locally. Anything beyond is a loop.
 const maxPeerHops = 1
 
-// maxPeerResponseBytes bounds a peer-fill response body (a canonical
-// sim.Result rendering; the fig4 histogram variant is the largest).
+// maxPeerResponseBytes bounds a peer batch response body: the canonical
+// sim.Result rendering of every cell it carries (the fig4 histogram
+// variant is the largest).
 const maxPeerResponseBytes = 32 << 20
-
-// routedCell resolves one job cluster-aware: local cache (replica
-// hits), then the fingerprint owner's /v1/peer/sim (the expensive
-// simulation happens once cluster-wide), then — owner down or
-// refusing — the plain local path, so a broken cluster degrades to N
-// independent nodes rather than failing requests. Without a cluster
-// it is exactly cell().
-func (s *Server) routedCell(job runner.Job, tenant string) (runner.CellResult, string, error) {
-	cl := s.cluster
-	if cl == nil {
-		return s.cell(job, tenant)
-	}
-	fp := job.Fingerprint()
-	// Replica check first: peer-filled copies of remotely-owned keys
-	// serve locally. peek, not Get — the fallthrough paths run cell(),
-	// whose lookup does the hit/miss accounting.
-	if res, tier, ok := s.cache.peek(fp); ok {
-		s.countTier(tier)
-		return runner.CellResult{Result: res, Cached: true}, tier, nil
-	}
-	if owner, self := cl.Owner(fp); !self {
-		if body, ok := s.peerBody(job, fp); ok {
-			if res, ok := s.coalescedFill(owner, body, fp, tenant); ok {
-				s.countTier("peer")
-				return runner.CellResult{Result: res, Cached: true}, "peer", nil
-			}
-			// Owner unreachable or refusing: degrade to local
-			// simulation. The result is still correct — the cluster
-			// only loses the one-sim-per-fingerprint economy.
-			s.peerFallbacks.Add(1)
-		}
-	}
-	return s.cell(job, tenant)
-}
-
-// coalescedFill runs one wire fill under the fingerprint's flight:
-// the first caller goes to the owner, concurrent callers — other
-// single requests or whole batches wanting the same cell — share its
-// outcome instead of each paying a round trip. Successful fills land
-// in the cache before waiters are released.
-func (s *Server) coalescedFill(owner string, body []byte, fp, tenant string) (sim.Result, bool) {
-	call, leader := s.peerFlight.begin(fp)
-	if !leader {
-		s.peerCoalesced.Add(1)
-		<-call.done
-		return call.res, call.ok
-	}
-	var res sim.Result
-	var ok bool
-	defer func() {
-		if ok {
-			s.cache.Put(fp, res)
-		}
-		s.peerFlight.finish(fp, call, res, ok)
-	}()
-	res, ok = s.fillFromPeer(owner, body, fp, tenant)
-	return res, ok
-}
 
 // peerRequest renders the job as a normalized single-cell JobRequest
 // and proves the rendering is faithful: re-expanding it against this
@@ -135,82 +71,10 @@ func (s *Server) peerRequest(job runner.Job, fp string) (JobRequest, bool) {
 	return req, true
 }
 
-// peerBody is peerRequest marshaled for the single-cell wire path.
-func (s *Server) peerBody(job runner.Job, fp string) ([]byte, bool) {
-	req, ok := s.peerRequest(job, fp)
-	if !ok {
-		return nil, false
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, false
-	}
-	return body, true
-}
-
-// fillFromPeer asks the owner for the cell and validates the answer:
-// the payload must decode to a sim.Result whose canonical rendering
-// is byte-identical to what arrived, preserving the cache contract
-// across the wire. Any failure — transport error (owner marked dead),
-// non-200, oversized or corrupt payload — reports !ok and the caller
-// simulates locally.
-func (s *Server) fillFromPeer(owner string, body []byte, fp, tenant string) (sim.Result, bool) {
-	hdr := http.Header{}
-	hdr.Set(PeerHopHeader, "1")
-	hdr.Set(PeerFingerprintHeader, fp)
-	if tenant != "" && tenant != AnonTenant {
-		hdr.Set(TenantHeader, tenant)
-	}
-	start := time.Now()
-	resp, err := s.cluster.Forward(s.ctx, owner, "/v1/peer/sim", body, hdr)
-	if err != nil {
-		s.cluster.MarkDead(owner)
-		s.events.Log("peer_unreachable", map[string]any{
-			"owner": owner, "fingerprint": fp, "cause": err.Error(),
-		})
-		return sim.Result{}, false
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		detail, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		s.events.Log("peer_refused", map[string]any{
-			"owner": owner, "fingerprint": fp,
-			"status": resp.StatusCode, "body": string(bytes.TrimSpace(detail)),
-		})
-		return sim.Result{}, false
-	}
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerResponseBytes+1))
-	if err != nil || len(payload) > maxPeerResponseBytes {
-		s.cluster.MarkDead(owner)
-		return sim.Result{}, false
-	}
-	var res sim.Result
-	if err := json.Unmarshal(payload, &res); err != nil {
-		s.events.Log("peer_corrupt", map[string]any{
-			"owner": owner, "fingerprint": fp, "cause": err.Error(),
-		})
-		return sim.Result{}, false
-	}
-	// The cache contract survives the wire only if the peer's bytes
-	// are the canonical rendering; a mismatch means version skew, and
-	// serving it would break byte-identity with local simulation.
-	if !bytes.Equal(EncodeResult(res), payload) {
-		s.events.Log("peer_corrupt", map[string]any{
-			"owner": owner, "fingerprint": fp, "cause": "non-canonical payload",
-		})
-		return sim.Result{}, false
-	}
-	s.peerFills.Add(1)
-	s.notePeerFillDuration(time.Since(start))
-	return res, true
-}
-
-// notePeerFillDuration folds one peer fill's wall time into its EWMA
+// notePeerFillDuration folds one fill RPC's wall time into its EWMA
 // (exposed in stats; a fill should cost a network hop plus the
-// owner's tier, far below a local simulation).
+// owner's tier, far below a local simulation). Callers skip RPCs that
+// filled nothing, whose time prices no fill.
 func (s *Server) notePeerFillDuration(d time.Duration) {
 	if d <= 0 {
 		return
@@ -227,69 +91,6 @@ func (s *Server) notePeerFillDuration(d time.Duration) {
 	}
 }
 
-// handlePeerSim serves one cell on behalf of a peer. It never
-// forwards — the hop guard makes routing loops structurally
-// impossible — and never charges the tenant's rate bucket (ingress
-// already did); the tenant identity still rides along so the owner's
-// fair queue prices the simulation against the right key. The
-// response body is the canonical rendering, byte-identical to
-// /v1/sim.
-func (s *Server) handlePeerSim(w http.ResponseWriter, r *http.Request) {
-	if !s.requirePeerCluster(w) {
-		return
-	}
-	if !s.peerHopGuard(w, r) {
-		return
-	}
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := DecodeJobRequest(body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	jobs, err := req.Jobs(s.base)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if len(jobs) != 1 {
-		httpError(w, http.StatusBadRequest, "/v1/peer/sim runs exactly one cell (%d requested)", len(jobs))
-		return
-	}
-	fp := jobs[0].Fingerprint()
-	if expect := r.Header.Get(PeerFingerprintHeader); expect != "" && expect != fp {
-		// The caller and this node expanded the same body to different
-		// identities: the cluster's base configurations have skewed.
-		// Refusing is the only safe answer — a shared cache over
-		// disagreeing keys serves wrong bytes.
-		s.peerSkewRejects.Add(1)
-		s.events.Log("peer_skew_rejected", map[string]any{
-			"ours": fp, "theirs": expect, "from": r.RemoteAddr,
-		})
-		httpError(w, http.StatusConflict,
-			"fingerprint skew: caller expects %s, this node computes %s (mismatched base flags across the cluster?)",
-			expect, fp)
-		return
-	}
-
-	start := time.Now()
-	cell, tier, err := s.cell(jobs[0], tenantOf(r))
-	if err != nil || cell.Err != nil {
-		s.writeCellError(w, cell, err)
-		return
-	}
-	s.peerServed.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Psb-Cache", tier)
-	w.Header().Set("X-Psb-Fingerprint", fp)
-	w.Header().Set(PeerOwnerHeader, s.cluster.Self())
-	w.Header().Set("X-Psb-Serve-Us", fmt.Sprintf("%d", time.Since(start).Microseconds()))
-	w.Write(EncodeResult(cell.Result))
-}
-
 // PeerCounters is the peer-protocol section of /v1/stats: the
 // cluster-cache economy as seen from this node.
 type PeerCounters struct {
@@ -304,7 +105,8 @@ type PeerCounters struct {
 	// budget exceeded / fingerprint disagreement).
 	LoopRejects uint64 `json:"loop_rejects"`
 	SkewRejects uint64 `json:"skew_rejects"`
-	// FillP50Us is the EWMA cost of one peer fill in microseconds.
+	// FillP50Us is the EWMA cost, in microseconds, of one fill RPC
+	// that filled at least one cell.
 	FillP50Us float64 `json:"fill_ewma_us"`
 	// BatchRPCs counts outgoing scatter-gather fill RPCs; BatchCells
 	// the cells they carried (cells/RPCs is the batching win).
@@ -336,7 +138,7 @@ func (s *Server) peerCounters() *PeerCounters {
 		FillP50Us:   float64(s.peerFillNanos.Load()) / 1e3,
 		BatchRPCs:   s.peerBatchRPCs.Load(),
 		BatchCells:  s.peerBatchCells.Load(),
-		Coalesced:   s.peerCoalesced.Load(),
+		Coalesced:   s.peerFlight.followers.Load(),
 
 		WarmPushReceived: s.warmRecv.Load(),
 		WarmPushRejected: s.warmRejected.Load(),

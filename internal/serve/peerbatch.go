@@ -15,20 +15,17 @@ import (
 	"repro/internal/sim"
 )
 
-// Scatter-gather peer batching: POST /v1/batch used to resolve every
-// remotely-owned cell with its own /v1/peer/sim round trip — an
-// N-cell batch over R remote owners cost up to N peer RPCs. This
-// layer groups a batch's misses by ring owner and carries each group
-// in a single POST /v1/peer/batch, so the same batch costs at most R
-// RPCs. Each cell still travels with its own fingerprint (the skew
-// guard holds per cell) and the hop budget applies to the whole
-// request (the endpoint never forwards, exactly like /v1/peer/sim).
+// Scatter-gather peer fills: runAll groups a request's misses by ring
+// owner and carries each group in a single POST /v1/peer/batch, so an
+// N-cell request over R remote owners costs at most R peer RPCs. Each
+// cell travels with its own fingerprint (the skew guard holds per
+// cell) and the hop budget applies to the whole request (the endpoint
+// never forwards).
 //
-// On top of the grouping sits a cluster-level singleflight: a per-node
-// map of in-flight wire fills keyed by fingerprint. Concurrent batches
-// (or a batch and a single /v1/sim) asking this node for the same
-// remotely-owned cell share one fill instead of each paying a wire
-// round trip.
+// On top of the grouping sits a cluster-level singleflight
+// (Server.peerFlight) keyed by fingerprint: concurrent requests asking
+// this node for the same remotely-owned cell share one fill instead of
+// each paying a wire round trip.
 
 // PeerBatchJob is one cell of a scatter-gather peer fill: the
 // normalized single-cell request plus the caller's fingerprint for it,
@@ -72,52 +69,6 @@ func DecodePeerBatchRequest(data []byte) (PeerBatchRequest, error) {
 	return r, nil
 }
 
-// peerCall is one in-flight wire fill of a fingerprint.
-type peerCall struct {
-	done chan struct{}
-	res  sim.Result
-	ok   bool
-}
-
-// peerFlight is the cluster-level singleflight: concurrent requests on
-// this node for the same remotely-owned fingerprint share one wire
-// fill. It mirrors flightGroup but carries a fill outcome instead of a
-// cell — a failed fill is not an answer, it sends every sharer to the
-// local fallback path.
-type peerFlight struct {
-	mu    sync.Mutex
-	calls map[string]*peerCall
-}
-
-// begin registers interest in the fingerprint's fill. The first caller
-// becomes the leader (and must call finish exactly once); everyone
-// else waits on the returned call's done channel.
-func (g *peerFlight) begin(fp string) (*peerCall, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.calls == nil {
-		g.calls = make(map[string]*peerCall)
-	}
-	if c, ok := g.calls[fp]; ok {
-		return c, false
-	}
-	c := &peerCall{done: make(chan struct{})}
-	g.calls[fp] = c
-	return c, true
-}
-
-// finish publishes the leader's outcome and releases the waiters. The
-// call is forgotten immediately: fills are never cached here (the
-// ResultCache holds successes), so a later request retries a failed
-// owner instead of inheriting a stale no.
-func (g *peerFlight) finish(fp string, c *peerCall, res sim.Result, ok bool) {
-	c.res, c.ok = res, ok
-	g.mu.Lock()
-	delete(g.calls, fp)
-	g.mu.Unlock()
-	close(c.done)
-}
-
 // peerBatchItem is one batch cell bound for a remote owner.
 type peerBatchItem struct {
 	idx int // index in the ingress batch
@@ -126,92 +77,43 @@ type peerBatchItem struct {
 	job runner.Job
 }
 
-// scatterGather resolves a batch cluster-aware with one peer RPC per
-// remote owner: local cache peeks first, self-owned and inexpressible
-// cells through the plain cell path, and the rest grouped by ring
-// owner into single /v1/peer/batch calls. Any cell whose fill fails —
-// owner dead, per-cell refusal, corrupt payload — falls back to local
-// simulation, so the batch degrades cell by cell, never whole.
-func (s *Server) scatterGather(jobs []runner.Job, tenant string) []batchOutcome {
-	out := make([]batchOutcome, len(jobs))
-	var wg sync.WaitGroup
-	local := func(i int) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out[i].cell, out[i].tier, out[i].err = s.cell(jobs[i], tenant)
-		}()
-	}
-	groups := make(map[string][]peerBatchItem)
-	for i := range jobs {
-		fp := jobs[i].Fingerprint()
-		if res, tier, ok := s.cache.peek(fp); ok {
-			s.countTier(tier)
-			out[i] = batchOutcome{cell: runner.CellResult{Result: res, Cached: true}, tier: tier}
-			continue
-		}
-		owner, self := s.cluster.Owner(fp)
-		if self {
-			local(i)
-			continue
-		}
-		req, ok := s.peerRequest(jobs[i], fp)
-		if !ok {
-			local(i)
-			continue
-		}
-		groups[owner] = append(groups[owner], peerBatchItem{idx: i, fp: fp, req: req, job: jobs[i]})
-	}
-	for owner, items := range groups {
-		wg.Add(1)
-		go func(owner string, items []peerBatchItem) {
-			defer wg.Done()
-			s.fillOwnerBatch(owner, items, tenant, out)
-		}(owner, items)
-	}
-	wg.Wait()
-	return out
-}
-
-// peerFill pairs one decoded, validated fill with its validity.
-type peerFill struct {
-	res sim.Result
-	ok  bool
-}
+// errPeerUnfilled settles the flight of a cell its owner did not
+// deliver; followers, like the leader, fall back to local simulation.
+var errPeerUnfilled = errors.New("peer fill failed")
 
 // fillOwnerBatch resolves one owner's group of cells: fills already in
 // flight on this node are joined (coalesced), the rest travel in a
 // single batch RPC, and whatever comes back empty-handed simulates
 // locally.
 func (s *Server) fillOwnerBatch(owner string, items []peerBatchItem, tenant string, out []batchOutcome) {
-	calls := make([]*peerCall, len(items))
+	calls := make([]*flightCall[sim.Result], len(items))
 	isLeader := make([]bool, len(items))
 	var leaders []peerBatchItem
 	for k := range items {
-		call, leader := s.peerFlight.begin(items[k].fp)
-		calls[k], isLeader[k] = call, leader
-		if leader {
+		calls[k], isLeader[k] = s.peerFlight.begin(items[k].fp)
+		if isLeader[k] {
 			leaders = append(leaders, items[k])
-		} else {
-			s.peerCoalesced.Add(1)
 		}
 	}
 	if len(leaders) > 0 {
-		fills := make(map[string]peerFill, len(leaders))
+		fills := make(map[string]sim.Result, len(leaders))
 		func() {
 			// Settle every leader's flight in a defer so waiters are
 			// released even if the send path panics. Fingerprints a
-			// failed RPC left unfilled settle as !ok and fall back.
+			// failed RPC left unfilled settle as failed and fall back.
 			defer func() {
 				for k := range items {
 					if !isLeader[k] {
 						continue
 					}
-					f := fills[items[k].fp]
-					if f.ok {
-						s.cache.Put(items[k].fp, f.res)
+					fp := items[k].fp
+					res, ok := fills[fp]
+					err := errPeerUnfilled
+					if ok {
+						s.cache.Put(fp, res)
+						err = nil
 					}
-					s.peerFlight.finish(items[k].fp, calls[k], f.res, f.ok)
+					s.peerFlight.finish(fp, calls[k], res, err)
 				}
 			}()
 			s.sendPeerBatch(owner, leaders, tenant, fills)
@@ -222,10 +124,10 @@ func (s *Server) fillOwnerBatch(owner string, items []peerBatchItem, tenant stri
 	var wg sync.WaitGroup
 	for k := range items {
 		it := items[k]
-		<-calls[k].done
-		if calls[k].ok {
-			s.countTier("peer")
-			out[it.idx] = batchOutcome{cell: runner.CellResult{Result: calls[k].res, Cached: true}, tier: "peer"}
+		res, err := calls[k].wait()
+		if err == nil {
+			s.noteServed("peer", res)
+			out[it.idx] = batchOutcome{cell: runner.CellResult{Result: res, Cached: true}, tier: "peer"}
 			continue
 		}
 		s.peerFallbacks.Add(1)
@@ -240,7 +142,7 @@ func (s *Server) fillOwnerBatch(owner string, items []peerBatchItem, tenant stri
 
 // sendPeerBatch issues one POST /v1/peer/batch carrying every leader
 // cell and records validated fills into fills (missing key = failed).
-func (s *Server) sendPeerBatch(owner string, leaders []peerBatchItem, tenant string, fills map[string]peerFill) {
+func (s *Server) sendPeerBatch(owner string, leaders []peerBatchItem, tenant string, fills map[string]sim.Result) {
 	preq := PeerBatchRequest{Jobs: make([]PeerBatchJob, len(leaders))}
 	for k, it := range leaders {
 		preq.Jobs[k] = PeerBatchJob{Req: it.req, Fingerprint: it.fp}
@@ -293,24 +195,28 @@ func (s *Server) sendPeerBatch(owner string, leaders []peerBatchItem, tenant str
 		pb := []byte(pc.Payload)
 		var res sim.Result
 		if json.Unmarshal(pb, &res) != nil || !bytes.Equal(EncodeResult(res), pb) {
-			// Same trust boundary as single-cell fills: a non-canonical
-			// payload never enters the cache.
-			s.peerSkewRejects.Add(1)
+			// The cache contract survives the wire only if the peer's
+			// bytes are the canonical rendering: a non-canonical payload
+			// (version skew or corruption, not a fingerprint
+			// disagreement) never enters the cache and the cell falls
+			// back to local simulation.
 			s.events.Log("peer_corrupt", map[string]any{"peer": owner, "fingerprint": it.fp, "cause": "non-canonical batch payload"})
 			continue
 		}
-		fills[it.fp] = peerFill{res: res, ok: true}
+		fills[it.fp] = res
 		s.peerFills.Add(1)
 	}
-	s.notePeerFillDuration(time.Since(start))
+	if len(fills) > 0 {
+		s.notePeerFillDuration(time.Since(start))
+	}
 }
 
 // handlePeerBatch serves POST /v1/peer/batch: the owner-side half of
 // scatter-gather. Cells run concurrently through the ordinary cell
 // path (cache → singleflight → simulate) and each answers with the
-// canonical payload bytes. Like /v1/peer/sim it never forwards and
-// skips tenant admission — the ingress node already charged the
-// caller — but queue-full refusals surface per cell as 429s.
+// canonical payload bytes. It never forwards and skips tenant
+// admission — the ingress node already charged the caller — but
+// queue-full refusals surface per cell as 429s.
 func (s *Server) handlePeerBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.requirePeerCluster(w) {
 		return

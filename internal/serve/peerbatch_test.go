@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -183,41 +186,178 @@ func TestClusterBatchOwnerKillFallback(t *testing.T) {
 	}
 }
 
-// TestPeerFlightCoalesce pins the cluster-level singleflight: many
-// concurrent callers for one fingerprint elect exactly one leader, and
-// finish publishes the leader's outcome to every waiter.
+// TestPeerFlightCoalesce pins the singleflight contract both flight
+// groups share: many concurrent callers for one fingerprint elect
+// exactly one leader, finish publishes the leader's outcome to every
+// follower (counted), a failed outcome is forgotten so the next caller
+// leads, and a panic inside do reaches only the leader while every
+// follower gets an error.
 func TestPeerFlightCoalesce(t *testing.T) {
-	var g peerFlight
+	var g flightGroup[sim.Result]
 	const waiters = 16
+	follow := func(key string, errs chan<- error) {
+		c, lead := g.begin(key)
+		if lead {
+			t.Error("second leader elected while a call is in flight")
+		}
+		_, err := c.wait()
+		errs <- err
+	}
 	leaderCall, leader := g.begin("fp-1")
 	if !leader {
 		t.Fatal("first caller must lead")
 	}
-	var followers atomic.Int64
-	results := make(chan bool, waiters)
+	errs := make(chan error, waiters)
 	for i := 0; i < waiters; i++ {
-		go func() {
-			c, lead := g.begin("fp-1")
-			if lead {
-				t.Error("second leader elected while a call is in flight")
-			}
-			followers.Add(1)
-			<-c.done
-			results <- c.ok
-		}()
+		go follow("fp-1", errs)
 	}
-	for followers.Load() < waiters {
+	for g.followers.Load() < waiters {
 		runtime.Gosched()
 	}
-	g.finish("fp-1", leaderCall, sim.Result{}, true)
+	g.finish("fp-1", leaderCall, sim.Result{}, nil)
 	for i := 0; i < waiters; i++ {
-		if ok := <-results; !ok {
-			t.Fatal("waiter saw !ok after a successful fill")
+		if err := <-errs; err != nil {
+			t.Fatalf("follower saw %v after a successful fill", err)
 		}
 	}
-	// The key is forgotten: the next caller leads a fresh fill.
+
+	// The key is forgotten: the next caller leads a fresh fill. A
+	// failed outcome reaches its follower and is forgotten too.
+	failed, lead := g.begin("fp-1")
+	if !lead {
+		t.Fatal("finished key not forgotten")
+	}
+	go follow("fp-1", errs)
+	for g.followers.Load() < waiters+1 {
+		runtime.Gosched()
+	}
+	g.finish("fp-1", failed, sim.Result{}, errPeerUnfilled)
+	if err := <-errs; !errors.Is(err, errPeerUnfilled) {
+		t.Errorf("follower of a failed fill saw %v, want errPeerUnfilled", err)
+	}
 	if _, lead := g.begin("fp-1"); !lead {
-		t.Error("finished key not forgotten")
+		t.Error("failed outcome cached: the next caller did not lead")
+	}
+
+	// A panicking leader: the panic stays on its goroutine, and every
+	// follower is settled with an error instead of a zero result.
+	var p flightGroup[runner.CellResult]
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		p.do("fp-2", func() (runner.CellResult, error) {
+			close(entered)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-entered
+	for i := 0; i < waiters; i++ {
+		go func() {
+			_, err, shared := p.do("fp-2", func() (runner.CellResult, error) {
+				t.Error("a follower ran the leader's work")
+				return runner.CellResult{}, nil
+			})
+			if !shared {
+				t.Error("follower not marked shared")
+			}
+			errs <- err
+		}()
+	}
+	for p.followers.Load() < waiters {
+		runtime.Gosched()
+	}
+	close(release)
+	if r := <-recovered; r != "boom" {
+		t.Fatalf("leader recovered %v, want its own panic", r)
+	}
+	for i := 0; i < waiters; i++ {
+		if err := <-errs; err == nil {
+			t.Fatal("follower of a panicked leader got a nil error")
+		}
+	}
+	if _, lead := p.begin("fp-2"); !lead {
+		t.Error("panicked call not forgotten")
+	}
+}
+
+// TestPeerFillCorruptPayload makes a plain handler the owner of a
+// cell and has it answer fills with a payload that is not in canonical
+// form. The ingress node must simulate the cell locally, serve and
+// cache the canonical bytes, and count one fallback: no fill, no skew
+// refusal (nothing disagreed on the fingerprint) and no fill time.
+func TestPeerFillCorruptPayload(t *testing.T) {
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req PeerBatchRequest
+		if r.URL.Path != "/v1/peer/batch" || json.NewDecoder(r.Body).Decode(&req) != nil {
+			http.Error(w, "unexpected request", http.StatusBadRequest)
+			return
+		}
+		var resp PeerBatchResponse
+		for _, j := range req.Jobs {
+			resp.Cells = append(resp.Cells, PeerBatchCell{Fingerprint: j.Fingerprint, Tier: "mem", Payload: `{"bogus":1}`})
+		}
+		json.NewEncoder(w).Encode(resp)
+	}))
+	defer fake.Close()
+	front := &handlerVar{}
+	ingress := httptest.NewServer(front)
+	defer ingress.Close()
+	cl, err := cluster.New(cluster.Config{
+		Self:          ingress.URL,
+		Peers:         []string{ingress.URL, fake.URL},
+		ProbeInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatalf("cluster.New: %v", err)
+	}
+	s := New(Config{Base: tinyCfg(), Workers: 1, Cluster: cl, WarmPushQueue: -1})
+	defer s.Close()
+	front.v.Store(s.Handler())
+
+	// Pick a cell the fake node owns.
+	w := workload.All()[0]
+	v := core.Variants()[0]
+	var job runner.Job
+	insts := uint64(3001)
+	for ; insts < 3100; insts++ {
+		jobs, err := JobRequest{Bench: w.Name, Scheme: v.String(), Insts: insts}.Jobs(s.Base())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if owner, _ := cl.Owner(jobs[0].Fingerprint()); owner == fake.URL {
+			job = jobs[0]
+			break
+		}
+	}
+	if insts == 3100 {
+		t.Fatal("the fake node owns none of 99 candidate cells")
+	}
+
+	resp, got := postSim(t, ingress, fmt.Sprintf(`{"bench":%q,"scheme":%q,"insts":%d}`, w.Name, v.String(), insts))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, got)
+	}
+	if tier := resp.Header.Get("X-Psb-Cache"); tier != "sim" {
+		t.Errorf("tier = %q, want sim (local fallback)", tier)
+	}
+	direct, err := sim.RunChecked(context.Background(), w, v, job.Config)
+	if err != nil {
+		t.Fatalf("direct run: %v", err)
+	}
+	want := EncodeResult(direct)
+	if !bytes.Equal(got, want) {
+		t.Error("fallback response differs from the direct rendering")
+	}
+	pc := s.Stats().Peer
+	if pc.Fallbacks != 1 || pc.SkewRejects != 0 || pc.Fills != 0 || pc.FillP50Us != 0 {
+		t.Errorf("counters: fallbacks=%d skew_rejects=%d fills=%d fill_ewma_us=%g, want 1/0/0/0",
+			pc.Fallbacks, pc.SkewRejects, pc.Fills, pc.FillP50Us)
+	}
+	if res, _, ok := s.cache.peek(job.Fingerprint()); !ok || !bytes.Equal(EncodeResult(res), want) {
+		t.Error("cache does not hold the canonical bytes after the corrupt fill")
 	}
 }
 
@@ -315,6 +455,9 @@ func TestPeerBatchGuards(t *testing.T) {
 	if srvs[0].Stats().Peer.LoopRejects != 1 {
 		t.Error("loop reject not counted")
 	}
+	if n := totalSims(srvs); n != 0 {
+		t.Errorf("a looped request still simulated (%d sims)", n)
+	}
 
 	// Per-cell skew: the bogus cell carries a 409 status, the good
 	// cell still answers.
@@ -340,6 +483,20 @@ func TestPeerBatchGuards(t *testing.T) {
 	}
 	if srvs[0].Stats().Peer.SkewRejects != 1 {
 		t.Error("skew reject not counted")
+	}
+	if n := totalSims(srvs); n != 1 {
+		t.Errorf("mixed batch ran %d sims, want 1 (the good cell only)", n)
+	}
+
+	// The single-cell peer endpoint is gone: a caller on an older
+	// version gets a 404 and falls back to local simulation.
+	resp, err = http.Post(tss[0].URL+"/v1/peer/sim", "application/json", strings.NewReader(`{}`))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/v1/peer/sim status %d, want 404", resp.StatusCode)
 	}
 
 	// Warm-push skew: whole request refused with 409.

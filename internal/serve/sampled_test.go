@@ -96,3 +96,31 @@ func TestServerSampledStatsAbsentForExact(t *testing.T) {
 		t.Errorf("exact-only server reports a sampled section: %+v", st.Sampled)
 	}
 }
+
+// TestClusterSampledTierCounters checks a non-owner counts the sampled
+// cells it serves from a peer fill and from its replica, not only the
+// ones it simulates itself.
+func TestClusterSampledTierCounters(t *testing.T) {
+	base := tinyCfg()
+	base.MaxInsts = 60_000
+	srvs, tss, _ := newTestCluster(t, 2, base)
+	owner, _ := ownerIndex(t, srvs, tss, JobRequest{Bench: "health", Scheme: "Base", Sample: true})
+	caller := 1 - owner
+
+	const body = `{"bench":"health","scheme":"Base","sample":true}`
+	for _, want := range []string{"peer", "mem"} {
+		resp, b := postSim(t, tss[caller], body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, b)
+		}
+		if tier := resp.Header.Get("X-Psb-Cache"); tier != want {
+			t.Errorf("tier = %q, want %q", tier, want)
+		}
+	}
+	if st := srvs[caller].Stats(); st.Sampled == nil || st.Sampled.Cells != 2 {
+		t.Errorf("non-owner sampled counters = %+v, want 2 cells", st.Sampled)
+	}
+	if text := scrape(t, tss[caller].URL); !strings.Contains(text, "psb_sampled_cells_total 2") {
+		t.Error("non-owner scrape lacks psb_sampled_cells_total 2")
+	}
+}

@@ -71,7 +71,7 @@ type Config struct {
 	QuarantineBudget int64
 	// Cluster, when non-nil, joins the node to a fleet: fingerprints
 	// route to their consistent-hash owner, misses fill from peers,
-	// and this node answers /v1/peer/sim for the keys it owns. The
+	// and this node answers /v1/peer/batch for the keys it owns. The
 	// server starts the cluster's health prober and closes the
 	// cluster on Close.
 	Cluster *cluster.Cluster
@@ -97,7 +97,7 @@ type Server struct {
 	opts    runner.Options
 	disp    *runner.Dispatcher
 	cache   *ResultCache
-	flight  flightGroup
+	flight  flightGroup[runner.CellResult]
 	policy  TenantPolicy
 	limiter *rateLimiter
 	faults  *Injector
@@ -136,10 +136,10 @@ type Server struct {
 	// Scatter-gather machinery: the cluster-level singleflight over
 	// wire fills, batch-RPC accounting, and the warm-push replicator
 	// (nil when disabled or standalone).
-	peerFlight                                   peerFlight
-	peerBatchRPCs, peerBatchCells, peerCoalesced atomic.Uint64
-	warmPush                                     *warmPusher
-	warmRecv, warmRejected                       atomic.Uint64
+	peerFlight                    flightGroup[sim.Result]
+	peerBatchRPCs, peerBatchCells atomic.Uint64
+	warmPush                      *warmPusher
+	warmRecv, warmRejected        atomic.Uint64
 }
 
 // New starts a server. The caller owns the HTTP listener; Handler
@@ -230,7 +230,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sim", s.handleSim)
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	mux.HandleFunc("POST /v1/artifact", s.handleArtifact)
-	mux.HandleFunc("POST /v1/peer/sim", s.handlePeerSim)
 	mux.HandleFunc("POST /v1/peer/batch", s.handlePeerBatch)
 	mux.HandleFunc("POST /v1/peer/warm", s.handlePeerWarm)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -278,14 +277,13 @@ func (r *statusRecorder) WriteHeader(status int) {
 func (s *Server) cell(job runner.Job, tenant string) (cell runner.CellResult, tier string, err error) {
 	fp := job.Fingerprint()
 	if res, tier, ok := s.cache.Get(fp); ok {
-		s.countTier(tier)
-		s.noteSampled(res)
+		s.noteServed(tier, res)
 		return runner.CellResult{Result: res, Cached: true}, tier, nil
 	}
 	var simDur time.Duration
-	cell, err, shared := s.flight.Do(fp, func() (runner.CellResult, error) {
+	cell, err, shared := s.flight.do(fp, func() (runner.CellResult, error) {
 		// Re-check under the flight: a concurrent leader may have
-		// populated the cache between our Get and Do.
+		// populated the cache between our Get and do.
 		if res, _, ok := s.cache.peek(fp); ok {
 			return runner.CellResult{Result: res, Cached: true}, nil
 		}
@@ -319,27 +317,17 @@ func (s *Server) cell(job runner.Job, tenant string) (cell runner.CellResult, ti
 		tier = "sim"
 		s.noteSimDuration(simDur)
 	}
-	s.countTier(tier)
+	s.noteServed(tier, cell.Result)
 	if cell.Err != nil {
 		s.cellsFailed.Add(1)
-	} else {
-		s.noteSampled(cell.Result)
 	}
 	return cell, tier, nil
 }
 
-// noteSampled folds one served sampled-tier result into the counters.
-func (s *Server) noteSampled(res sim.Result) {
-	est := res.Sampled
-	if est == nil {
-		return
-	}
-	s.cellsSampled.Add(1)
-	s.sampledIntervals.Add(uint64(est.Intervals))
-	s.sampledLastCI.Store(math.Float64bits(est.CIRelPct))
-}
-
-func (s *Server) countTier(tier string) {
+// noteServed counts one served cell under its tier and, when it
+// carries a sampled estimate, in the sampled-tier counters. Every
+// place that serves a cell calls it, so the two views cannot drift.
+func (s *Server) noteServed(tier string, res sim.Result) {
 	switch tier {
 	case "mem":
 		s.cellsMem.Add(1)
@@ -351,6 +339,11 @@ func (s *Server) countTier(tier string) {
 		s.cellsSim.Add(1)
 	case "peer":
 		s.cellsPeer.Add(1)
+	}
+	if est := res.Sampled; est != nil {
+		s.cellsSampled.Add(1)
+		s.sampledIntervals.Add(uint64(est.Intervals))
+		s.sampledLastCI.Store(math.Float64bits(est.CIRelPct))
 	}
 }
 
@@ -513,16 +506,16 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	cell, tier, err := s.routedCell(jobs[0], tenant)
-	if err != nil || cell.Err != nil {
-		s.writeCellError(w, cell, err)
+	out := s.runAll(jobs, tenant)[0]
+	if out.err != nil || out.cell.Err != nil {
+		s.writeCellError(w, out.cell, out.err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Psb-Cache", tier)
+	w.Header().Set("X-Psb-Cache", out.tier)
 	w.Header().Set("X-Psb-Fingerprint", jobs[0].Fingerprint())
 	w.Header().Set("X-Psb-Serve-Us", fmt.Sprintf("%d", time.Since(start).Microseconds()))
-	w.Write(EncodeResult(cell.Result))
+	w.Write(EncodeResult(out.cell.Result))
 }
 
 // BatchCell is one cell's outcome in a batch response.
@@ -639,21 +632,56 @@ type batchOutcome struct {
 	err  error
 }
 
-// runAll resolves jobs concurrently on the tenant's queue. In cluster
-// mode the batch scatter-gathers — one peer RPC per remote owner —
-// instead of paying a round trip per cell.
+// runAll resolves jobs concurrently on the tenant's queue: /v1/sim (a
+// batch of one), /v1/batch and /v1/artifact all serve cells through
+// it. Local cache peeks come first. Without a cluster every miss takes
+// the plain cell path; in a cluster so do self-owned and inexpressible
+// cells, and the rest are grouped by ring owner into single
+// /v1/peer/batch calls. Any cell whose fill fails — owner dead,
+// per-cell refusal, corrupt payload — falls back to local simulation,
+// so a request degrades cell by cell, never whole. The lookup is a
+// peek, not a Get: a miss falls through to cell, whose Get counts it,
+// so each cell counts one hit or one miss.
 func (s *Server) runAll(jobs []runner.Job, tenant string) []batchOutcome {
-	if s.cluster != nil {
-		return s.scatterGather(jobs, tenant)
-	}
 	out := make([]batchOutcome, len(jobs))
 	var wg sync.WaitGroup
-	for i := range jobs {
+	local := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			out[i].cell, out[i].tier, out[i].err = s.cell(jobs[i], tenant)
-		}(i)
+		}()
+	}
+	groups := make(map[string][]peerBatchItem)
+	for i := range jobs {
+		fp := jobs[i].Fingerprint()
+		if res, tier, ok := s.cache.peek(fp); ok {
+			s.noteServed(tier, res)
+			out[i] = batchOutcome{cell: runner.CellResult{Result: res, Cached: true}, tier: tier}
+			continue
+		}
+		if s.cluster == nil {
+			local(i)
+			continue
+		}
+		owner, self := s.cluster.Owner(fp)
+		if self {
+			local(i)
+			continue
+		}
+		req, ok := s.peerRequest(jobs[i], fp)
+		if !ok {
+			local(i)
+			continue
+		}
+		groups[owner] = append(groups[owner], peerBatchItem{idx: i, fp: fp, req: req, job: jobs[i]})
+	}
+	for owner, items := range groups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.fillOwnerBatch(owner, items, tenant, out)
+		}()
 	}
 	wg.Wait()
 	return out

@@ -146,7 +146,7 @@ func TestServerSingleflightDedup(t *testing.T) {
 	}
 	// Every follower must be parked in the flight before the leader may
 	// finish, so the dedup is guaranteed, not scheduling luck.
-	for s.flight.Dedup() < followers {
+	for s.flight.followers.Load() < followers {
 		runtime.Gosched()
 	}
 	releaseOnce()
