@@ -331,52 +331,33 @@ type runState struct {
 // New builds a core over the hierarchy, prefetcher and instruction
 // source.
 func New(cfg Config, hier *mem.Hierarchy, pf sbuf.Prefetcher, src Source) *CPU {
-	if pf == nil {
-		pf = sbuf.Null{}
-	}
 	n := cfg.ROBSize
 	c := &CPU{
-		cfg:                 cfg,
-		hier:                hier,
-		pf:                  pf,
-		src:                 src,
-		bp:                  NewGshare(cfg.Gshare),
-		robD:                make([]vm.DynInst, n),
-		robSeq:              make([]uint64, n),
-		robDisp:             make([]uint64, n),
-		robDone:             make([]uint64, n),
-		robWake:             make([]uint64, n),
-		robWakeBase:         make([]uint64, n),
-		robWaitN:            make([]uint8, n),
-		robFlags:            make([]uint8, n),
-		wakeHead:            make([]int32, n),
-		wakeNext:            make([]int32, 2*n),
-		robRd:               make([]uint8, n),
-		robClass:            make([]uint8, n),
-		unissued:            make([]uint64, (n+63)/64),
-		wakeable:            make([]uint64, (n+63)/64),
-		fetchQ:              make([]fetchItem, cfg.FetchQueueSize),
-		storeQ:              make([]int32, n),
-		storeSeqQ:           make([]uint64, n),
-		storeLoQ:            make([]uint64, n),
-		storeHiQ:            make([]uint64, n),
-		robConflict:         make([]int32, n),
-		robConflictSeq:      make([]uint64, n),
-		minUnissuedStoreSeq: noStoreSeq,
-		lastIBlock:          math.MaxUint64,
+		cfg:            cfg,
+		hier:           hier,
+		bp:             NewGshare(cfg.Gshare),
+		robD:           make([]vm.DynInst, n),
+		robSeq:         make([]uint64, n),
+		robDisp:        make([]uint64, n),
+		robDone:        make([]uint64, n),
+		robWake:        make([]uint64, n),
+		robWakeBase:    make([]uint64, n),
+		robWaitN:       make([]uint8, n),
+		robFlags:       make([]uint8, n),
+		wakeHead:       make([]int32, n),
+		wakeNext:       make([]int32, 2*n),
+		robRd:          make([]uint8, n),
+		robClass:       make([]uint8, n),
+		unissued:       make([]uint64, (n+63)/64),
+		wakeable:       make([]uint64, (n+63)/64),
+		fetchQ:         make([]fetchItem, cfg.FetchQueueSize),
+		storeQ:         make([]int32, n),
+		storeSeqQ:      make([]uint64, n),
+		storeLoQ:       make([]uint64, n),
+		storeHiQ:       make([]uint64, n),
+		robConflict:    make([]int32, n),
+		robConflictSeq: make([]uint64, n),
 	}
-	c.rt, _ = pf.(rangeTicker)
-	if rs, ok := src.(restSource); ok {
-		c.srcBuf = rs.Rest()
-	}
-	for i := range c.lastWriter {
-		c.lastWriter[i] = noDep
-	}
-	for i := range c.wakeHead {
-		c.wakeHead[i] = noDep32
-	}
-	// Every register starts architectural: ready since cycle 0.
-	c.regKnown = ^uint64(0)
 	// Build FU pools; divides share their multiplier's units and
 	// branches execute on the integer ALUs, as in the paper.
 	c.pools[isa.ClassNop] = newFUPool(cfg.FUCount[isa.ClassNop])
@@ -389,7 +370,68 @@ func New(cfg Config, hier *mem.Hierarchy, pf sbuf.Prefetcher, src Source) *CPU {
 	c.pools[isa.ClassFPAdd] = newFUPool(cfg.FUCount[isa.ClassFPAdd])
 	c.pools[isa.ClassFPMul] = newFUPool(cfg.FUCount[isa.ClassFPMul])
 	c.pools[isa.ClassFPDiv] = c.pools[isa.ClassFPMul]
+	c.Reset(pf, src)
 	return c
+}
+
+// Reset returns the core to the state New leaves it in, over a new
+// prefetcher and instruction source: empty pipeline and queues, cycle
+// 0, zero statistics, idle functional units, no delta histogram. It
+// keeps the configuration, the hierarchy and every array, so sampled
+// simulation allocates one core per run rather than one per
+// measurement interval. The branch predictor keeps its state:
+// SetBranchState, which overwrites every predictor field, seeds it.
+func (c *CPU) Reset(pf sbuf.Prefetcher, src Source) {
+	if pf == nil {
+		pf = sbuf.Null{}
+	}
+	for _, p := range c.pools {
+		clear(p.busyUntil)
+	}
+	// Every scalar not named here starts at zero.
+	*c = CPU{
+		cfg:                 c.cfg,
+		hier:                c.hier,
+		pf:                  pf,
+		src:                 src,
+		bp:                  c.bp,
+		robD:                cleared(c.robD),
+		robSeq:              cleared(c.robSeq),
+		robDisp:             cleared(c.robDisp),
+		robDone:             cleared(c.robDone),
+		robWake:             cleared(c.robWake),
+		robWakeBase:         cleared(c.robWakeBase),
+		robWaitN:            cleared(c.robWaitN),
+		robFlags:            cleared(c.robFlags),
+		robRd:               cleared(c.robRd),
+		robClass:            cleared(c.robClass),
+		wakeHead:            c.wakeHead,
+		wakeNext:            cleared(c.wakeNext),
+		unissued:            cleared(c.unissued),
+		wakeable:            cleared(c.wakeable),
+		storeQ:              cleared(c.storeQ),
+		storeSeqQ:           cleared(c.storeSeqQ),
+		storeLoQ:            cleared(c.storeLoQ),
+		storeHiQ:            cleared(c.storeHiQ),
+		robConflict:         cleared(c.robConflict),
+		robConflictSeq:      cleared(c.robConflictSeq),
+		minUnissuedStoreSeq: noStoreSeq,
+		fetchQ:              cleared(c.fetchQ),
+		lastIBlock:          math.MaxUint64,
+		pools:               c.pools,
+		// Every register starts architectural: ready since cycle 0.
+		regKnown: ^uint64(0),
+	}
+	c.rt, _ = pf.(rangeTicker)
+	if rs, ok := src.(restSource); ok {
+		c.srcBuf = rs.Rest()
+	}
+	for i := range c.lastWriter {
+		c.lastWriter[i] = noDep
+	}
+	for i := range c.wakeHead {
+		c.wakeHead[i] = noDep32
+	}
 }
 
 // SetDeltaHistogram attaches Figure-4 instrumentation: every committed
@@ -1095,6 +1137,12 @@ func (c *CPU) commit() bool {
 		c.robCount--
 	}
 	return committed
+}
+
+// cleared zeroes s in place and returns it.
+func cleared[S ~[]E, E any](s S) S {
+	clear(s)
+	return s
 }
 
 func maxU64(a, b uint64) uint64 {

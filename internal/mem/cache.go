@@ -41,10 +41,15 @@ func (c CacheConfig) Validate() error {
 	return nil
 }
 
-type cacheLine struct {
-	tag     uint64
-	valid   bool
-	lastUse uint64 // LRU timestamp
+// CacheLineState is one 16-byte tag-array line: the block tag and the
+// LRU stamp of the line's last use. LastUse == 0 marks an invalid line;
+// Access and Insert advance the cache clock before stamping, so every
+// stamp a line receives is at least 1. Validity thus costs no field of
+// its own, a 4-way set fills 64 bytes, and a tag array snapshots and
+// restores as one copy.
+type CacheLineState struct {
+	Tag     uint64
+	LastUse uint64
 }
 
 // CacheStats counts raw tag-array activity. The paper's "in-flight
@@ -70,7 +75,7 @@ type Cache struct {
 	cfg        CacheConfig
 	blockShift uint
 	setMask    uint64
-	lines      []cacheLine // sets*ways, row-major by set
+	lines      []CacheLineState // sets*ways, row-major by set
 	clock      uint64
 	stats      CacheStats
 }
@@ -89,7 +94,7 @@ func NewCache(cfg CacheConfig) *Cache {
 		cfg:        cfg,
 		blockShift: shift,
 		setMask:    uint64(cfg.Sets() - 1),
-		lines:      make([]cacheLine, cfg.Sets()*cfg.Ways),
+		lines:      make([]CacheLineState, cfg.Sets()*cfg.Ways),
 	}
 }
 
@@ -107,7 +112,7 @@ func (c *Cache) BlockAddr(addr uint64) uint64 {
 // BlockShift returns log2 of the block size.
 func (c *Cache) BlockShift() uint { return c.blockShift }
 
-func (c *Cache) set(addr uint64) []cacheLine {
+func (c *Cache) set(addr uint64) []CacheLineState {
 	idx := (addr >> c.blockShift) & c.setMask
 	return c.lines[idx*uint64(c.cfg.Ways) : (idx+1)*uint64(c.cfg.Ways)]
 }
@@ -116,9 +121,9 @@ func (c *Cache) set(addr uint64) []cacheLine {
 // derived once by the caller: demand accesses probe, then access, then
 // possibly insert the same block, and re-deriving the set bounds inside
 // each loop iteration is measurable on that hot path.
-func findWay(set []cacheLine, tag uint64) int {
+func findWay(set []CacheLineState, tag uint64) int {
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].Tag == tag && set[i].LastUse != 0 {
 			return i
 		}
 	}
@@ -138,39 +143,42 @@ func (c *Cache) Access(addr uint64) bool {
 	c.stats.Accesses++
 	set := c.set(addr)
 	if i := findWay(set, addr>>c.blockShift); i >= 0 {
-		set[i].lastUse = c.clock
+		set[i].LastUse = c.clock
 		return true
 	}
 	c.stats.Misses++
 	return false
 }
 
-// Insert fills addr's block, evicting the LRU line if needed. It
-// returns the evicted block address and whether an eviction occurred.
-// Inserting an already-resident block refreshes its LRU position.
+// Insert fills addr's block, evicting the LRU line if needed: the last
+// invalid way of the set if there is one, otherwise the way with the
+// smallest stamp. It returns the evicted block address and whether an
+// eviction occurred. Inserting an already-resident block refreshes its
+// LRU position.
 func (c *Cache) Insert(addr uint64) (evicted uint64, wasValid bool) {
 	c.clock++
 	tag := addr >> c.blockShift
 	set := c.set(addr)
 	victim := 0
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].lastUse = c.clock
+		l := set[i].LastUse
+		if set[i].Tag == tag && l != 0 {
+			set[i].LastUse = c.clock
 			return 0, false
 		}
-		if !set[i].valid {
-			victim = i
-		} else if set[victim].valid && set[i].lastUse < set[victim].lastUse {
+		// An invalid victim (stamp 0) is never displaced by a valid
+		// way, since no stamp is below 0.
+		if l == 0 || l < set[victim].LastUse {
 			victim = i
 		}
 	}
 	v := &set[victim]
-	evicted, wasValid = v.tag<<c.blockShift, v.valid
+	evicted, wasValid = v.Tag<<c.blockShift, v.LastUse != 0
 	if wasValid {
 		c.stats.Evicts++
 	}
 	c.stats.Fills++
-	*v = cacheLine{tag: tag, valid: true, lastUse: c.clock}
+	*v = CacheLineState{Tag: tag, LastUse: c.clock}
 	return evicted, wasValid
 }
 
@@ -178,7 +186,7 @@ func (c *Cache) Insert(addr uint64) (evicted uint64, wasValid bool) {
 func (c *Cache) Invalidate(addr uint64) bool {
 	set := c.set(addr)
 	if i := findWay(set, addr>>c.blockShift); i >= 0 {
-		set[i].valid = false
+		set[i].LastUse = 0
 		return true
 	}
 	return false
@@ -186,8 +194,4 @@ func (c *Cache) Invalidate(addr uint64) bool {
 
 // Flush invalidates every line and clears LRU state (statistics are
 // preserved). Used between benchmark phases in tests.
-func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.lines[i] = cacheLine{}
-	}
-}
+func (c *Cache) Flush() { clear(c.lines) }

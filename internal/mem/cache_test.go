@@ -123,6 +123,34 @@ func TestCacheInvalidate(t *testing.T) {
 	}
 }
 
+// TestCacheInvalidateThenInsertRefillsWay: an invalidated line is an
+// invalid way again (stamp 0), so the next fill of its set takes that
+// way and evicts nothing, even though another way holds the set's LRU
+// line.
+func TestCacheInvalidateThenInsertRefillsWay(t *testing.T) {
+	c := smallCache()
+	const a, b, x = 0x000, 0x080, 0x100 // all in set 0
+	c.Insert(a)                         // way 1: the last invalid way wins
+	c.Insert(b)                         // way 0
+	c.Access(a)                         // b is now the LRU line
+	if !c.Invalidate(a) {
+		t.Fatal("Invalidate missed resident block")
+	}
+	if _, wasValid := c.Insert(x); wasValid {
+		t.Error("insert into a set with an invalidated way evicted a line")
+	}
+	if !c.Probe(b) || !c.Probe(x) || c.Probe(a) {
+		t.Errorf("after refill: b=%v x=%v a=%v resident, want true true false",
+			c.Probe(b), c.Probe(x), c.Probe(a))
+	}
+	if st := c.Stats(); st.Evicts != 0 || st.Fills != 3 {
+		t.Errorf("stats %+v, want 3 fills and no evictions", st)
+	}
+	if l := c.State().Lines[1]; l.Tag != x>>5 || l.LastUse == 0 {
+		t.Errorf("way 1 holds %+v, want the refilled block", l)
+	}
+}
+
 func TestCacheFlush(t *testing.T) {
 	c := smallCache()
 	for i := uint64(0); i < 8; i++ {

@@ -10,13 +10,6 @@ import "fmt"
 // only be applied to a structure built from the same configuration,
 // and SetState validates the shapes to catch mismatches.
 
-// CacheLineState is one tag-array line of a CacheState.
-type CacheLineState struct {
-	Tag     uint64
-	Valid   bool
-	LastUse uint64
-}
-
 // CacheState is the replacement-relevant state of a Cache.
 type CacheState struct {
 	Clock uint64
@@ -25,11 +18,7 @@ type CacheState struct {
 
 // State returns a deep copy of the cache's tag array and LRU clock.
 func (c *Cache) State() CacheState {
-	st := CacheState{Clock: c.clock, Lines: make([]CacheLineState, len(c.lines))}
-	for i, l := range c.lines {
-		st.Lines[i] = CacheLineState{Tag: l.tag, Valid: l.valid, LastUse: l.lastUse}
-	}
-	return st
+	return CacheState{Clock: c.clock, Lines: append([]CacheLineState(nil), c.lines...)}
 }
 
 // SetState overwrites the cache's tag array and LRU clock from a
@@ -40,9 +29,7 @@ func (c *Cache) SetState(st CacheState) error {
 		return fmt.Errorf("mem: cache %q: snapshot has %d lines, geometry wants %d",
 			c.cfg.Name, len(st.Lines), len(c.lines))
 	}
-	for i, l := range st.Lines {
-		c.lines[i] = cacheLine{tag: l.Tag, valid: l.Valid, lastUse: l.LastUse}
-	}
+	copy(c.lines, st.Lines)
 	c.clock = st.Clock
 	return nil
 }
@@ -109,7 +96,7 @@ func (h *Hierarchy) WarmState() WarmState {
 }
 
 // SetWarmState restores a snapshot taken from an identically-configured
-// hierarchy.
+// hierarchy. Statistics and transient machinery are left untouched.
 func (h *Hierarchy) SetWarmState(ws WarmState) error {
 	if err := h.L1D.SetState(ws.L1D); err != nil {
 		return err
@@ -121,4 +108,31 @@ func (h *Hierarchy) SetWarmState(ws WarmState) error {
 		return err
 	}
 	return h.DTLB.SetState(ws.DTLB)
+}
+
+// Rewarm leaves the hierarchy exactly as New(h.Config()) followed by
+// SetWarmState(ws) would, reusing its storage: tag arrays and TLB come
+// from the snapshot, every cache, TLB and demand statistic is zero,
+// and the buses, MSHR files and L2 pipeline are idle. Sampled
+// simulation rewarms one hierarchy per measurement interval instead of
+// allocating a fresh one. On error the hierarchy is partly restored
+// and must be rewarmed again before use.
+func (h *Hierarchy) Rewarm(ws WarmState) error {
+	if err := h.SetWarmState(ws); err != nil {
+		return err
+	}
+	for _, c := range [...]*Cache{h.L1D, h.L1I, h.L2} {
+		c.stats = CacheStats{}
+	}
+	h.DTLB.Accesses, h.DTLB.Misses = 0, 0
+	for _, b := range [...]*Bus{h.L1L2, h.MemBus} {
+		*b = Bus{bytesPerCycle: b.bytesPerCycle}
+	}
+	for _, f := range [...]*MSHRFile{h.DMSHR, h.IMSHR} {
+		clear(f.slots)
+		*f = MSHRFile{slots: f.slots}
+	}
+	*h.l2pipe = Pipeline{latency: h.l2pipe.latency, interval: h.l2pipe.interval}
+	h.DemandL2Hits, h.DemandL2Misses, h.PrefL2Hits, h.PrefL2Misses = 0, 0, 0, 0
+	return nil
 }

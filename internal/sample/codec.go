@@ -19,6 +19,8 @@ import (
 //	bp       history, clock u64; counters; btb entries; ras; rasTop u64;
 //	         branches, dirWrong, targetWrong u64
 //	mem      L1D, L1I, L2 cache states; DTLB state
+//	         (cache state: clock u64; lines as tag u64, stamp u64,
+//	         valid byte — a valid line never has stamp 0)
 //	train    event count u32, then pc/addr u64 pairs
 //	checksum sha256 over everything above    32 bytes
 //
@@ -174,7 +176,7 @@ func (w *ckptWriter) cache(st mem.CacheState) {
 	for _, l := range st.Lines {
 		w.u64(l.Tag)
 		w.u64(l.LastUse)
-		w.bool(l.Valid)
+		w.bool(l.LastUse != 0) // the valid byte: stamp 0 marks an invalid line
 	}
 }
 
@@ -279,7 +281,15 @@ func (r *ckptReader) cache() mem.CacheState {
 	st := mem.CacheState{Clock: r.u64()}
 	st.Lines = make([]mem.CacheLineState, r.count())
 	for i := range st.Lines {
-		st.Lines[i] = mem.CacheLineState{Tag: r.u64(), LastUse: r.u64(), Valid: r.bool()}
+		tag, lastUse, valid := r.u64(), r.u64(), r.bool()
+		switch {
+		case !valid:
+			lastUse = 0
+		case lastUse == 0 && r.err == nil:
+			// No cache ever stamps a line 0, so the file is corrupt.
+			r.err = fmt.Errorf("sample: checkpoint cache line %d is valid with stamp 0", i)
+		}
+		st.Lines[i] = mem.CacheLineState{Tag: tag, LastUse: lastUse}
 	}
 	return st
 }

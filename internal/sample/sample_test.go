@@ -1,6 +1,8 @@
 package sample
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -77,6 +79,88 @@ func TestCodecRoundTrip(t *testing.T) {
 	short.Geometry = "deadbeef"
 	if _, err := Decode(data, short); err == nil {
 		t.Error("checkpoint accepted under the wrong geometry")
+	}
+}
+
+// l1dLineOffset returns the byte offset of L1D line j in data, an
+// encoding of st, working back from the end of the file: the caches,
+// TLB and train ring that follow the L1D lines have fixed-size records.
+func l1dLineOffset(data []byte, st *cpu.FunctionalState, j int) int {
+	const lineBytes = 8 + 8 + 1 // tag, stamp, valid byte
+	tlb := st.Mem.DTLB
+	tail := 3*8 + 4 + 8*len(tlb.Pages) + 4 + 8*len(tlb.LastUse) + 4 + 16*len(st.Train) + sha256.Size
+	for _, c := range []mem.CacheState{st.Mem.L1D, st.Mem.L1I, st.Mem.L2} {
+		tail += 8 + 4 + lineBytes*len(c.Lines)
+	}
+	return len(data) - tail + 8 + 4 + lineBytes*j
+}
+
+// resum replaces data's trailing checksum with the one its body
+// deserves, so a deliberately edited checkpoint reaches the parser.
+func resum(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	if len(out) < sha256.Size {
+		return out
+	}
+	body := out[:len(out)-sha256.Size]
+	sum := sha256.Sum256(body)
+	copy(out[len(body):], sum[:])
+	return out
+}
+
+// validLineStampZero returns a checkpoint of st whose first valid L1D
+// line keeps its valid byte but has its stamp zeroed, checksum
+// recomputed: well-formed bytes describing a line no cache can hold.
+func validLineStampZero(tb testing.TB, k Key, st *cpu.FunctionalState) []byte {
+	tb.Helper()
+	data := Encode(k, st)
+	for j, l := range st.Mem.L1D.Lines {
+		if l.LastUse == 0 {
+			continue
+		}
+		off := l1dLineOffset(data, st, j)
+		if binary.LittleEndian.Uint64(data[off:]) != l.Tag ||
+			binary.LittleEndian.Uint64(data[off+8:]) != l.LastUse || data[off+16] != 1 {
+			tb.Fatalf("L1D line %d is not at byte %d of the encoding", j, off)
+		}
+		bad := append([]byte(nil), data...)
+		clear(bad[off+8 : off+16])
+		return resum(bad)
+	}
+	tb.Fatal("checkpoint has no valid L1D line")
+	return nil
+}
+
+// TestCodecValidByte pins how the valid byte maps onto the 16-byte
+// line: the encoder derives it from the stamp, the decoder gives an
+// invalid line stamp 0, and a valid line with stamp 0 is corrupt.
+func TestCodecValidByte(t *testing.T) {
+	insts := healthStream(t, 5_000)
+	f := bootFor(insts)()
+	f.AdvanceTo(3_000)
+	st := f.Snapshot()
+	k := testKey()
+
+	if _, err := Decode(validLineStampZero(t, k, st), k); err == nil {
+		t.Error("valid line with stamp 0 accepted")
+	}
+
+	j := -1
+	for i, l := range st.Mem.L1D.Lines {
+		if l.LastUse != 0 {
+			j = i
+			break
+		}
+	}
+	data := Encode(k, st)
+	off := l1dLineOffset(data, st, j)
+	data[off+16] = 0 // clear the valid byte, keep the stamp
+	got, err := Decode(resum(data), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := got.Mem.L1D.Lines[j]; l.Tag != st.Mem.L1D.Lines[j].Tag || l.LastUse != 0 {
+		t.Errorf("invalid line decoded as %+v, want its tag with stamp 0", l)
 	}
 }
 

@@ -86,28 +86,29 @@ func (c Config) SampleCheckpointDir() string {
 	return ""
 }
 
-// buildWarm constructs the machine for one measurement interval: a
-// fresh hierarchy and core seeded from the checkpoint's warm state,
-// and a fresh scheme prefetcher warmed by replaying the checkpoint's
-// recent train events — the same (pc, addr) stream the detailed
-// commit stage would have fed it.
-func buildWarm(v core.Variant, cfg Config, src cpu.Source, st *cpu.FunctionalState) (machine, error) {
-	hier := mem.New(cfg.Mem)
-	if err := hier.SetWarmState(st.Mem); err != nil {
-		return machine{}, &ConfigError{Field: "SampleMode", Err: err}
+// rewarm readies m for one measurement interval: the hierarchy and
+// core return in place to the checkpoint's warm state, over src, and a
+// fresh scheme prefetcher is warmed by replaying the checkpoint's
+// recent train events — the same (pc, addr) stream the detailed commit
+// stage would have fed it. The result matches a machine built afresh
+// from the checkpoint, without reallocating the tag arrays and core.
+func (m *machine) rewarm(v core.Variant, cfg Config, src cpu.Source, st *cpu.FunctionalState) error {
+	if err := m.hier.Rewarm(st.Mem); err != nil {
+		return &ConfigError{Field: "SampleMode", Err: err}
 	}
 	opts := cfg.Opts
 	opts.Buffers.BlockBytes = cfg.Mem.L1D.BlockBytes
 	opts.SFM.BlockShift = blockShift(cfg.Mem.L1D.BlockBytes)
-	pf := core.NewWithOptions(v, opts, hier)
+	m.pf = core.NewWithOptions(v, opts, m.hier)
 	for _, e := range st.Train {
-		pf.Train(e.PC, e.Addr)
+		m.pf.Train(e.PC, e.Addr)
 	}
-	c := cpu.New(cfg.CPU, hier, pf, src)
-	if err := c.SetBranchState(st.BP); err != nil {
-		return machine{}, &ConfigError{Field: "SampleMode", Err: err}
+	m.cpu.Reset(m.pf, src)
+	m.cpu.SetDeltaHistogram(m.hist)
+	if err := m.cpu.SetBranchState(st.BP); err != nil {
+		return &ConfigError{Field: "SampleMode", Err: err}
 	}
-	return machine{cpu: c, hier: hier, pf: pf}, nil
+	return nil
 }
 
 // runSampled is the sampled counterpart of RunChecked's tail: it walks
@@ -133,6 +134,13 @@ func runSampled(ctx context.Context, w workload.Workload, v core.Variant, cfg Co
 	store := sample.Shared()
 	boot := func() *cpu.Functional { return cpu.NewFunctional(cfg.Mem, cfg.CPU.Gshare, insts) }
 
+	// One detailed machine serves every interval of this run, rewarmed
+	// in place at each boundary. It lives only as long as this call:
+	// psbserved runs sampled cells concurrently, so it is never pooled
+	// or shared.
+	m := machine{hier: mem.New(cfg.Mem)}
+	m.cpu = cpu.New(cfg.CPU, m.hier, nil, nil)
+
 	var (
 		agg                   cpu.Stats
 		sbAgg                 sbuf.Stats
@@ -147,11 +155,10 @@ func runSampled(ctx context.Context, w workload.Workload, v core.Variant, cfg Co
 		warmupInsts           uint64
 		ckHits, ckMisses      uint64
 		ffInsts               uint64
-		hist                  *predict.DeltaHistogram
 		runErr                error
 	)
 	if cfg.CollectFig4 {
-		hist = predict.NewDeltaHistogram(1<<16, blockShift(cfg.Mem.L1D.BlockBytes))
+		m.hist = predict.NewDeltaHistogram(1<<16, blockShift(cfg.Mem.L1D.BlockBytes))
 	}
 
 	// The measurement schedule is derived from the workload's functional
@@ -181,13 +188,9 @@ func runSampled(ctx context.Context, w workload.Workload, v core.Variant, cfg Co
 			ckMisses++
 		}
 		ffInsts += ai.FunctionalInsts
-		m, err := buildWarm(v, cfg, rep.From(iv.ck), st)
-		if err != nil {
+		if err := m.rewarm(v, cfg, rep.From(iv.ck), st); err != nil {
 			runErr = err
 			break
-		}
-		if hist != nil {
-			m.cpu.SetDeltaHistogram(hist)
 		}
 		target := iv.warm + iv.measure
 		var (
@@ -259,7 +262,7 @@ func runSampled(ctx context.Context, w workload.Workload, v core.Variant, cfg Co
 		L1I:         l1iAgg,
 		L2:          l2Agg,
 		TLBMissRate: ratio(tlbMiss, tlbAcc),
-		Hist:        hist,
+		Hist:        m.hist,
 		Sampled:     &est,
 	}
 	if detailedCycles > 0 {

@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -119,6 +120,35 @@ func TestSampledRunsAreReproducible(t *testing.T) {
 	jb, _ := json.Marshal(b)
 	if string(ja) != string(jb) {
 		t.Errorf("two identical sampled runs measured different results:\n%s\n%s", ja, jb)
+	}
+}
+
+// TestSampledIntervalAllocations pins the interval machine's reuse: a
+// sampled run builds one hierarchy and core and rewarms them at every
+// interval, so once the recording and checkpoints are warm, an
+// interval allocates its scheme prefetcher (about 50 KB for
+// ConfAlloc-Priority) plus its share of the one-time build (about
+// 340 KB over this run's 5 intervals). Rebuilding the hierarchy per
+// interval adds about 300 KB to each, rebuilding the core about 40 KB.
+func TestSampledIntervalAllocations(t *testing.T) {
+	cfg := sampledConfig()
+	cfg.MaxInsts = 100_000
+	cfg.Seed = 778 // private stream: no other test shares its checkpoints
+	w := get(t, "health")
+	Run(w, core.PSBConfPriority, cfg) // warm the recording and checkpoints
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := Run(w, core.PSBConfPriority, cfg)
+	runtime.ReadMemStats(&after)
+	if r.Sampled.CheckpointMisses != 0 {
+		t.Fatalf("measured run generated %d checkpoints, want all warm", r.Sampled.CheckpointMisses)
+	}
+	intervals := r.Sampled.Intervals + r.Sampled.CertaintyRuns
+	perInterval := (after.TotalAlloc - before.TotalAlloc) / uint64(intervals)
+	t.Logf("%d intervals, %d bytes allocated per interval", intervals, perInterval)
+	if perInterval >= 128<<10 {
+		t.Errorf("sampled run allocated %d bytes per interval, want < 128 KB", perInterval)
 	}
 }
 
