@@ -385,7 +385,8 @@ func benchRunner(cfg sim.Config, outPath, gatePath string) error {
 	batchedSec, _ := matrix(0, batchSize, sim.TraceMemory, cpu.CycleModeEvent)
 
 	// Functional fast-forward leg: the sampled engine's executor over
-	// the same warm recordings, no timing model at all. Its throughput
+	// replays of the same warm recordings, decoding them in batches as
+	// sampled runs do, with no timing model at all. Its throughput
 	// against the serial event leg is the headline fast-forward
 	// speedup. The Source calls sit outside the timed region (the
 	// recordings are warm from the traced legs above).
@@ -401,7 +402,7 @@ func benchRunner(cfg sim.Config, outPath, gatePath string) error {
 		if err != nil {
 			return err
 		}
-		funcLegs = append(funcLegs, funcLeg{f: cpu.NewFunctional(c.Mem, c.CPU.Gshare, rep.Rest())})
+		funcLegs = append(funcLegs, funcLeg{f: cpu.NewFunctionalStream(c.Mem, c.CPU.Gshare, rep)})
 	}
 	funcStart := time.Now()
 	var funcInsts uint64

@@ -21,15 +21,19 @@ type Source interface {
 	Next() (vm.DynInst, bool)
 }
 
-// restSource is optionally implemented by replay sources that expose
-// their remaining records as a directly-indexable slice (trace.Replay).
-// The core then fetches through its own cursor over the shared backing
-// array — no per-instruction interface call, no 32-byte record copy
-// into a lookahead buffer — which matters when the same decoded trace
-// feeds a whole column of simulations.
-type restSource interface {
-	Rest() []vm.DynInst
+// batchSource is optionally implemented by sources that decode their
+// records in batches (trace.Replay). The core then drains the source
+// through its own fixed buffer, one Fill call per srcBatch records,
+// instead of one interface call per instruction.
+type batchSource interface {
+	// Fill decodes the next records into dst and returns how many it
+	// decoded; 0 means the stream has ended.
+	Fill(dst []vm.DynInst) int
 }
+
+// srcBatch is the number of records the core decodes per Fill: 8 KiB
+// of records, which stays in the L1 data cache while fetch drains it.
+const srcBatch = 256
 
 // SliceSource serves instructions from a slice (testing convenience).
 // It deliberately implements only Next, keeping the generic source
@@ -294,12 +298,14 @@ type CPU struct {
 	fqHead int
 	fqLen  int
 
-	// Shared-replay cursor: when src exposes its backing slice
-	// (trace.Replay), srcBuf aliases it and peek indexes srcPos
-	// directly. Otherwise the one-instruction pending lookahead is
-	// used.
-	srcBuf []vm.DynInst
-	srcPos int
+	// Batch supply: when src implements Fill (trace.Replay), fill is
+	// set and fetch drains srcBuf[srcPos:srcLen], refilling all of
+	// srcBuf when it runs dry. New allocates srcBuf and Reset keeps it.
+	// Otherwise the one-instruction pending lookahead is used.
+	fill           batchSource
+	srcBuf         []vm.DynInst
+	srcPos, srcLen int
+	fetched        int // records consumed from src
 
 	pending      vm.DynInst // one-instruction lookahead into src
 	hasPending   bool
@@ -357,6 +363,7 @@ func New(cfg Config, hier *mem.Hierarchy, pf sbuf.Prefetcher, src Source) *CPU {
 		storeHiQ:       make([]uint64, n),
 		robConflict:    make([]int32, n),
 		robConflictSeq: make([]uint64, n),
+		srcBuf:         make([]vm.DynInst, srcBatch),
 	}
 	// Build FU pools; divides share their multiplier's units and
 	// branches execute on the integer ALUs, as in the paper.
@@ -417,15 +424,14 @@ func (c *CPU) Reset(pf sbuf.Prefetcher, src Source) {
 		robConflictSeq:      cleared(c.robConflictSeq),
 		minUnissuedStoreSeq: noStoreSeq,
 		fetchQ:              cleared(c.fetchQ),
+		srcBuf:              cleared(c.srcBuf),
 		lastIBlock:          math.MaxUint64,
 		pools:               c.pools,
 		// Every register starts architectural: ready since cycle 0.
 		regKnown: ^uint64(0),
 	}
 	c.rt, _ = pf.(rangeTicker)
-	if rs, ok := src.(restSource); ok {
-		c.srcBuf = rs.Rest()
-	}
+	c.fill, _ = src.(batchSource)
 	for i := range c.lastWriter {
 		c.lastWriter[i] = noDep
 	}
@@ -679,14 +685,20 @@ func (c *CPU) fetch() bool {
 
 // peek returns a pointer to the next dynamic instruction without
 // consuming it. The pointer is valid until the next consume call; it
-// aliases either the shared replay slice or the one-record lookahead.
+// points into either the batch buffer or the one-record lookahead.
 func (c *CPU) peek() (*vm.DynInst, bool) {
-	if c.srcBuf != nil {
-		if c.srcPos < len(c.srcBuf) {
-			return &c.srcBuf[c.srcPos], true
+	if c.fill != nil {
+		if c.srcPos == c.srcLen {
+			if c.srcDone {
+				return nil, false
+			}
+			c.srcPos, c.srcLen = 0, c.fill.Fill(c.srcBuf)
+			if c.srcLen == 0 {
+				c.srcDone = true
+				return nil, false
+			}
 		}
-		c.srcDone = true
-		return nil, false
+		return &c.srcBuf[c.srcPos], true
 	}
 	if c.hasPending {
 		return &c.pending, true
@@ -705,7 +717,8 @@ func (c *CPU) peek() (*vm.DynInst, bool) {
 }
 
 func (c *CPU) consume() {
-	if c.srcBuf != nil {
+	c.fetched++
+	if c.fill != nil {
 		c.srcPos++
 		return
 	}

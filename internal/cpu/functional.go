@@ -10,12 +10,13 @@ import (
 
 // Functional is the retire-at-fetch fast-forward executor for sampled
 // simulation: it walks the recorded committed-instruction stream in
-// program order, advancing every structure whose warm-up matters for a
-// later detailed interval — L1I/L1D/L2 tag arrays, the data TLB, and
-// the gshare front end — without modelling the ROB, functional units,
-// issue timing, or buses. Architectural state needs no work at all:
-// the trace *is* the architectural execution, so "position in the
-// trace" fully determines registers and memory.
+// program order, a batch at a time from a Stream, advancing every
+// structure whose warm-up matters for a later detailed interval —
+// L1I/L1D/L2 tag arrays, the data TLB, and the gshare front end —
+// without modelling the ROB, functional units, issue timing, or buses.
+// Architectural state needs no work at all: the trace *is* the
+// architectural execution, so "position in the trace" fully determines
+// registers and memory.
 //
 // Fidelity notes, in decreasing order of exactness:
 //
@@ -41,8 +42,12 @@ type Functional struct {
 	hier *mem.Hierarchy
 	bp   *Gshare
 
-	insts []vm.DynInst
-	pos   uint64
+	src Stream
+	n   uint64 // records in src
+	pos uint64
+	// buf[bufPos:bufLen] holds the records src decoded past pos.
+	buf            []vm.DynInst
+	bufPos, bufLen int
 
 	lastIBlock uint64
 
@@ -86,26 +91,63 @@ type FunctionalState struct {
 	Train  []TrainEvent // oldest first, at most TrainRingCap events
 }
 
-// NewFunctional builds a cold executor over a committed-instruction
-// recording. memCfg and gcfg must match the detailed configuration the
-// checkpoints will seed, or SetWarmState/SetBranchState will reject
-// the snapshots later.
-func NewFunctional(memCfg mem.Config, gcfg GshareConfig, insts []vm.DynInst) *Functional {
+// Stream is the seekable batch stream of committed instructions the
+// functional executor reads: trace.Replay, or the decoded slice
+// NewFunctional wraps.
+type Stream interface {
+	// Fill decodes the next records into dst and returns how many it
+	// decoded; 0 means the stream has ended.
+	Fill(dst []vm.DynInst) int
+	Seek(pos uint64) // reposition the stream pos records in
+	Len() int        // records in the stream
+}
+
+// NewFunctionalStream builds a cold executor over a recording read
+// from src, positioned at its start. memCfg and gcfg must match the
+// detailed configuration the checkpoints will seed, or
+// SetWarmState/SetBranchState will reject the snapshots later.
+func NewFunctionalStream(memCfg mem.Config, gcfg GshareConfig, src Stream) *Functional {
+	src.Seek(0)
 	return &Functional{
 		hier:       mem.New(memCfg),
 		bp:         NewGshare(gcfg),
-		insts:      insts,
+		src:        src,
+		n:          uint64(src.Len()),
+		buf:        make([]vm.DynInst, srcBatch),
 		lastIBlock: math.MaxUint64,
 		ring:       make([]TrainEvent, TrainRingCap),
 	}
 }
+
+// NewFunctional builds a cold executor over a decoded recording. No
+// simulator path calls it: it remains for the benchmark module's
+// functional probe, and adapts the slice to NewFunctionalStream.
+func NewFunctional(memCfg mem.Config, gcfg GshareConfig, insts []vm.DynInst) *Functional {
+	return NewFunctionalStream(memCfg, gcfg, &sliceStream{insts: insts})
+}
+
+// sliceStream is a Stream over decoded records.
+type sliceStream struct {
+	insts []vm.DynInst
+	pos   int
+}
+
+func (s *sliceStream) Fill(dst []vm.DynInst) int {
+	n := copy(dst, s.insts[s.pos:])
+	s.pos += n
+	return n
+}
+
+func (s *sliceStream) Seek(pos uint64) { s.pos = int(min(pos, uint64(len(s.insts)))) }
+
+func (s *sliceStream) Len() int { return len(s.insts) }
 
 // Pos returns the executor's position in the recording (instructions
 // executed since position zero, not counting restores).
 func (f *Functional) Pos() uint64 { return f.pos }
 
 // Len returns the length of the underlying recording.
-func (f *Functional) Len() uint64 { return uint64(len(f.insts)) }
+func (f *Functional) Len() uint64 { return f.n }
 
 // Executed returns the total instructions this executor has run,
 // summed across restores — the fast-forward work actually performed.
@@ -129,16 +171,33 @@ func (f *Functional) MissProfile() []uint32 { return f.profile }
 // (clamped to the recording length) and returns how many instructions
 // were executed. Advancing backwards is a no-op; use Restore.
 func (f *Functional) AdvanceTo(pos uint64) uint64 {
-	if pos > uint64(len(f.insts)) {
-		pos = uint64(len(f.insts))
-	}
+	pos = min(pos, f.n)
 	if pos <= f.pos {
 		return 0
 	}
 	n := pos - f.pos
+	for f.pos < pos {
+		if f.bufPos == f.bufLen {
+			f.bufPos, f.bufLen = 0, f.src.Fill(f.buf)
+			if f.bufLen == 0 {
+				panic(fmt.Sprintf("cpu: stream ended at %d of its %d records", f.pos, f.n))
+			}
+		}
+		end := f.bufPos + int(min(pos-f.pos, uint64(f.bufLen-f.bufPos)))
+		f.exec(f.buf[f.bufPos:end])
+		f.pos += uint64(end - f.bufPos)
+		f.bufPos = end
+	}
+	f.executed += n
+	return n
+}
+
+// exec executes a batch of records starting at the executor's
+// position.
+func (f *Functional) exec(batch []vm.DynInst) {
 	h, bp := f.hier, f.bp
 	idx := f.pos
-	for _, d := range f.insts[f.pos:pos] {
+	for _, d := range batch {
 		// Instruction side: one access per new block, exactly like the
 		// detailed fetch stage (including its dedup resets below).
 		if blk := h.L1I.BlockAddr(d.PC); blk != f.lastIBlock {
@@ -190,9 +249,6 @@ func (f *Functional) AdvanceTo(pos uint64) uint64 {
 		}
 		idx++
 	}
-	f.pos = pos
-	f.executed += n
-	return n
 }
 
 // Snapshot captures the executor's state as a checkpoint. The returned
@@ -217,10 +273,11 @@ func (f *Functional) Snapshot() *FunctionalState {
 }
 
 // Restore rewinds (or jumps) the executor to a checkpoint taken from
-// an identically-configured executor over the same recording.
+// an identically-configured executor over the same recording, seeking
+// its stream to the checkpoint's position.
 func (f *Functional) Restore(st *FunctionalState) error {
-	if st.Pos > uint64(len(f.insts)) {
-		return fmt.Errorf("cpu: checkpoint position %d beyond recording length %d", st.Pos, len(f.insts))
+	if st.Pos > f.n {
+		return fmt.Errorf("cpu: checkpoint position %d beyond recording length %d", st.Pos, f.n)
 	}
 	if len(st.Train) > len(f.ring) {
 		return fmt.Errorf("cpu: checkpoint carries %d train events, ring capacity is %d", len(st.Train), len(f.ring))
@@ -231,7 +288,8 @@ func (f *Functional) Restore(st *FunctionalState) error {
 	if err := f.bp.SetState(st.BP); err != nil {
 		return err
 	}
-	f.pos = st.Pos
+	f.src.Seek(st.Pos)
+	f.pos, f.bufPos, f.bufLen = st.Pos, 0, 0
 	f.lastIBlock = st.IBlock
 	copy(f.ring, st.Train)
 	f.ringHead = len(st.Train) % len(f.ring)
@@ -316,11 +374,6 @@ func (c *CPU) SetBranchState(st GshareState) error { return c.bp.SetState(st) }
 func (c *CPU) BranchState() GshareState { return c.bp.State() }
 
 // Fetched returns how many instructions the front end has consumed
-// from a replay-backed source, or -1 for streaming sources. Used by
-// the functional-equivalence tests to align executor positions.
-func (c *CPU) Fetched() int {
-	if c.srcBuf == nil {
-		return -1
-	}
-	return c.srcPos
-}
+// from its source. Used by the functional-equivalence tests to align
+// executor positions.
+func (c *CPU) Fetched() int { return c.fetched }

@@ -28,12 +28,24 @@ func recordStream(tb testing.TB, w workload.Workload, n int) ([]vm.DynInst, *vm.
 	return insts, m
 }
 
-// replaySource exposes a recording through the core's zero-copy
-// shared-slice path (like trace.Replay), so CPU.Fetched is meaningful.
-type replaySource struct{ insts []vm.DynInst }
+// replaySource serves a recording through the core's batch path (Fill,
+// like trace.Replay). Its Next fails the test: the core must never
+// fall back to pulling one record at a time from a batch source.
+type replaySource struct {
+	tb    testing.TB
+	insts []vm.DynInst
+}
 
-func (s replaySource) Next() (vm.DynInst, bool) { return vm.DynInst{}, false }
-func (s replaySource) Rest() []vm.DynInst       { return s.insts }
+func (s *replaySource) Next() (vm.DynInst, bool) {
+	s.tb.Fatal("core called Next on a batch source")
+	return vm.DynInst{}, false
+}
+
+func (s *replaySource) Fill(dst []vm.DynInst) int {
+	n := copy(dst, s.insts)
+	s.insts = s.insts[n:]
+	return n
+}
 
 // TestFunctionalFrontEndEquivalence drives the detailed core and the
 // functional executor over the same recording for every workload and
@@ -51,7 +63,7 @@ func TestFunctionalFrontEndEquivalence(t *testing.T) {
 			memCfg := mem.DefaultConfig()
 
 			hier := mem.New(memCfg)
-			c := New(cfg, hier, sbuf.Null{}, replaySource{insts: insts})
+			c := New(cfg, hier, sbuf.Null{}, &replaySource{tb: t, insts: insts})
 			c.Run(30_000)
 			fetched := c.Fetched()
 			if fetched <= 0 || fetched > len(insts) {
@@ -148,6 +160,16 @@ func TestFunctionalSnapshotRoundTrip(t *testing.T) {
 	if g.Executed() != 8_000 {
 		t.Errorf("restored executor ran %d insts, want 8000", g.Executed())
 	}
+	// Rewinding the executor that ran ahead must drop the records it
+	// had decoded past 16,000 and seek its stream back to 8,000.
+	f.AdvanceTo(16_100)
+	if err := f.Restore(mid); err != nil {
+		t.Fatal(err)
+	}
+	f.AdvanceTo(16_000)
+	if got := f.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("state after rewind+advance differs from straight-through pass")
+	}
 }
 
 // TestFunctionalStateRejectsWrongGeometry covers the snapshot shape
@@ -212,8 +234,8 @@ func TestResetMatchesNew(t *testing.T) {
 	bp := f.Snapshot().BP
 
 	hier := mem.New(memCfg)
-	c := New(cfg, hier, sbuf.Null{}, replaySource{insts: insts})
-	for _, src := range []Source{&SliceSource{Insts: insts[5_000:]}, replaySource{insts: insts[9_000:]}} {
+	c := New(cfg, hier, sbuf.Null{}, &replaySource{tb: t, insts: insts})
+	for _, src := range []Source{&SliceSource{Insts: insts[5_000:]}, &replaySource{tb: t, insts: insts[9_000:]}} {
 		// Stop partway, at a point with instructions in flight.
 		for stop := c.stats.Committed + 4_000; c.robCount == 0 || c.fqLen == 0; stop += 10 {
 			done, err := c.Advance(context.Background(), 0, stop)

@@ -12,8 +12,8 @@ import (
 // advances per turn. Large enough that per-turn scheduling overhead
 // (a method call and a couple of branches per machine) vanishes,
 // small enough that the batch's machines stay within one trace
-// window of each other and the shared decoded trace region they are
-// reading stays in cache.
+// window of each other and the region of the shared recording they are
+// decoding stays in cache.
 const batchChunk = 4096
 
 // RunBatched executes every job with per-cell fault isolation, like
@@ -22,10 +22,10 @@ const batchChunk = 4096
 // sim.TraceKey) and advances up to batch of them in lockstep on one
 // goroutine: every machine in the group runs batchChunk instructions,
 // then the next machine, round after round until all finish. The
-// machines march through the shared decoded trace together, so the
-// trace region being replayed — and the allocator-fresh simulation
-// state — stays hot in cache across the whole group instead of being
-// streamed through memory once per cell.
+// machines march through the shared recording together, so the trace
+// bytes being decoded — and the allocator-fresh simulation state —
+// stay hot in cache across the whole group instead of being streamed
+// through memory once per cell.
 //
 // Lockstep groups are independent, so they fan out across the pool's
 // workers; within a group execution is strictly serial. Results are

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -34,9 +36,12 @@ func scrape(t *testing.T, url string) string {
 
 // TestMetricsEndpoint drives one cold+hot request through a standalone
 // node and checks the scrape reflects it: tiered cell counters, cache
-// counters, queue gauges — and no cluster series on a non-member.
+// counters, queue gauges, the trace cache's bytes — and no cluster
+// series on a non-member.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{Base: tinyCfg(), Workers: 1})
+	base := tinyCfg()
+	base.TraceMode = sim.TraceMemory
+	_, ts := newTestServer(t, Config{Base: base, Workers: 1})
 	w := workload.All()[0]
 	body := fmt.Sprintf(`{"bench":%q,"scheme":%q}`, w.Name, core.Variants()[0].String())
 	postSim(t, ts, body)
@@ -63,6 +68,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		if strings.Contains(text, absent) {
 			t.Errorf("standalone node exposes cluster series %q", absent)
 		}
+	}
+	// The simulated cell recorded its stream in the process-wide trace
+	// cache, and the node is idle, so the gauge reads what the cache
+	// holds now.
+	held := trace.Shared().Stats().Bytes
+	if want := fmt.Sprintf("psb_trace_bytes %d\n", held); held == 0 || !strings.Contains(text, want) {
+		t.Errorf("scrape missing %q\n%s", want, text)
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 // build / advance / result phases so a caller can interleave many
 // machines over the same wall-clock span. The batched lockstep path in
 // internal/runner advances K same-trace machines a few thousand
-// instructions at a time, keeping one shared decoded trace hot in
-// cache across all of them; a Machine advanced in any number of steps
-// is bit-identical to an unpaused RunChecked of the same job.
+// instructions at a time, so they decode the same region of one shared
+// recording while it is hot in cache; a Machine advanced in any number
+// of steps is bit-identical to an unpaused RunChecked of the same job.
 type Machine struct {
 	w    workload.Workload
 	v    core.Variant

@@ -125,14 +125,15 @@ func runSampled(ctx context.Context, w workload.Workload, v core.Variant, cfg Co
 	if err != nil {
 		return Result{}, err
 	}
-	insts := rep.Rest()
 	key := sample.Key{
 		Workload: w.Name,
 		Seed:     cfg.Seed,
 		Geometry: sample.GeometryDigest(cfg.Mem, cfg.CPU.Gshare),
 	}
 	store := sample.Shared()
-	boot := func() *cpu.Functional { return cpu.NewFunctional(cfg.Mem, cfg.CPU.Gshare, insts) }
+	// Every executor and every interval decodes the shared recording
+	// through its own Replay.
+	boot := func() *cpu.Functional { return cpu.NewFunctionalStream(cfg.Mem, cfg.CPU.Gshare, rep.From(0)) }
 
 	// One detailed machine serves every interval of this run, rewarmed
 	// in place at each boundary. It lives only as long as this call:

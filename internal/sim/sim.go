@@ -40,8 +40,9 @@ type Config struct {
 	// Batch, when positive, makes the experiment drivers advance up to
 	// Batch same-trace simulations in lockstep on one goroutine (a few
 	// thousand instructions each per turn) instead of running each cell
-	// to completion alone, so a whole column of the matrix shares one
-	// hot decoded trace and one warm cache footprint. Results do not
+	// to completion alone, so a whole column of the matrix decodes one
+	// hot region of the shared recording with one warm cache
+	// footprint. Results do not
 	// depend on Batch (see internal/runner's differential tests); like
 	// Workers it is excluded from job fingerprints.
 	Batch int

@@ -106,9 +106,9 @@ func traceNeed(cfg Config) (need uint64, ok bool) {
 }
 
 // source returns the instruction stream for one run: the live
-// functional machine when tracing is off, otherwise a zero-copy replay
-// of the shared cache's recording (recording it first if this is the
-// key's first run).
+// functional machine when tracing is off, otherwise a replay that
+// decodes the shared cache's recording in batches (recording it first
+// if this is the key's first run).
 func source(w workload.Workload, cfg Config) (cpu.Source, error) {
 	if cfg.TraceMode == TraceOff {
 		return cpu.MachineSource{M: w.Build(cfg.Seed)}, nil

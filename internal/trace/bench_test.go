@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"io"
 	"testing"
 	"unsafe"
 
@@ -20,77 +18,55 @@ const recordBytes = int64(unsafe.Sizeof(vm.DynInst{}))
 func stream(b *testing.B) []vm.DynInst {
 	b.Helper()
 	if benchStream == nil {
-		m := workload.All()[0].Build(1)
-		for i := 0; i < 100_000; i++ {
-			d, err := m.Step()
-			if err != nil {
-				break
-			}
-			benchStream = append(benchStream, d)
-		}
+		benchStream = record(b, workload.All()[0].Build(1), 100_000)
 	}
 	return benchStream
 }
 
+// BenchmarkEncode measures the recorder's encoding of a stream to
+// record bytes.
 func BenchmarkEncode(b *testing.B) {
 	insts := stream(b)
-	var buf bytes.Buffer
+	var rec recording
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := writeTrace(&buf, Header{
-			Workload: "bench", Count: uint64(len(insts)),
-		}, insts); err != nil {
-			b.Fatal(err)
+		rec = recording{data: rec.data[:0], marks: rec.marks[:0]}
+		for j := range insts {
+			rec.append(&insts[j])
 		}
 	}
-	b.ReportMetric(float64(buf.Len())/float64(len(insts)), "bytes/inst")
+	b.ReportMetric(float64(len(rec.data))/float64(len(insts)), "bytes/inst")
 	b.SetBytes(int64(len(insts)) * recordBytes)
 }
 
+// BenchmarkDecode measures loading a .psbtrace file: validating every
+// record and building the seek marks.
 func BenchmarkDecode(b *testing.B) {
 	insts := stream(b)
-	var buf bytes.Buffer
-	if err := writeTrace(&buf, Header{
-		Workload: "bench", Count: uint64(len(insts)),
-	}, insts); err != nil {
-		b.Fatal(err)
-	}
-	enc := buf.Bytes()
+	enc := encodeAll(b, Header{Workload: "bench"}, insts)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(insts)) * recordBytes)
 	for i := 0; i < b.N; i++ {
-		dec, err := NewDecoder(bytes.NewReader(enc))
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := 0
-		for {
-			if _, err := dec.Next(); err == io.EOF {
-				break
-			} else if err != nil {
-				b.Fatal(err)
-			}
-			n++
-		}
-		if n != len(insts) {
-			b.Fatalf("decoded %d of %d records", n, len(insts))
+		if _, rec, err := parse(enc); err != nil || rec.n != len(insts) {
+			b.Fatalf("loaded %d of %d records: %v", rec.n, len(insts), err)
 		}
 	}
 }
 
-// BenchmarkReplay measures the per-instruction cost of the zero-copy
-// replay path — the inner loop every traced matrix cell pays instead
-// of the interpreter.
+// BenchmarkReplay measures the per-instruction cost of replay — batch
+// decoding through Fill, the inner loop every traced matrix cell pays
+// instead of the interpreter.
 func BenchmarkReplay(b *testing.B) {
 	insts := stream(b)
+	_, rec, err := parse(encodeAll(b, Header{Workload: "bench"}, insts))
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]vm.DynInst, 256)
 	b.SetBytes(int64(len(insts)) * recordBytes)
 	for i := 0; i < b.N; i++ {
-		r := Replay{insts: insts}
-		for {
-			if _, ok := r.Next(); !ok {
-				break
-			}
+		r := rec.replay()
+		for r.Fill(buf) > 0 {
 		}
 	}
 }

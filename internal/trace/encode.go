@@ -3,18 +3,21 @@
 // timing core. Prefetching never alters the committed path, so the
 // paper's evaluation matrix — the same workloads under many prefetcher
 // configurations — only needs each workload executed once: every other
-// cell replays the recorded stream through a zero-copy Source and
-// skips the interpreter entirely.
+// cell replays the recorded stream and skips the interpreter entirely.
 //
-// The package provides three layers:
+// A recording has one form, in memory as on disk: the record bytes of
+// a .psbtrace file. PCs and effective addresses are delta-encoded
+// against the previous record and written as varints, so the common
+// record (sequential PC, small address stride) costs about 6 bytes
+// instead of the 32 of a decoded vm.DynInst. The package provides:
 //
-//   - a compact binary encoding of vm.DynInst records (Encoder and
-//     Decoder): PCs and effective addresses are delta-encoded against
-//     the previous record and written as varints, so the common record
-//     (sequential PC, small address stride) costs ~6 bytes instead of
-//     32;
-//   - an in-memory Replay source over a recorded []vm.DynInst slice,
-//     structurally satisfying the timing core's Source interface;
+//   - one record encoder (appendRecord), through which the recorder
+//     appends every stepped instruction, and one checked batch decoder
+//     (cursor.decode), which file validation, replay and seeking all
+//     call;
+//   - Replay, a cursor over a shared recording that decodes records on
+//     demand in batches (Fill) and seeks from a mark kept every
+//     markEvery records (From);
 //   - a process-wide Cache keyed by (workload, seed, MaxInsts) that
 //     records each stream exactly once — concurrent requesters block
 //     on the single recorder — and optionally persists recordings as
@@ -22,7 +25,7 @@
 package trace
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -69,8 +72,8 @@ type Header struct {
 	Complete bool
 }
 
-// prevState is the delta-encoding context shared by Encoder and
-// Decoder; both start from its zero value.
+// prevState is the delta-encoding context the encoder and the decoder
+// carry from record to record; both start from its zero value.
 type prevState struct {
 	nextPC  uint64
 	effAddr uint64
@@ -82,40 +85,24 @@ func zigzag(v uint64) uint64 { return (v << 1) ^ uint64(int64(v)>>63) }
 // unzigzag inverts zigzag.
 func unzigzag(v uint64) uint64 { return (v >> 1) ^ uint64(-int64(v&1)) }
 
-// An Encoder writes a stream of DynInst records to w. Writes are
-// buffered; call Flush when done.
-type Encoder struct {
-	w    *bufio.Writer
-	prev prevState
-	buf  []byte
-}
-
-// NewEncoder writes the header and returns an encoder for the records.
-func NewEncoder(w io.Writer, hdr Header) (*Encoder, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(Magic); err != nil {
-		return nil, err
-	}
+// appendHeader appends the encoding of hdr, magic included, to b.
+func appendHeader(b []byte, hdr Header) []byte {
 	var flags byte
 	if hdr.Complete {
 		flags = 1
 	}
-	buf := make([]byte, 0, 64)
-	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, uint64(len(hdr.Workload)))
-	buf = append(buf, hdr.Workload...)
-	buf = binary.AppendUvarint(buf, zigzag(uint64(hdr.Seed)))
-	buf = binary.AppendUvarint(buf, hdr.MaxInsts)
-	buf = binary.AppendUvarint(buf, hdr.Count)
-	if _, err := bw.Write(buf); err != nil {
-		return nil, err
-	}
-	return &Encoder{w: bw, buf: buf[:0]}, nil
+	b = append(b, Magic...)
+	b = append(b, flags)
+	b = binary.AppendUvarint(b, uint64(len(hdr.Workload)))
+	b = append(b, hdr.Workload...)
+	b = binary.AppendUvarint(b, zigzag(uint64(hdr.Seed)))
+	b = binary.AppendUvarint(b, hdr.MaxInsts)
+	return binary.AppendUvarint(b, hdr.Count)
 }
 
-// Write appends one record.
-func (e *Encoder) Write(d vm.DynInst) error {
-	b := e.buf[:0]
+// appendRecord appends the encoding of d to b and advances the delta
+// context: the one record encoder, used by every recording.
+func appendRecord(b []byte, prev *prevState, d *vm.DynInst) []byte {
 	var flags byte
 	if d.Taken {
 		flags |= flagTaken
@@ -123,7 +110,7 @@ func (e *Encoder) Write(d vm.DynInst) error {
 	if d.MemSize != 0 {
 		flags |= flagMem
 	}
-	if d.PC != e.prev.nextPC {
+	if d.PC != prev.nextPC {
 		flags |= flagPC
 	}
 	if d.NextPC != d.PC+isa.InstBytes {
@@ -131,27 +118,34 @@ func (e *Encoder) Write(d vm.DynInst) error {
 	}
 	b = append(b, byte(d.Op), flags, byte(d.Rd), byte(d.Rs1), byte(d.Rs2))
 	if flags&flagPC != 0 {
-		b = binary.AppendUvarint(b, zigzag(d.PC-e.prev.nextPC))
+		b = binary.AppendUvarint(b, zigzag(d.PC-prev.nextPC))
 	}
 	if flags&flagMem != 0 {
 		b = append(b, d.MemSize)
-		b = binary.AppendUvarint(b, zigzag(d.EffAddr-e.prev.effAddr))
-		e.prev.effAddr = d.EffAddr
+		b = binary.AppendUvarint(b, zigzag(d.EffAddr-prev.effAddr))
+		prev.effAddr = d.EffAddr
 	}
 	if flags&flagNextPC != 0 {
 		b = binary.AppendUvarint(b, zigzag(d.NextPC-(d.PC+isa.InstBytes)))
 	}
-	e.prev.nextPC = d.NextPC
-	e.buf = b
-	_, err := e.w.Write(b)
+	prev.nextPC = d.NextPC
+	return b
+}
+
+// writeFile writes a .psbtrace file: the header, then the record bytes
+// unchanged.
+func writeFile(w io.Writer, hdr Header, records []byte) error {
+	if _, err := w.Write(appendHeader(nil, hdr)); err != nil {
+		return err
+	}
+	_, err := w.Write(records)
 	return err
 }
 
-// Flush drains the encoder's buffer to the underlying writer.
-func (e *Encoder) Flush() error { return e.w.Flush() }
-
-// Decoding errors. Corrupt or truncated input yields ErrCorrupt (or an
-// io error); it never panics, which the fuzz target enforces.
+// ErrCorrupt reports malformed encoded input: a bad header, a bad
+// record, a record count the bytes cannot hold, or bytes after the
+// last record. Decoding never panics on such input, which the fuzz
+// target enforces.
 var ErrCorrupt = errors.New("trace: corrupt stream")
 
 // maxWorkloadName bounds the header's workload-name length so a
@@ -163,165 +157,132 @@ const maxWorkloadName = 256
 // n/minRecordBytes records, whatever the header's Count claims.
 const minRecordBytes = 5
 
-// A Decoder reads an encoded stream. Next returns records one at a
-// time; it is cheap enough to stream a multi-gigabyte trace without
-// materializing it.
-type Decoder struct {
-	r      *bufio.Reader
-	src    *countingReader // r's input, counting the bytes r pulled
-	hdr    Header
-	prev   prevState
-	read   uint64
-	sticky error
-}
-
-// countingReader counts the bytes read through it.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// NewDecoder parses the header, leaving the decoder positioned at the
-// first record.
-func NewDecoder(r io.Reader) (*Decoder, error) {
-	src := &countingReader{r: r}
-	br := bufio.NewReaderSize(src, 1<<16)
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("%w: short magic: %v", ErrCorrupt, err)
-	}
-	if string(magic) != Magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic)
-	}
-	flags, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("%w: short header", ErrCorrupt)
-	}
+// parseHeader decodes the header at the start of data and returns it
+// with the offset of the first record. A header is accepted only in
+// the exact form appendHeader writes, so an accepted file stores back
+// to identical bytes.
+func parseHeader(data []byte) (Header, int, error) {
 	var hdr Header
-	hdr.Complete = flags&1 != 0
-	nameLen, err := binary.ReadUvarint(br)
-	if err != nil || nameLen > maxWorkloadName {
-		return nil, fmt.Errorf("%w: bad workload name length", ErrCorrupt)
+	if len(data) < len(Magic)+1 || string(data[:len(Magic)]) != Magic {
+		return hdr, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("%w: short workload name", ErrCorrupt)
+	off := len(Magic) + 1
+	hdr.Complete = data[len(Magic)] == 1
+	uvarint := func(what string) (uint64, error) {
+		v, n := binary.Uvarint(data[off:])
+		if n <= 0 {
+			return 0, fmt.Errorf("%w: bad %s", ErrCorrupt, what)
+		}
+		off += n
+		return v, nil
 	}
-	hdr.Workload = string(name)
-	seed, err := binary.ReadUvarint(br)
+	nameLen, err := uvarint("workload name length")
 	if err != nil {
-		return nil, fmt.Errorf("%w: bad seed", ErrCorrupt)
+		return hdr, 0, err
+	}
+	if nameLen > maxWorkloadName || nameLen > uint64(len(data)-off) {
+		return hdr, 0, fmt.Errorf("%w: bad workload name length", ErrCorrupt)
+	}
+	hdr.Workload = string(data[off : off+int(nameLen)])
+	off += int(nameLen)
+	seed, err := uvarint("seed")
+	if err != nil {
+		return hdr, 0, err
 	}
 	hdr.Seed = int64(unzigzag(seed))
-	if hdr.MaxInsts, err = binary.ReadUvarint(br); err != nil {
-		return nil, fmt.Errorf("%w: bad max-insts", ErrCorrupt)
+	if hdr.MaxInsts, err = uvarint("max-insts"); err != nil {
+		return hdr, 0, err
 	}
-	if hdr.Count, err = binary.ReadUvarint(br); err != nil {
-		return nil, fmt.Errorf("%w: bad count", ErrCorrupt)
+	if hdr.Count, err = uvarint("count"); err != nil {
+		return hdr, 0, err
 	}
-	return &Decoder{r: br, src: src, hdr: hdr}, nil
+	if !bytes.Equal(appendHeader(nil, hdr), data[:off]) {
+		return hdr, 0, fmt.Errorf("%w: non-canonical header", ErrCorrupt)
+	}
+	return hdr, off, nil
 }
 
-// Header returns the stream's header.
-func (d *Decoder) Header() Header { return d.hdr }
-
-// offset returns the number of input bytes decoded so far.
-func (d *Decoder) offset() int64 { return d.src.n - int64(d.r.Buffered()) }
-
-// Next returns the next record. It returns io.EOF after the last
-// record and ErrCorrupt (wrapped) on malformed input; either way the
-// error is sticky.
-func (d *Decoder) Next() (vm.DynInst, error) {
-	if d.sticky != nil {
-		return vm.DynInst{}, d.sticky
-	}
-	di, err := d.next()
-	if err != nil {
-		d.sticky = err
-		return vm.DynInst{}, err
-	}
-	return di, nil
+// A cursor is a position in a byte-encoded record stream: the offset of
+// the next record and the delta context that decodes it.
+type cursor struct {
+	data []byte
+	off  int
+	prev prevState
 }
 
-func (d *Decoder) next() (vm.DynInst, error) {
-	if d.read >= d.hdr.Count {
-		return vm.DynInst{}, io.EOF
-	}
-	// Peek reads the fixed fields in place; io.ReadFull into a local
-	// array would move the array to the heap, one allocation per record.
-	fixed, err := d.r.Peek(minRecordBytes)
-	if err != nil {
-		return vm.DynInst{}, fmt.Errorf("%w: short record: %v", ErrCorrupt, err)
-	}
-	op, flags := isa.Op(fixed[0]), fixed[1]
-	if !op.Valid() || flags&flagUnknown != 0 {
-		return vm.DynInst{}, fmt.Errorf("%w: bad opcode/flags %d/%#x", ErrCorrupt, op, flags)
-	}
-	di := vm.DynInst{
-		Op:  op,
-		Rd:  isa.Reg(fixed[2]),
-		Rs1: isa.Reg(fixed[3]),
-		Rs2: isa.Reg(fixed[4]),
-	}
-	_, _ = d.r.Discard(minRecordBytes) // cannot fail: Peek just buffered these bytes
-	di.PC = d.prev.nextPC
-	if flags&flagPC != 0 {
-		delta, err := binary.ReadUvarint(d.r)
-		if err != nil {
-			return vm.DynInst{}, fmt.Errorf("%w: bad pc delta", ErrCorrupt)
+// decode fills dst with the next len(dst) records: the one record
+// decoder. It checks every record — opcode, flag bits, lengths and
+// varints — and returns ErrCorrupt (wrapped) at the first bad one,
+// leaving the cursor where it was.
+func (c *cursor) decode(dst []vm.DynInst) error {
+	data, off := c.data, c.off
+	nextPC, effAddr := c.prev.nextPC, c.prev.effAddr
+	for i := range dst {
+		if len(data)-off < minRecordBytes {
+			return corrupt("short record", off)
 		}
-		di.PC += unzigzag(delta)
-	}
-	if flags&flagMem != 0 {
-		sz, err := d.r.ReadByte()
-		if err != nil {
-			return vm.DynInst{}, fmt.Errorf("%w: short mem size", ErrCorrupt)
+		fixed := data[off : off+minRecordBytes : off+minRecordBytes]
+		op, flags := isa.Op(fixed[0]), fixed[1]
+		if !op.Valid() || flags&flagUnknown != 0 {
+			return corrupt("bad opcode or flags", off)
 		}
-		di.MemSize = sz
-		delta, err := binary.ReadUvarint(d.r)
-		if err != nil {
-			return vm.DynInst{}, fmt.Errorf("%w: bad addr delta", ErrCorrupt)
+		d := &dst[i]
+		d.Op, d.Rd, d.Rs1, d.Rs2 = op, isa.Reg(fixed[2]), isa.Reg(fixed[3]), isa.Reg(fixed[4])
+		d.Taken = flags&flagTaken != 0
+		off += minRecordBytes
+		pc := nextPC
+		// Each varint takes its one-byte case — nearly every delta —
+		// before binary.Uvarint; written out in place so the loop
+		// makes no calls.
+		if flags&flagPC != 0 {
+			v, n := uint64(0), 0
+			if off < len(data) && data[off] < 0x80 {
+				v, n = uint64(data[off]), 1
+			} else if v, n = binary.Uvarint(data[off:]); n <= 0 {
+				return corrupt("bad pc delta", off)
+			}
+			off += n
+			pc += unzigzag(v)
 		}
-		di.EffAddr = d.prev.effAddr + unzigzag(delta)
-		d.prev.effAddr = di.EffAddr
-	}
-	di.NextPC = di.PC + isa.InstBytes
-	if flags&flagNextPC != 0 {
-		delta, err := binary.ReadUvarint(d.r)
-		if err != nil {
-			return vm.DynInst{}, fmt.Errorf("%w: bad next-pc delta", ErrCorrupt)
+		d.PC = pc
+		d.MemSize, d.EffAddr = 0, 0
+		if flags&flagMem != 0 {
+			if off >= len(data) {
+				return corrupt("short mem size", off)
+			}
+			d.MemSize = data[off]
+			off++
+			v, n := uint64(0), 0
+			if off < len(data) && data[off] < 0x80 {
+				v, n = uint64(data[off]), 1
+			} else if v, n = binary.Uvarint(data[off:]); n <= 0 {
+				return corrupt("bad addr delta", off)
+			}
+			off += n
+			effAddr += unzigzag(v)
+			d.EffAddr = effAddr
 		}
-		di.NextPC += unzigzag(delta)
+		nextPC = pc + isa.InstBytes
+		if flags&flagNextPC != 0 {
+			v, n := uint64(0), 0
+			if off < len(data) && data[off] < 0x80 {
+				v, n = uint64(data[off]), 1
+			} else if v, n = binary.Uvarint(data[off:]); n <= 0 {
+				return corrupt("bad next-pc delta", off)
+			}
+			off += n
+			nextPC += unzigzag(v)
+		}
+		d.NextPC = nextPC
 	}
-	di.Taken = flags&flagTaken != 0
-	d.prev.nextPC = di.NextPC
-	d.read++
-	return di, nil
+	c.off, c.prev = off, prevState{nextPC: nextPC, effAddr: effAddr}
+	return nil
 }
 
-// ReadAll decodes every remaining record into one slice, reserved up
-// front for the records the header still promises. size is the input's
-// total length in bytes, header included: it caps the reservation at
-// what the unread bytes can hold, so an honest stream decodes into one
-// allocation while a hostile Count claims no more memory than the
-// input bounds.
-func (d *Decoder) ReadAll(size int64) ([]vm.DynInst, error) {
-	room := uint64(max(size-d.offset(), 0)) / minRecordBytes
-	out := make([]vm.DynInst, 0, min(d.hdr.Count-d.read, room))
-	for {
-		di, err := d.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, di)
-	}
+// corrupt describes bad input found at byte off. It is kept
+// out of line so decode's loop stays tight.
+//
+//go:noinline
+func corrupt(what string, off int) error {
+	return fmt.Errorf("%w: %s at byte %d", ErrCorrupt, what, off)
 }

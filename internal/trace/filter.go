@@ -7,33 +7,11 @@ import (
 
 // Source is the dynamic-instruction stream contract shared with the
 // timing core: Next returns the next committed instruction, or
-// ok == false once the program has ended. Replay, the decoder adapter
-// and the core's own sources all satisfy it.
+// ok == false once the program has ended. Replay and the core's own
+// sources satisfy it.
 type Source interface {
 	Next() (vm.DynInst, bool)
 }
-
-// DecoderSource adapts a Decoder to Source, for consumers that stream
-// a .psbtrace file without materializing it. Decoding errors
-// (including corruption) end the stream; Err reports what stopped it.
-type DecoderSource struct {
-	D   *Decoder
-	err error
-}
-
-// Next implements Source.
-func (s *DecoderSource) Next() (vm.DynInst, bool) {
-	d, err := s.D.Next()
-	if err != nil {
-		s.err = err
-		return vm.DynInst{}, false
-	}
-	return d, true
-}
-
-// Err returns the error that ended the stream (nil or io.EOF for a
-// clean end).
-func (s *DecoderSource) Err() error { return s.err }
 
 // Limit caps a source at n instructions — the stream-level analogue of
 // an instruction budget.

@@ -3,11 +3,11 @@ package trace
 import (
 	"bytes"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,7 +22,7 @@ import (
 // record steps a fresh functional machine n times (or to halt) and
 // returns the committed stream — the reference the codec must
 // reproduce exactly.
-func record(t *testing.T, m *vm.Machine, n uint64) []vm.DynInst {
+func record(t testing.TB, m *vm.Machine, n uint64) []vm.DynInst {
 	t.Helper()
 	var out []vm.DynInst
 	for n == 0 || uint64(len(out)) < n {
@@ -52,18 +52,55 @@ func countingLoop(iters int64) *vm.Machine {
 	return vm.New(b.MustBuild(), vm.NewGuestMem())
 }
 
-func encodeAll(t *testing.T, hdr Header, insts []vm.DynInst) []byte {
+// stridedLoop returns a machine whose loop loads at a 2^27-byte
+// stride: the load's address delta takes a five-byte varint, so the
+// loop encodes to about 7.3 bytes per record — inside the recorder's
+// reservation, but close enough to it that a recording keeps its slack.
+func stridedLoop(iters int64) *vm.Machine {
+	const base, stride = 0x7000, 1 << 27
+	b := asm.New()
+	b.Li(isa.R(3), base+iters*stride)
+	b.Li(isa.R(4), base)
+	b.Li(isa.R(6), stride)
+	top := b.Here("top")
+	b.Ld(isa.R(5), isa.R(4), 0)
+	b.Add(isa.R(4), isa.R(4), isa.R(6))
+	b.Blt(isa.R(4), isa.R(3), top)
+	b.Halt()
+	return vm.New(b.MustBuild(), vm.NewGuestMem())
+}
+
+// encodeAll encodes a whole stream as a .psbtrace file through the
+// recorder's record encoder.
+func encodeAll(t testing.TB, hdr Header, insts []vm.DynInst) []byte {
 	t.Helper()
-	var buf bytes.Buffer
+	var rec recording
+	for i := range insts {
+		rec.append(&insts[i])
+	}
 	hdr.Count = uint64(len(insts))
-	if err := writeTrace(&buf, hdr, insts); err != nil {
+	var buf bytes.Buffer
+	if err := writeFile(&buf, hdr, rec.data); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	return buf.Bytes()
 }
 
+// fill drains a replay through Fill in batches of size batch.
+func fill(r *Replay, batch int) []vm.DynInst {
+	var out []vm.DynInst
+	buf := make([]vm.DynInst, batch)
+	for {
+		n := r.Fill(buf)
+		if n == 0 {
+			return out
+		}
+		out = append(out, buf[:n]...)
+	}
+}
+
 // TestRoundTrip is the codec property test: for every workload's real
-// stream and for a synthetic halting program, encode → decode must
+// stream and for a synthetic halting program, encode → load must
 // reproduce the exact DynInst sequence and header.
 func TestRoundTrip(t *testing.T) {
 	streams := map[string][]vm.DynInst{
@@ -75,27 +112,24 @@ func TestRoundTrip(t *testing.T) {
 	for name, insts := range streams {
 		hdr := Header{Workload: name, Seed: 1, MaxInsts: 2000, Complete: true}
 		enc := encodeAll(t, hdr, insts)
-		dec, err := NewDecoder(bytes.NewReader(enc))
+		got, rec, err := parse(enc)
 		if err != nil {
-			t.Fatalf("%s: NewDecoder: %v", name, err)
+			t.Fatalf("%s: parse: %v", name, err)
 		}
-		got := dec.Header()
 		hdr.Count = uint64(len(insts))
 		if got != hdr {
 			t.Fatalf("%s: header round-trip: got %+v want %+v", name, got, hdr)
 		}
-		out, err := dec.ReadAll(int64(len(enc)))
-		if err != nil {
-			t.Fatalf("%s: ReadAll: %v", name, err)
-		}
-		if !reflect.DeepEqual(out, insts) {
+		r := rec.replay()
+		if out := fill(r, 256); !reflect.DeepEqual(out, insts) {
 			t.Fatalf("%s: decoded stream differs (%d vs %d records)", name, len(out), len(insts))
 		}
-		if cap(out) != len(insts) {
-			t.Errorf("%s: ReadAll reserved %d records for %d", name, cap(out), len(insts))
+		if want := (len(insts) + markEvery - 1) / markEvery; len(rec.marks) != want || cap(rec.marks) != want {
+			t.Errorf("%s: parse kept %d marks (capacity %d) for %d records, want %d",
+				name, len(rec.marks), cap(rec.marks), len(insts), want)
 		}
-		if _, err := dec.Next(); err != io.EOF {
-			t.Fatalf("%s: want io.EOF after last record, got %v", name, err)
+		if _, ok := r.Next(); ok {
+			t.Fatalf("%s: replay yields a record past the last one", name)
 		}
 		// 32 bytes raw per DynInst; the delta encoding should stay
 		// under 8 bytes/record even on the branchy pointer chasers.
@@ -106,30 +140,40 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // TestDecoderTruncation feeds every proper prefix of a valid encoding
-// to the decoder: it must fail with ErrCorrupt (or deliver fewer
-// records) and never panic, and the error must be sticky.
+// to the loader and its record bytes to the decoder: each must fail
+// with ErrCorrupt, never panic, and leave the decoder's cursor where
+// it was.
 func TestDecoderTruncation(t *testing.T) {
 	insts := record(t, countingLoop(10), 0)
 	enc := encodeAll(t, Header{Workload: "loop", Seed: 1, MaxInsts: 0, Complete: true}, insts)
+	_, body, err := parseHeaderBody(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for cut := 0; cut < len(enc); cut++ {
-		dec, err := NewDecoder(bytes.NewReader(enc[:cut]))
-		if err != nil {
-			continue // truncated header: fine, as long as no panic
-		}
-		n := 0
-		for {
-			_, err := dec.Next()
-			if err != nil {
-				if _, err2 := dec.Next(); err2 != err {
-					t.Fatalf("cut=%d: error not sticky: %v then %v", cut, err, err2)
-				}
-				break
-			}
-			if n++; n > len(insts) {
-				t.Fatalf("cut=%d: decoder produced more records than encoded", cut)
-			}
+		if _, _, err := parse(enc[:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("cut=%d: parse: want ErrCorrupt, got %v", cut, err)
 		}
 	}
+	for cut := 0; cut < len(body); cut++ {
+		cur := cursor{data: body[:cut]}
+		if err := cur.decode(make([]vm.DynInst, len(insts))); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("body cut=%d: decode: want ErrCorrupt, got %v", cut, err)
+		}
+		if cur.off != 0 {
+			t.Fatalf("body cut=%d: a failed decode moved the cursor to byte %d", cut, cur.off)
+		}
+	}
+}
+
+// parseHeaderBody splits an encoded file into its header and record
+// bytes.
+func parseHeaderBody(enc []byte) (Header, []byte, error) {
+	hdr, off, err := parseHeader(enc)
+	if err != nil {
+		return hdr, nil, err
+	}
+	return hdr, enc[off:], nil
 }
 
 // TestCacheSingleRecorder launches many goroutines racing for the same
@@ -202,16 +246,12 @@ func TestCacheExtension(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := record(t, countingLoop(1000), 300)
-	got := make([]vm.DynInst, 0, 300)
-	for {
-		d, ok := long.Next()
-		if !ok {
-			break
-		}
-		got = append(got, d)
-	}
-	if !reflect.DeepEqual(got, want) {
+	if got := drain(long); !reflect.DeepEqual(got, want) {
 		t.Fatalf("extended recording diverges from straight-line recording")
+	}
+	// The short replay still sees exactly its own prefix.
+	if got := drain(short); !reflect.DeepEqual(got, want[:100]) {
+		t.Fatalf("extension changed an earlier replay")
 	}
 	// Replays of a now-sufficient recording must not rebuild.
 	if _, err := c.Source(k, 200, "", func() *vm.Machine {
@@ -236,10 +276,10 @@ func TestCacheComplete(t *testing.T) {
 	if r.Len() != len(want) {
 		t.Fatalf("want %d insts to halt, got %d", len(want), r.Len())
 	}
-	// The recorder reserved the whole need of 10,000 records; a
-	// recording that halted far short of it keeps only its own length.
-	if got := cap(r.Rest()); got != r.Len() {
-		t.Fatalf("halted recording pins capacity %d for %d records", got, r.Len())
+	// The recorder reserved room for the whole need of 10,000 records;
+	// a recording that halted far short of it keeps only its own bytes.
+	if rec := c.entries[k].rec; cap(rec.data) != len(rec.data) {
+		t.Fatalf("halted recording pins %d bytes of capacity for %d", cap(rec.data), len(rec.data))
 	}
 	if _, err := c.Source(k, 0, "", func() *vm.Machine {
 		t.Fatal("complete recording must satisfy need=0 without rebuilding")
@@ -258,33 +298,47 @@ func heapBytes(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestCacheRecordingReservesOnce: a fresh recording reserves its whole
-// need in one backing allocation, and extending it reallocates exactly
-// once, straight to the new need. Growing by append instead would
-// allocate about twice the final slice along the way, so a heap total
-// within an eighth of one slice proves a single allocation. The guest
+// TestCacheRecordingReservesOnce pins the reservation rule. A fresh
+// recording reserves 8 bytes per needed record in one allocation, and
+// an extension reallocates once, by 8 bytes per new record.
+// The counting loop encodes to 5.75 bytes per record, so neither
+// outgrows its reservation, and each ends more than an eighth short of
+// it and is trimmed to one copy of its bytes. The heap total must be
+// the reservation plus that copy: growing by append, or reserving the
+// 32 bytes of a decoded record, allocates well past it. The guest
 // machine is built before measuring.
 func TestCacheRecordingReservesOnce(t *testing.T) {
 	const first, second = 1 << 14, 3 << 14
-	rec := uint64(unsafe.Sizeof(vm.DynInst{}))
 	m := countingLoop(1 << 20)
 	build := func() *vm.Machine { return m }
 	var c Cache
 	k := Key{Workload: "loop", Seed: 1, MaxInsts: first}
 
+	var held uint64 // bytes of the recording being extended
 	for _, need := range []uint64{first, second} {
 		var r *Replay
 		var err error
+		prevN := 0
+		if e := c.entries[k]; e != nil {
+			prevN = e.rec.n
+		}
 		got := heapBytes(func() { r, err = c.Source(k, need, "", build) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Len() != int(need) || cap(r.Rest()) != int(need) {
-			t.Fatalf("need %d: recorded %d records with capacity %d", need, r.Len(), cap(r.Rest()))
+		rec := c.entries[k].rec
+		if r.Len() != int(need) || rec.n != int(need) {
+			t.Fatalf("need %d: recorded %d records", need, r.Len())
 		}
-		if want := need * rec; got < want || got > want+want/8 {
-			t.Errorf("need %d: allocated %d bytes, want one %d-byte slice", need, got, want)
+		if cap(rec.data) != len(rec.data) {
+			t.Fatalf("need %d: recording pins %d bytes of capacity for %d", need, cap(rec.data), len(rec.data))
 		}
+		want := held + (need-uint64(prevN))*8 + uint64(len(rec.data))
+		if got < want || got > want+want/16 {
+			t.Errorf("need %d: allocated %d bytes, want one %d-byte reservation and one %d-byte trim",
+				need, got, want-uint64(len(rec.data)), len(rec.data))
+		}
+		held = uint64(len(rec.data))
 	}
 	if st := c.Stats(); st.RecordedInsts != second || st.Misses != 2 {
 		t.Fatalf("want 2 recordings of %d insts in all, got %+v", second, st)
@@ -297,22 +351,18 @@ func TestCacheRecordingReservesOnce(t *testing.T) {
 func TestDecoderRejectsSeqFlag(t *testing.T) {
 	insts := record(t, countingLoop(2), 0)
 	enc := encodeAll(t, Header{Workload: "loop", Complete: true}, insts)
-	dec, err := NewDecoder(bytes.NewReader(enc))
+	_, body, err := parseHeaderBody(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dec.Next(); err != nil {
+	cur := cursor{data: body}
+	if err := cur.decode(make([]vm.DynInst, 1)); err != nil {
 		t.Fatal(err)
 	}
 	// Record 1 starts where the decoder stopped; its flags byte
 	// follows the opcode byte.
-	enc[dec.offset()+1] |= 1 << 2
-	dec, err = NewDecoder(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec.Next()
-	if _, err := dec.Next(); !errors.Is(err, ErrCorrupt) {
+	body[cur.off+1] |= 1 << 2
+	if _, _, err := parse(enc); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("flag bit 2: want ErrCorrupt, got %v", err)
 	}
 }
@@ -333,7 +383,8 @@ func TestCacheDisk(t *testing.T) {
 	if st := c1.Stats(); st.DiskWrites != 1 {
 		t.Fatalf("want 1 disk write, got %+v", st)
 	}
-	if _, err := os.Stat(filepath.Join(dir, k.filename())); err != nil {
+	file, err := os.ReadFile(filepath.Join(dir, k.filename()))
+	if err != nil {
 		t.Fatalf("trace file missing: %v", err)
 	}
 
@@ -348,12 +399,20 @@ func TestCacheDisk(t *testing.T) {
 	if st := c2.Stats(); st.DiskLoads != 1 || st.Misses != 0 {
 		t.Fatalf("want 1 disk load and no misses, got %+v", st)
 	}
-	// The loader reserves the file's records once: no slack past them.
-	if got := cap(r2.Rest()); got != r2.Len() {
-		t.Fatalf("disk load reserved %d records for %d", got, r2.Len())
-	}
 	if !reflect.DeepEqual(drain(r1), drain(r2)) {
 		t.Fatal("disk round-trip changed the stream")
+	}
+	// Both caches hold the file's record bytes — its size less the
+	// header — plus one mark for the 100 records.
+	_, body, err := parseHeaderBody(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := uint64(len(body)) + markBytes
+	for i, c := range []*Cache{&c1, &c2} {
+		if got := c.Stats().Bytes; got != want {
+			t.Errorf("cache %d holds %d bytes, want %d", i+1, got, want)
+		}
 	}
 
 	// A cache needing more than the file holds must fall back to
@@ -378,6 +437,42 @@ func TestCacheDisk(t *testing.T) {
 	r4, err := c4.Source(k, 100, dir, build)
 	if err != nil || r4.Len() < 100 {
 		t.Fatalf("corrupt file: want clean re-record, got len=%d err=%v", r4.Len(), err)
+	}
+}
+
+// TestCacheDiskTrailingBytes: a file whose header's records end before
+// the file does is corrupt — its extra bytes would otherwise be kept
+// in memory and wasted — so it is re-recorded and rewritten clean.
+func TestCacheDiskTrailingBytes(t *testing.T) {
+	dir := t.TempDir()
+	k := Key{Workload: "loop", Seed: 7, MaxInsts: 100}
+	build := func() *vm.Machine { return countingLoop(1000) }
+	var c1 Cache
+	if _, err := c1.Source(k, 100, dir, build); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, k.filename())
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(clean, "trailing+11"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var c2 Cache
+	r, err := c2.Source(k, 100, dir, build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c2.Stats(); st.DiskLoads != 0 || st.Misses != 1 || st.DiskWrites != 1 {
+		t.Fatalf("file with trailing bytes: want a re-record and a rewrite, got %+v", st)
+	}
+	if r.Len() != 100 {
+		t.Fatalf("re-recorded %d records, want 100", r.Len())
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, clean) {
+		t.Fatalf("rewritten file differs from a clean recording (err %v)", err)
 	}
 }
 
@@ -406,6 +501,167 @@ func TestCacheDiskKeyMismatch(t *testing.T) {
 	}
 	if built.Load() != 1 {
 		t.Fatal("mismatched trace file must force a re-record")
+	}
+}
+
+// TestParentFixture pins the file format across versions: a trace the
+// earlier slice-backed recorder wrote (health, seed 1, 2,000
+// instructions) loads without re-recording, replays exactly a fresh
+// recording's records, and a fresh recording for the same key writes a
+// byte-identical file.
+func TestParentFixture(t *testing.T) {
+	const name = "health-seed1-n2000.psbtrace"
+	fixture, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.ByName("health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := Key{Workload: "health", Seed: 1, MaxInsts: 2000}
+	if k.filename() != name {
+		t.Fatalf("key names its file %s, want %s", k.filename(), name)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, name), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var loaded Cache
+	r, err := loaded.Source(k, 2000, dir, func() *vm.Machine {
+		t.Fatal("fixture on disk; must not re-record")
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := loaded.Stats(); st.DiskLoads != 1 || st.Misses != 0 || st.DiskWrites != 0 {
+		t.Fatalf("want one disk load and nothing else, got %+v", st)
+	}
+	if got, want := drain(r), record(t, w.Build(1), 2000); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fixture replays %d records that differ from a fresh recording of %d", len(got), len(want))
+	}
+
+	out := t.TempDir()
+	var fresh Cache
+	if _, err := fresh.Source(k, 2000, out, func() *vm.Machine { return w.Build(1) }); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(filepath.Join(out, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written, fixture) {
+		t.Fatalf("fresh recording wrote %d bytes that differ from the %d-byte fixture", len(written), len(fixture))
+	}
+}
+
+// TestReplaySeek: From(k) followed by Fill in any batch size yields
+// exactly what Next yields from k, at positions on a mark, either side
+// of one, inside the first interval and at the end.
+func TestReplaySeek(t *testing.T) {
+	w, err := workload.ByName("health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	insts := record(t, w.Build(1), 3*markEvery+100)
+	_, rec, err := parse(encodeAll(t, Header{Workload: "health"}, insts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := uint64(len(insts))
+	for _, k := range []uint64{0, 1, markEvery - 1, markEvery, markEvery + 1,
+		2*markEvery - 1, 2 * markEvery, 2*markEvery + 1, 3 * markEvery, n - 1, n, n + 5} {
+		ref := rec.replay()
+		for i := uint64(0); i < k; i++ {
+			ref.Next()
+		}
+		want := drain(ref)
+		if k <= n && !slices.Equal(want, insts[k:]) {
+			t.Fatalf("k=%d: Next from k differs from the recorded stream", k)
+		}
+		for _, batch := range []int{1, 7, 256} {
+			if got := fill(rec.replay().From(k), batch); !reflect.DeepEqual(got, want) {
+				t.Fatalf("k=%d batch=%d: From+Fill gave %d records, Next %d", k, batch, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestCacheConcurrentExtension: replays taken before an extension stay
+// valid while it runs. Goroutines replay and seek the key's stream
+// while another goroutine extends it, first in place into the slack the
+// first recording kept and then by reallocating; every record anyone
+// decodes must match a straight-line recording.
+func TestCacheConcurrentExtension(t *testing.T) {
+	const first = 6000
+	build := func() *vm.Machine { return stridedLoop(1 << 20) }
+	want := record(t, build(), 4*first)
+	var c Cache
+	k := Key{Workload: "strided", Seed: 1, MaxInsts: first}
+	base, err := c.Source(k, first, "", build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := c.entries[k]
+	e.mu.Lock()
+	rec0 := e.rec
+	e.mu.Unlock()
+	room := (cap(rec0.data) - len(rec0.data)) / reserveBytes
+	if room < 2 {
+		t.Fatalf("first recording kept room for %d more records; the in-place case needs some", room)
+	}
+	needs := []uint64{first + uint64(room)/2, 2 * first, 4 * first}
+
+	check := func(r *Replay, from uint64, batch int) {
+		got := fill(r.From(from), batch)
+		if end := from + uint64(len(got)); end > uint64(len(want)) || !reflect.DeepEqual(got, want[from:end]) {
+			t.Errorf("replay from %d (batch %d) diverged from the recorded stream", from, batch)
+		}
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				from := uint64((i*markEvery + g*331) % first)
+				check(base, from, 1+g*85)
+				if r, err := c.Source(k, first, "", build); err != nil {
+					t.Error(err)
+				} else {
+					check(r, from, 256)
+				}
+			}
+		}(g)
+	}
+	for i, need := range needs {
+		r, err := c.Source(k, need, "", build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Len() != int(need) {
+			t.Fatalf("extension to %d recorded %d", need, r.Len())
+		}
+		e.mu.Lock()
+		inPlace := unsafe.SliceData(e.rec.data) == unsafe.SliceData(rec0.data)
+		e.mu.Unlock()
+		if inPlace != (i == 0) {
+			t.Fatalf("extension to %d: appended in place = %v, want %v", need, inPlace, i == 0)
+		}
+		check(r, 0, 256)
+	}
+	close(done)
+	wg.Wait()
+	if got := fill(base, 256); !reflect.DeepEqual(got, want[:first]) {
+		t.Fatal("a replay taken before the extensions no longer sees its own prefix")
 	}
 }
 
@@ -439,30 +695,5 @@ func TestLimit(t *testing.T) {
 	}
 	if n != 7 {
 		t.Fatalf("Limit(7): got %d records", n)
-	}
-}
-
-// TestDecoderSource streams a file through the Source adapter.
-func TestDecoderSource(t *testing.T) {
-	insts := record(t, countingLoop(20), 0)
-	enc := encodeAll(t, Header{Workload: "loop", Complete: true}, insts)
-	dec, err := NewDecoder(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := &DecoderSource{D: dec}
-	var got []vm.DynInst
-	for {
-		d, ok := src.Next()
-		if !ok {
-			break
-		}
-		got = append(got, d)
-	}
-	if !reflect.DeepEqual(got, insts) {
-		t.Fatal("DecoderSource stream differs")
-	}
-	if err := src.Err(); err != io.EOF {
-		t.Fatalf("want io.EOF, got %v", err)
 	}
 }
