@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"math"
+	"math/bits"
 	"testing"
 
 	"repro/internal/isa"
@@ -75,13 +77,16 @@ func benchCPU() *CPU {
 // resetWindow returns the core to its post-construction front-end and
 // ROB state so a stage benchmark can replay the same window without
 // rebuilding the machine (construction would dwarf the stage under
-// measurement).
+// measurement). It keeps the clock: the wheel is emptied and lines up
+// with the current cycle.
 func resetWindow(c *CPU) {
 	c.robHead, c.robCount, c.lsqCount = 0, 0, 0
-	for i := range c.unissued {
-		c.unissued[i] = 0
-		c.wakeable[i] = 0
-	}
+	clear(c.wakeable)
+	clear(c.ready)
+	clear(c.wheel)
+	clear(c.late)
+	c.lateMin, c.drained = math.MaxUint64, c.cycle
+	clear(c.storeGrain[:])
 	for i := range c.lastWriter {
 		c.lastWriter[i] = noDep
 	}
@@ -92,6 +97,17 @@ func resetWindow(c *CPU) {
 	c.storeHead, c.storeCount = 0, 0
 	c.minUnissuedStoreSeq = noStoreSeq
 	c.fqHead, c.fqLen = 0, 0
+}
+
+// dispatchWindow dispatches items into c, DecodeWidth per cycle.
+func dispatchWindow(c *CPU, items []fetchItem) {
+	for pos := 0; pos < len(items); {
+		n := copy(c.fetchQ, items[pos:pos+c.cfg.DecodeWidth])
+		c.fqHead, c.fqLen = 0, n
+		pos += n
+		c.cycle++
+		c.dispatch()
+	}
 }
 
 // BenchmarkDispatch measures the dispatch stage alone: ROB slot
@@ -121,9 +137,9 @@ func BenchmarkDispatch(b *testing.B) {
 	b.ReportMetric(float64(c.seq)/float64(b.N), "inst/op")
 }
 
-// BenchmarkIssueScan measures the wakeable-bitmask issue scan over a
-// full window of ready ALU instructions: bit iteration, port
-// arbitration, flag updates and scoreboard publication.
+// BenchmarkIssueScan measures the ready-bitmask issue scan over a full
+// window of ready ALU instructions: bit iteration, port arbitration,
+// flag updates and scoreboard publication.
 func BenchmarkIssueScan(b *testing.B) {
 	c := benchCPU()
 	resetWindow(c)
@@ -138,35 +154,91 @@ func BenchmarkIssueScan(b *testing.B) {
 	for i, d := range window {
 		items[i] = fetchItem{d: d}
 	}
-	for pos := 0; pos < len(items); {
-		n := copy(c.fetchQ, items[pos:pos+c.cfg.DecodeWidth])
-		c.fqHead, c.fqLen = 0, n
-		pos += n
-		c.cycle++
-		c.dispatch()
+	dispatchWindow(c, items)
+	benchIssue(b, c)
+}
+
+// wakeableCount returns the number of published, un-issued slots.
+func (c *CPU) wakeableCount() int {
+	n := 0
+	for _, w := range c.wakeable {
+		n += bits.OnesCount64(w)
 	}
-	unsnap := append([]uint64(nil), c.unissued...)
-	wksnap := append([]uint64(nil), c.wakeable...)
-	flsnap := append([]uint8(nil), c.robFlags...)
+	return n
+}
+
+// issueSnapshot is the state the issue stage changes while it drains a
+// window of ALU instructions with no consumers of their own.
+type issueSnapshot struct {
+	cycle, drained, lateMin      uint64
+	wakeable, ready, wheel, late []uint64
+	flags                        []uint8
+}
+
+func takeIssueSnapshot(c *CPU) issueSnapshot {
+	return issueSnapshot{
+		cycle: c.cycle, drained: c.drained, lateMin: c.lateMin,
+		wakeable: append([]uint64(nil), c.wakeable...),
+		ready:    append([]uint64(nil), c.ready...),
+		wheel:    append([]uint64(nil), c.wheel...),
+		late:     append([]uint64(nil), c.late...),
+		flags:    append([]uint8(nil), c.robFlags...),
+	}
+}
+
+// restore puts the window back as it was at the snapshot, with every
+// functional unit idle.
+func (s issueSnapshot) restore(c *CPU) {
+	c.cycle, c.drained, c.lateMin = s.cycle, s.drained, s.lateMin
+	copy(c.wakeable, s.wakeable)
+	copy(c.ready, s.ready)
+	copy(c.wheel, s.wheel)
+	copy(c.late, s.late)
+	copy(c.robFlags, s.flags)
+	for _, p := range c.pools {
+		clear(p.busyUntil)
+	}
+}
+
+// benchIssue runs the issue stage once per op, one cycle each, over the
+// window dispatched into c, replaying it from a snapshot whenever
+// everything has issued.
+func benchIssue(b *testing.B, c *CPU) {
+	snap := takeIssueSnapshot(c)
 	issued := uint64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if c.unissuedCount() == 0 {
-			copy(c.unissued, unsnap)
-			copy(c.wakeable, wksnap)
-			copy(c.robFlags, flsnap)
-			for _, p := range c.pools {
-				for j := range p.busyUntil {
-					p.busyUntil[j] = 0
-				}
-			}
+		if c.wakeableCount() == 0 {
+			snap.restore(c)
 		}
 		c.cycle++
-		before := c.unissuedCount()
+		before := c.wakeableCount()
 		c.issue()
-		issued += uint64(before - c.unissuedCount())
+		issued += uint64(before - c.wakeableCount())
 	}
 	b.ReportMetric(float64(issued)/float64(b.N), "inst/op")
+}
+
+// BenchmarkIssueScanWaiting measures the issue stage over a full window
+// in which every entry but the oldest waits on one long-latency
+// producer: a 200-cycle divide. Each op is one cycle of issue; for
+// about 200 cycles nothing can issue, then the window drains at the
+// issue width. The per-cycle cost of entries that are published but not
+// yet due is what this isolates.
+func BenchmarkIssueScanWaiting(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.FULatency[isa.ClassIntDiv] = 200
+	c := New(cfg, mem.New(mem.DefaultConfig()), sbuf.Null{}, &SliceSource{})
+	resetWindow(c)
+	items := make([]fetchItem, c.cfg.ROBSize)
+	items[0].d = vm.DynInst{Op: isa.DIV, Rd: isa.R(1), Rs1: isa.R0, Rs2: isa.R0}
+	for i := 1; i < len(items); i++ {
+		items[i].d = vm.DynInst{Op: isa.ADD, Rd: isa.R(2 + i%12), Rs1: isa.R(1), Rs2: isa.R0}
+	}
+	dispatchWindow(c, items)
+	c.cycle++
+	c.issue() // the divide; its consumers now wait 200 cycles
+	benchIssue(b, c)
 }
 
 // BenchmarkCommit measures in-order retirement of completed entries:
@@ -185,14 +257,8 @@ func BenchmarkCommit(b *testing.B) {
 	for i, d := range window {
 		items[i] = fetchItem{d: d}
 	}
-	for pos := 0; pos < len(items); {
-		n := copy(c.fetchQ, items[pos:pos+c.cfg.DecodeWidth])
-		c.fqHead, c.fqLen = 0, n
-		pos += n
-		c.cycle++
-		c.dispatch()
-	}
-	for c.unissuedCount() > 0 { // complete everything
+	dispatchWindow(c, items)
+	for c.wakeableCount() > 0 { // complete everything
 		c.cycle++
 		c.issue()
 	}

@@ -160,10 +160,14 @@ const noDep = -1
 // noDep32 terminates a producer link in the dependency arrays.
 const noDep32 = int32(-1)
 
-// wakeWaiting marks a ROB entry whose wake-up cycle is not yet known:
-// at least one source operand is still linked to an un-issued producer.
-// Any real wake-up cycle is smaller.
-const wakeWaiting = math.MaxUint64
+// wheelSpan is the wake-up wheel's horizon: its number of one-cycle
+// buckets (see CPU.ready). A power of two, so cycle&(wheelSpan-1) is
+// a cycle's bucket.
+const wheelSpan = 256
+
+// storeGrains is the number of hashed 8-byte granules the in-flight
+// store counts cover; granules 2 KiB apart share a count.
+const storeGrains = 256
 
 // noStoreSeq is minUnissuedStoreSeq's value when every in-flight store
 // has issued; any real sequence number is smaller.
@@ -191,12 +195,11 @@ type fetchItem struct {
 // CPU is the timing core.
 //
 // The reorder buffer is laid out as a struct of arrays: one fixed
-// parallel array per field, all indexed by ROB slot, plus a 64-bit
-// bitmask of un-issued slots. The issue scan walks set bits with
-// bits.TrailingZeros64 in age order from robHead and reads only the
-// narrow arrays it needs (dispatch cycle, wake-up cycle, flags), so a
-// cycle's wake-up check touches a handful of cache lines instead of
-// pointer-chasing 128-byte entries through a linked list.
+// parallel array per field, all indexed by ROB slot, plus bitmasks over
+// the slots. The issue scan walks the set bits of the ready mask with
+// bits.TrailingZeros64 in age order from robHead; an entry joins that
+// mask only once the clock reaches its wake-up cycle, so the scan never
+// visits an entry that is not yet due.
 type CPU struct {
 	cfg  Config
 	hier *mem.Hierarchy
@@ -211,24 +214,21 @@ type CPU struct {
 	// [robHead, robHead+robCount) mod ROBSize.
 	robD    []vm.DynInst // full dynamic instruction record
 	robSeq  []uint64     // dynamic sequence number (recycle detection)
-	robDisp []uint64     // dispatch cycle
 	robDone []uint64     // completion cycle (valid once fIssued)
-	// robWake is the entry's wake-up cycle: the latest cycle at which
-	// a source operand becomes available, or wakeWaiting while some
-	// producer has not issued. Wake-ups are pushed, not polled: a
-	// consumer dispatching against an un-issued producer chains itself
-	// onto that producer's waiter list (wakeHead/wakeNext) and the
+	// robWake is the latest ready cycle over the entry's resolved
+	// source operands; once robWaitN reaches zero it is the entry's
+	// wake-up cycle. Wake-ups are pushed, not polled: a consumer
+	// dispatching against an un-issued producer chains itself onto
+	// that producer's waiter list (wakeHead/wakeNext), and the
 	// producer's issue folds its completion cycle into every waiter's
-	// robWakeBase, publishing robWake when the waiter's last
-	// outstanding link resolves. Every producer issues before it can
-	// commit, so chains always drain before a slot recycles, and the
-	// issue scan's readiness test is one 8-byte load and compare.
-	robWake     []uint64
-	robWakeBase []uint64 // max ready cycle over already-resolved operands
-	robWaitN    []uint8  // outstanding producer links (0..2)
-	robFlags    []uint8  // fIssued | fLoad | fStore | ...
-	robRd       []uint8  // destination register (isa.RegNone if none)
-	robClass    []uint8  // functional-unit class (cached isa.ClassOf)
+	// robWake, publishing the waiter when its last outstanding link
+	// resolves. Every producer issues before it can commit, so chains
+	// always drain before a slot recycles.
+	robWake  []uint64
+	robWaitN []uint8 // outstanding producer links (0..2)
+	robFlags []uint8 // fIssued | fLoad | fStore | ...
+	robRd    []uint8 // destination register (isa.RegNone if none)
+	robClass []uint8 // functional-unit class (cached isa.ClassOf)
 
 	// Producer→consumer wake-up chains. wakeHead[p] is the first link
 	// node of producer p's waiter list (noDep32 if empty); link node
@@ -237,15 +237,26 @@ type CPU struct {
 	wakeHead []int32
 	wakeNext []int32
 
-	// unissued is the bitmask of dispatched-but-not-issued ROB slots
-	// (bit i = slot i); wakeable is its subset whose wake-up cycle is
-	// known (no outstanding producer link). Dispatch sets the bits,
-	// issue clears them, wake-up publication moves a slot into
-	// wakeable; the issue scan iterates wakeable's set bits
-	// oldest-first starting at robHead, so entries gated on an
-	// un-issued producer cost nothing per cycle.
-	unissued []uint64
+	// Slot bitmasks (bit i = slot i), one word per 64 slots. wakeable
+	// holds the un-issued slots whose wake-up cycle is known
+	// (published: no outstanding producer link), which the event
+	// loop's next-event bound walks; ready is its subset whose wake-up
+	// cycle is at most drained, the cycle issue has advanced the wheel
+	// to. The issue scan walks only ready, oldest-first from robHead.
+	//
+	// A published entry that is not yet ready waits in the wake-up
+	// wheel when its wake-up cycle w is at most wheelSpan cycles past
+	// drained: in bucket w%wheelSpan, the slot mask at
+	// wheel[(w%wheelSpan)*len(ready):]. A later one waits in the late
+	// set, whose smallest wake-up cycle is lateMin. Issue first moves
+	// the buckets of every cycle up to the current one into ready,
+	// then pulls the late entries that came within the horizon.
 	wakeable []uint64
+	ready    []uint64
+	wheel    []uint64
+	late     []uint64
+	lateMin  uint64
+	drained  uint64
 
 	robHead  int
 	robCount int
@@ -277,6 +288,11 @@ type CPU struct {
 	storeHiQ   []uint64
 	storeHead  int
 	storeCount int
+	// storeGrain counts the in-flight stores touching each hashed
+	// 8-byte granule. Two byte ranges can only overlap if they share a
+	// granule, so a load whose granules all count zero overlaps no
+	// in-flight store and skips the ring scan.
+	storeGrain [storeGrains]uint32
 
 	// Disambiguation fast paths. A load's youngest conflicting older
 	// store is fixed at dispatch (dispatch is in order, so no older
@@ -315,6 +331,7 @@ type CPU struct {
 	lastIBlock   uint64
 
 	pools [isa.NumClasses]*fuPool
+	fuOcc [isa.NumClasses]uint64 // per-issue unit occupancy: 1 if pipelined, else the latency
 
 	cycle uint64
 	stats Stats
@@ -338,24 +355,25 @@ type runState struct {
 // source.
 func New(cfg Config, hier *mem.Hierarchy, pf sbuf.Prefetcher, src Source) *CPU {
 	n := cfg.ROBSize
+	words := (n + 63) / 64
 	c := &CPU{
 		cfg:            cfg,
 		hier:           hier,
 		bp:             NewGshare(cfg.Gshare),
 		robD:           make([]vm.DynInst, n),
 		robSeq:         make([]uint64, n),
-		robDisp:        make([]uint64, n),
 		robDone:        make([]uint64, n),
 		robWake:        make([]uint64, n),
-		robWakeBase:    make([]uint64, n),
 		robWaitN:       make([]uint8, n),
 		robFlags:       make([]uint8, n),
 		wakeHead:       make([]int32, n),
 		wakeNext:       make([]int32, 2*n),
 		robRd:          make([]uint8, n),
 		robClass:       make([]uint8, n),
-		unissued:       make([]uint64, (n+63)/64),
-		wakeable:       make([]uint64, (n+63)/64),
+		wakeable:       make([]uint64, words),
+		ready:          make([]uint64, words),
+		wheel:          make([]uint64, wheelSpan*words),
+		late:           make([]uint64, words),
 		fetchQ:         make([]fetchItem, cfg.FetchQueueSize),
 		storeQ:         make([]int32, n),
 		storeSeqQ:      make([]uint64, n),
@@ -377,6 +395,12 @@ func New(cfg Config, hier *mem.Hierarchy, pf sbuf.Prefetcher, src Source) *CPU {
 	c.pools[isa.ClassFPAdd] = newFUPool(cfg.FUCount[isa.ClassFPAdd])
 	c.pools[isa.ClassFPMul] = newFUPool(cfg.FUCount[isa.ClassFPMul])
 	c.pools[isa.ClassFPDiv] = c.pools[isa.ClassFPMul]
+	for cl := range c.fuOcc {
+		c.fuOcc[cl] = 1
+		if !cfg.FUPipelined[cl] {
+			c.fuOcc[cl] = cfg.FULatency[cl]
+		}
+	}
 	c.Reset(pf, src)
 	return c
 }
@@ -404,18 +428,19 @@ func (c *CPU) Reset(pf sbuf.Prefetcher, src Source) {
 		bp:                  c.bp,
 		robD:                cleared(c.robD),
 		robSeq:              cleared(c.robSeq),
-		robDisp:             cleared(c.robDisp),
 		robDone:             cleared(c.robDone),
 		robWake:             cleared(c.robWake),
-		robWakeBase:         cleared(c.robWakeBase),
 		robWaitN:            cleared(c.robWaitN),
 		robFlags:            cleared(c.robFlags),
 		robRd:               cleared(c.robRd),
 		robClass:            cleared(c.robClass),
 		wakeHead:            c.wakeHead,
 		wakeNext:            cleared(c.wakeNext),
-		unissued:            cleared(c.unissued),
 		wakeable:            cleared(c.wakeable),
+		ready:               cleared(c.ready),
+		wheel:               cleared(c.wheel),
+		late:                cleared(c.late),
+		lateMin:             math.MaxUint64,
 		storeQ:              cleared(c.storeQ),
 		storeSeqQ:           cleared(c.storeSeqQ),
 		storeLoQ:            cleared(c.storeLoQ),
@@ -427,6 +452,7 @@ func (c *CPU) Reset(pf sbuf.Prefetcher, src Source) {
 		srcBuf:              cleared(c.srcBuf),
 		lastIBlock:          math.MaxUint64,
 		pools:               c.pools,
+		fuOcc:               c.fuOcc,
 		// Every register starts architectural: ready since cycle 0.
 		regKnown: ^uint64(0),
 	}
@@ -459,34 +485,90 @@ func (c *CPU) Hierarchy() *mem.Hierarchy { return c.hier }
 // Prefetcher returns the prefetcher under study.
 func (c *CPU) Prefetcher() sbuf.Prefetcher { return c.pf }
 
-// unissuedCount returns the population of the un-issued bitmask (used
-// by invariant checks and occupancy telemetry).
-func (c *CPU) unissuedCount() int {
-	n := 0
-	for _, w := range c.unissued {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // wakeConsumers drains producer idx's waiter chain after it issues,
 // folding its completion cycle into every waiting consumer and
-// publishing each consumer's wake-up cycle once its last outstanding
-// producer link resolves.
+// publishing each consumer once its last outstanding producer link
+// resolves.
 func (c *CPU) wakeConsumers(idx int) {
 	done := c.robDone[idx]
 	for n := c.wakeHead[idx]; n != noDep32; {
 		cons := int(n >> 1)
-		if done > c.robWakeBase[cons] {
-			c.robWakeBase[cons] = done
+		if done > c.robWake[cons] {
+			c.robWake[cons] = done
 		}
 		if c.robWaitN[cons]--; c.robWaitN[cons] == 0 {
-			c.robWake[cons] = c.robWakeBase[cons]
-			c.wakeable[cons>>6] |= 1 << (uint(cons) & 63)
+			c.publish(cons)
 		}
 		n = c.wakeNext[n]
 	}
 	c.wakeHead[idx] = noDep32
+}
+
+// publish makes slot idx, whose wake-up cycle robWake[idx] is now
+// known, wakeable, and schedules it for the issue scan.
+func (c *CPU) publish(idx int) {
+	c.wakeable[idx>>6] |= 1 << (uint(idx) & 63)
+	c.schedule(idx)
+}
+
+// schedule puts a published slot where its wake-up cycle w says: in
+// ready if w is at most drained, in bucket w%wheelSpan if w is within
+// the wheel's horizon, else in the late set.
+func (c *CPU) schedule(idx int) {
+	w, bit := c.robWake[idx], uint64(1)<<(uint(idx)&63)
+	switch {
+	case w <= c.drained:
+		c.ready[idx>>6] |= bit
+	case w <= c.drained+wheelSpan:
+		c.wheel[int(w&(wheelSpan-1))*len(c.ready)+idx>>6] |= bit
+	default:
+		c.late[idx>>6] |= bit
+		if w < c.lateMin {
+			c.lateMin = w
+		}
+	}
+}
+
+// advanceWheel moves every entry whose wake-up cycle the clock has
+// reached into ready: it empties the buckets of the cycles since
+// drained (all of them after a jump of at least wheelSpan cycles, since
+// every bucketed entry is then due), then pulls the late entries that
+// came within the horizon.
+func (c *CPU) advanceWheel() {
+	words := len(c.ready)
+	n := c.cycle - c.drained
+	if n > wheelSpan {
+		n = wheelSpan
+	}
+	for cy := c.drained + 1; n > 0; cy, n = cy+1, n-1 {
+		b := c.wheel[int(cy&(wheelSpan-1))*words:][:words]
+		for i, m := range b {
+			if m != 0 {
+				c.ready[i] |= m
+				b[i] = 0
+			}
+		}
+	}
+	c.drained = c.cycle
+	horizon := c.drained + wheelSpan
+	if c.lateMin > horizon {
+		return
+	}
+	c.lateMin = math.MaxUint64
+	for wi, m := range c.late {
+		for m != 0 {
+			idx := wi<<6 + bits.TrailingZeros64(m)
+			m &= m - 1
+			if w := c.robWake[idx]; w > horizon {
+				if w < c.lateMin {
+					c.lateMin = w
+				}
+				continue
+			}
+			c.late[wi] &^= 1 << (uint(idx) & 63)
+			c.schedule(idx)
+		}
+	}
 }
 
 // DefaultWatchdogCycles is the no-commit watchdog threshold used when
@@ -661,8 +743,12 @@ func (c *CPU) fetch() bool {
 			slot -= len(c.fetchQ)
 		}
 		c.fqLen++
+		// Field by field: a composite-literal store of the whole item
+		// stalls on store forwarding when the record is read back.
 		item := &c.fetchQ[slot]
-		*item = fetchItem{d: *d, availableAt: c.cycle + 1}
+		item.d = *d
+		item.mispredict = false
+		item.availableAt = c.cycle + 1
 		c.consume()
 		if item.d.IsCTI() {
 			branches--
@@ -762,7 +848,6 @@ func (c *CPU) dispatch() bool {
 		c.seq++
 		c.robD[idx] = item.d
 		c.robSeq[idx] = c.seq
-		c.robDisp[idx] = c.cycle
 		c.robDone[idx] = 0
 		flags := uint8(0)
 		if isLoad {
@@ -802,13 +887,10 @@ func (c *CPU) dispatch() bool {
 				}
 			}
 		}
-		c.robWakeBase[idx] = base
+		c.robWake[idx] = base
 		c.robWaitN[idx] = waitN
-		if waitN > 0 {
-			c.robWake[idx] = wakeWaiting
-		} else {
-			c.robWake[idx] = base
-			c.wakeable[idx>>6] |= 1 << (uint(idx) & 63)
+		if waitN == 0 {
+			c.publish(idx)
 		}
 
 		rd := item.d.Rd
@@ -818,7 +900,6 @@ func (c *CPU) dispatch() bool {
 			c.lastWriterSeq[rd] = c.seq
 			c.regKnown &^= 1 << rd
 		}
-		c.unissued[idx>>6] |= 1 << (uint(idx) & 63)
 		switch {
 		case isStore:
 			sp := c.storeHead + c.storeCount
@@ -830,6 +911,7 @@ func (c *CPU) dispatch() bool {
 			c.storeLoQ[sp] = item.d.EffAddr
 			c.storeHiQ[sp] = item.d.EffAddr + uint64(item.d.MemSize)
 			c.storeCount++
+			c.countGrains(item.d.EffAddr, item.d.MemSize, 1)
 			if c.minUnissuedStoreSeq == noStoreSeq {
 				c.minUnissuedStoreSeq = c.seq
 			}
@@ -840,6 +922,9 @@ func (c *CPU) dispatch() bool {
 			// source for its whole lifetime.
 			lo := item.d.EffAddr
 			hi := lo + uint64(item.d.MemSize)
+			if !c.grainsBusy(lo, item.d.MemSize) {
+				break // no in-flight store shares a granule: no scan
+			}
 			for i := c.storeCount - 1; i >= 0; i-- {
 				sp := c.storeHead + i
 				if sp >= len(c.storeQ) {
@@ -857,47 +942,74 @@ func (c *CPU) dispatch() bool {
 	return dispatched
 }
 
-// issue wakes up and selects ready instructions, oldest first: it
-// walks the wakeable bitmask from robHead — completed entries waiting
-// to commit are never revisited, and entries gated on an un-issued
-// producer are not in the mask — clearing each bit as its entry
-// issues. It reports whether any instruction issued.
+// grainSpan returns the first hashed granule of the byte range
+// [addr, addr+size) and how many granules it covers. An empty range
+// covers addr's granule, since the overlap test matches an empty range
+// lying strictly inside another. Counting granules from the size
+// rather than from the end address keeps a range that wraps at 2^64
+// consistent between store entry and exit.
+func grainSpan(addr uint64, size uint8) (first uint64, n int) {
+	n = int((addr&7 + uint64(size) + 7) >> 3)
+	return addr >> 3, max(n, 1)
+}
+
+// countGrains adds delta to the in-flight store count of every granule
+// the store range [addr, addr+size) covers.
+func (c *CPU) countGrains(addr uint64, size uint8, delta uint32) {
+	g, n := grainSpan(addr, size)
+	for ; n > 0; g, n = g+1, n-1 {
+		c.storeGrain[g&(storeGrains-1)] += delta
+	}
+}
+
+// grainsBusy reports whether any in-flight store touches a granule of
+// the load range [addr, addr+size).
+func (c *CPU) grainsBusy(addr uint64, size uint8) bool {
+	g, n := grainSpan(addr, size)
+	for ; n > 0; g, n = g+1, n-1 {
+		if c.storeGrain[g&(storeGrains-1)] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// issue selects ready instructions, oldest first: it advances the
+// wake-up wheel to the current cycle, then walks the ready bitmask from
+// robHead, clearing each bit as its entry issues. Completed entries
+// waiting to commit, entries gated on an un-issued producer and entries
+// whose operands are not yet available are not in the mask. It reports
+// whether any instruction issued.
 func (c *CPU) issue() bool {
+	c.advanceWheel()
 	budget := c.cfg.IssueWidth
 	head := c.robHead
 	hw := head >> 6
 	lowMask := uint64(1)<<(uint(head)&63) - 1
-	cont := c.issueWord(hw, c.wakeable[hw]&^lowMask, &budget)
-	for wi := hw + 1; cont && wi < len(c.wakeable); wi++ {
-		cont = c.issueWord(wi, c.wakeable[wi], &budget)
+	cont := c.issueWord(hw, c.ready[hw]&^lowMask, &budget)
+	for wi := hw + 1; cont && wi < len(c.ready); wi++ {
+		cont = c.issueWord(wi, c.ready[wi], &budget)
 	}
 	for wi := 0; cont && wi < hw; wi++ {
-		cont = c.issueWord(wi, c.wakeable[wi], &budget)
+		cont = c.issueWord(wi, c.ready[wi], &budget)
 	}
 	if cont {
-		c.issueWord(hw, c.wakeable[hw]&lowMask, &budget)
+		c.issueWord(hw, c.ready[hw]&lowMask, &budget)
 	}
 	return budget < c.cfg.IssueWidth
 }
 
 // issueWord tries to issue every candidate in one pre-masked word of
-// the wakeable bitmask, in slot order (age order within the caller's
+// the ready bitmask, in slot order (age order within the caller's
 // walk). It reports whether the scan may continue: false once the
-// issue budget is exhausted or the walk reaches entries dispatched
-// this cycle (everything younger dispatched no earlier). Bits set in
-// c.wakeable mid-scan (consumers of an instruction issued here) are
-// not in m; they could never pass the wake-up test this cycle anyway,
-// since their producer completes at the earliest next cycle.
+// issue budget is exhausted. A consumer published mid-scan joins ready
+// only if its wake-up cycle is the current one (a zero-latency
+// forward); the caller reads each later word afresh, so such a
+// consumer can still issue this cycle if it lies ahead of the walk.
 func (c *CPU) issueWord(wi int, m uint64, budget *int) bool {
 	for m != 0 {
 		idx := wi<<6 + bits.TrailingZeros64(m)
 		m &= m - 1
-		if c.robDisp[idx] >= c.cycle {
-			return false
-		}
-		if c.robWake[idx] > c.cycle {
-			continue
-		}
 		flags := c.robFlags[idx]
 		switch {
 		case flags&fLoad != 0:
@@ -909,20 +1021,16 @@ func (c *CPU) issueWord(wi int, m uint64, budget *int) bool {
 				continue
 			}
 		default:
-			class := isa.Class(c.robClass[idx])
-			occ := uint64(1)
-			if !c.cfg.FUPipelined[class] {
-				occ = c.cfg.FULatency[class]
-			}
-			if !c.pools[class].tryIssue(c.cycle, occ) {
+			class := c.robClass[idx]
+			if !c.pools[class].tryIssue(c.cycle, c.fuOcc[class]) {
 				continue
 			}
 			c.robFlags[idx] = flags | fIssued
 			c.robDone[idx] = c.cycle + c.cfg.FULatency[class]
 		}
 		bit := uint64(1) << (uint(idx) & 63)
-		c.unissued[wi] &^= bit
 		c.wakeable[wi] &^= bit
+		c.ready[wi] &^= bit
 		c.wakeConsumers(idx)
 		// Writeback scheduling: the destination's ready cycle is now
 		// known — publish it on the scoreboard unless a younger
@@ -1130,6 +1238,8 @@ func (c *CPU) commit() bool {
 			// oldest entry. fRetired invalidates any load's cached
 			// conflict pointer to it.
 			c.robFlags[idx] = flags | fRetired
+			lo := c.storeLoQ[c.storeHead]
+			c.countGrains(lo, uint8(c.storeHiQ[c.storeHead]-lo), ^uint32(0)) // -1
 			if c.storeHead++; c.storeHead == len(c.storeQ) {
 				c.storeHead = 0
 			}

@@ -97,11 +97,7 @@ func (c *CPU) nextEventCycle() uint64 {
 		for m != 0 {
 			idx := wi<<6 + bits.TrailingZeros64(m)
 			m &= m - 1
-			w := c.robWake[idx]
-			t := c.robDisp[idx] + 1
-			if w > t {
-				t = w
-			}
+			t := c.robWake[idx]
 			if c.robFlags[idx]&fLoad != 0 {
 				switch c.cfg.Disambiguation {
 				case DisNone:

@@ -205,7 +205,10 @@ func (c Class) String() string {
 }
 
 // ClassOf returns the functional-unit class of an opcode.
-func ClassOf(o Op) Class {
+func ClassOf(o Op) Class { return opClass[o] }
+
+// classOf is ClassOf's definition, from which opClass is built.
+func classOf(o Op) Class {
 	switch o {
 	case NOP, HALT:
 		return ClassNop
@@ -233,23 +236,53 @@ func ClassOf(o Op) Class {
 	}
 }
 
+// Opcode kinds, one bit each in opKind.
+const (
+	kindLoad uint8 = 1 << iota
+	kindStore
+	kindBranch
+	kindJump
+)
+
+// opClass and opKind answer ClassOf and the kind predicates for every
+// byte value with one load, invalid opcodes included.
+var opClass, opKind = opTables()
+
+func opTables() (class [256]Class, kind [256]uint8) {
+	for i := range class {
+		o := Op(i)
+		class[i] = classOf(o)
+		switch o {
+		case LD, LW, LB, FLD:
+			kind[i] = kindLoad
+		case ST, SW, SB, FST:
+			kind[i] = kindStore
+		case BEQ, BNE, BLT, BGE:
+			kind[i] = kindBranch
+		case JMP, JAL, JALR:
+			kind[i] = kindJump
+		}
+	}
+	return class, kind
+}
+
 // IsLoad reports whether o reads guest memory.
-func (o Op) IsLoad() bool { return o == LD || o == LW || o == LB || o == FLD }
+func (o Op) IsLoad() bool { return opKind[o]&kindLoad != 0 }
 
 // IsStore reports whether o writes guest memory.
-func (o Op) IsStore() bool { return o == ST || o == SW || o == SB || o == FST }
+func (o Op) IsStore() bool { return opKind[o]&kindStore != 0 }
 
 // IsMem reports whether o accesses guest memory.
-func (o Op) IsMem() bool { return o.IsLoad() || o.IsStore() }
+func (o Op) IsMem() bool { return opKind[o]&(kindLoad|kindStore) != 0 }
 
 // IsBranch reports whether o is a conditional branch.
-func (o Op) IsBranch() bool { return o == BEQ || o == BNE || o == BLT || o == BGE }
+func (o Op) IsBranch() bool { return opKind[o]&kindBranch != 0 }
 
 // IsJump reports whether o is an unconditional control transfer.
-func (o Op) IsJump() bool { return o == JMP || o == JAL || o == JALR }
+func (o Op) IsJump() bool { return opKind[o]&kindJump != 0 }
 
 // IsCTI reports whether o is any control-transfer instruction.
-func (o Op) IsCTI() bool { return o.IsBranch() || o.IsJump() }
+func (o Op) IsCTI() bool { return opKind[o]&(kindBranch|kindJump) != 0 }
 
 // MemBytes returns the access size in bytes for memory opcodes and 0
 // for everything else.

@@ -55,7 +55,8 @@ func (t *TLB) State() TLBState {
 }
 
 // SetState overwrites the TLB's residency state from a snapshot taken
-// from an identically-sized TLB. Statistics are left untouched.
+// from an identically-sized TLB and forgets every slot hint.
+// Statistics are left untouched.
 func (t *TLB) SetState(st TLBState) error {
 	if len(st.Pages) != t.entries || len(st.LastUse) != t.entries {
 		return fmt.Errorf("mem: TLB snapshot has %d/%d slots, geometry wants %d",
@@ -70,6 +71,7 @@ func (t *TLB) SetState(st TLBState) error {
 	t.used = st.Used
 	t.mru = st.MRU
 	t.clock = st.Clock
+	clear(t.hint)
 	return nil
 }
 

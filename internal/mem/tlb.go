@@ -13,9 +13,13 @@ package mem
 // linear probe over two packed arrays resolves in a handful of cache
 // lines with no hashing or allocation, and the hot case (consecutive
 // accesses to the same page) is answered by a most-recently-used
-// filter before any probing. Replacement is exactly the map version's
-// LRU: every access stamps a unique clock value, so the victim — the
-// minimum stamp — is deterministic.
+// filter before any probing. Past the filter, a direct-mapped
+// page-to-slot hint usually names the page's slot; a hint counts only
+// when that slot is resident and holds the page, and otherwise the
+// linear probe runs. A hint is only ever the slot the probe would
+// find, so it changes no result. Replacement is exactly the map
+// version's LRU: every access stamps a unique clock value, so the
+// victim — the minimum stamp — is deterministic.
 type TLB struct {
 	entries   int
 	pageShift uint
@@ -26,6 +30,9 @@ type TLB struct {
 	lastUse []uint64 // clock stamp per slot, parallel to pages
 	used    int
 	mru     int // slot of the most recent hit or install
+
+	hint     []int32 // guessed slot per page&hintMask
+	hintMask uint64
 
 	Accesses uint64
 	Misses   uint64
@@ -41,12 +48,18 @@ func NewTLB(entries int, pageBytes int, walkCycles uint64) *TLB {
 	for 1<<shift < pageBytes {
 		shift++
 	}
+	hints := 1
+	for hints < entries {
+		hints <<= 1
+	}
 	return &TLB{
 		entries:   entries,
 		pageShift: shift,
 		walk:      walkCycles,
 		pages:     make([]uint64, entries),
 		lastUse:   make([]uint64, entries),
+		hint:      make([]int32, hints),
+		hintMask:  uint64(hints - 1),
 	}
 }
 
@@ -61,10 +74,17 @@ func (t *TLB) Translate(addr uint64) (penalty uint64) {
 		t.lastUse[t.mru] = t.clock
 		return 0
 	}
+	h := &t.hint[page&t.hintMask]
+	if i := int(*h); i < t.used && t.pages[i] == page {
+		t.lastUse[i] = t.clock
+		t.mru = i
+		return 0
+	}
 	for i := 0; i < t.used; i++ {
 		if t.pages[i] == page {
 			t.lastUse[i] = t.clock
 			t.mru = i
+			*h = int32(i)
 			return 0
 		}
 	}
@@ -85,6 +105,7 @@ func (t *TLB) Translate(addr uint64) (penalty uint64) {
 	t.pages[slot] = page
 	t.lastUse[slot] = t.clock
 	t.mru = slot
+	*h = int32(slot)
 	return t.walk
 }
 

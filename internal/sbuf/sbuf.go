@@ -608,8 +608,11 @@ func (e *Engine) order(rr int) []int {
 	n := len(e.bufs)
 	if e.cfg.Sched == SchedRoundRobin {
 		idx := e.orderBuf[:0]
-		for i := 1; i <= n; i++ {
-			idx = append(idx, (rr+i)%n)
+		for i := 0; i < n; i++ {
+			if rr++; rr == n {
+				rr = 0
+			}
+			idx = append(idx, rr)
 		}
 		return idx
 	}
