@@ -28,6 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/runner"
+	"repro/internal/sample"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -75,7 +76,7 @@ func main() {
 		traceFlag  = flag.String("trace", "memory", "instruction stream source: off = live functional execution per cell, memory = record each workload once and replay (bit-identical), disk = memory plus .psbtrace persistence in -trace-dir")
 		traceDir   = flag.String("trace-dir", "", "directory for .psbtrace recordings (implies -trace disk)")
 		cycleMode  = flag.String("cycle-mode", "", "clock advancement: event = skip to the next event (default), accurate = tick every cycle (debug fallback; results are bit-identical)")
-		sample     = flag.Bool("sample", false, "sampled simulation: functional fast-forward with detailed measurement intervals and an IPC estimate with confidence bounds")
+		sampled    = flag.Bool("sample", false, "sampled simulation: functional fast-forward with detailed measurement intervals and an IPC estimate with confidence bounds")
 		samplePer  = flag.Uint64("sample-period", 0, "instructions between measurement intervals (0 = default)")
 		sampleLen  = flag.Uint64("sample-len", 0, "measured instructions per interval (0 = default)")
 		sampleWarm = flag.Uint64("sample-warmup", 0, "detailed-but-unmeasured warm-up instructions per interval (0 = default)")
@@ -121,7 +122,7 @@ func main() {
 	}
 	cfg.TraceMode = traceMode
 	cfg.TraceDir = *traceDir
-	if *sample {
+	if *sampled {
 		cfg.SampleMode = sim.SampleOn
 		cfg.SamplePeriod = *samplePer
 		cfg.SampleLen = *sampleLen
@@ -130,7 +131,7 @@ func main() {
 			usageError("-sample needs a replayable stream: use -trace memory or -trace disk")
 		}
 	}
-	if *progress && *sample {
+	if *progress && *sampled {
 		// Sampled runs jump between intervals, so a committed-
 		// instruction progress line would be misleading; the run is
 		// short anyway.
@@ -198,6 +199,11 @@ func main() {
 		if *verbose {
 			printDetail(c.Result)
 		}
+	}
+	if *verbose && *sampled && !*jsonOut {
+		st := sample.Shared().Stats()
+		fmt.Printf("checkpoint store: %.1f MiB held, %d hits / %d misses\n",
+			float64(st.Bytes)/(1<<20), st.Hits, st.Misses)
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "%d of %d cell(s) failed\n", failed, len(cells))

@@ -54,6 +54,7 @@ type Functional struct {
 	ring     []TrainEvent // fixed-capacity ring of recent train events
 	ringHead int          // next write slot
 	ringLen  int
+	trained  uint64 // train events recorded (across restores)
 
 	executed uint64 // total instructions executed (across restores)
 
@@ -153,6 +154,11 @@ func (f *Functional) Len() uint64 { return f.n }
 // summed across restores — the fast-forward work actually performed.
 func (f *Functional) Executed() uint64 { return f.executed }
 
+// Trained returns the total train events this executor has recorded,
+// summed across restores. The difference between two readings is how
+// many of a snapshot's train events are newer than an earlier one's.
+func (f *Functional) Trained() uint64 { return f.trained }
+
 // EnableMissProfile makes the executor count data-side L2 misses per bucket of
 // 2^shift instructions, indexed by stream position. The profile is the
 // scheme-independent covariate sampled simulation stratifies on: a
@@ -244,6 +250,7 @@ func (f *Functional) exec(batch []vm.DynInst) {
 					if f.ringLen < len(f.ring) {
 						f.ringLen++
 					}
+					f.trained++
 				}
 			}
 		}
@@ -255,21 +262,29 @@ func (f *Functional) exec(batch []vm.DynInst) {
 // state shares nothing with the executor and stays valid as it keeps
 // advancing.
 func (f *Functional) Snapshot() *FunctionalState {
-	train := make([]TrainEvent, f.ringLen)
+	st := new(FunctionalState)
+	f.SnapshotInto(st)
+	return st
+}
+
+// SnapshotInto captures the executor's state into st, reusing st's
+// buffers when they are large enough. st shares nothing with the
+// executor afterwards.
+func (f *Functional) SnapshotInto(st *FunctionalState) {
+	st.Pos, st.IBlock = f.pos, f.lastIBlock
+	f.hier.WarmStateInto(&st.Mem)
+	f.bp.StateInto(&st.BP)
+	if st.Train == nil || cap(st.Train) < f.ringLen {
+		// Never nil, even when empty, and with room for a full ring.
+		st.Train = make([]TrainEvent, f.ringLen, len(f.ring))
+	}
+	st.Train = st.Train[:f.ringLen]
 	start := f.ringHead - f.ringLen
 	if start < 0 {
 		start += len(f.ring)
 	}
-	for i := 0; i < f.ringLen; i++ {
-		train[i] = f.ring[(start+i)%len(f.ring)]
-	}
-	return &FunctionalState{
-		Pos:    f.pos,
-		IBlock: f.lastIBlock,
-		Mem:    f.hier.WarmState(),
-		BP:     f.bp.State(),
-		Train:  train,
-	}
+	n := copy(st.Train, f.ring[start:])
+	copy(st.Train[n:], f.ring)
 }
 
 // Restore rewinds (or jumps) the executor to a checkpoint taken from
@@ -324,21 +339,22 @@ type GshareState struct {
 
 // State returns a deep copy of the predictor's state.
 func (g *Gshare) State() GshareState {
-	st := GshareState{
-		History:     g.history,
-		Counters:    append([]uint8(nil), g.counters...),
-		BTB:         make([]BTBEntryState, len(g.btb)),
-		RAS:         append([]uint64(nil), g.ras...),
-		RASTop:      g.rasTop,
-		Clock:       g.clock,
-		Branches:    g.Branches,
-		DirWrong:    g.DirWrong,
-		TargetWrong: g.TargetWrong,
-	}
-	for i, e := range g.btb {
-		st.BTB[i] = BTBEntryState{PC: e.pc, Target: e.target, Valid: e.valid, LastUse: e.lastUse}
-	}
+	var st GshareState
+	g.StateInto(&st)
 	return st
+}
+
+// StateInto copies the predictor's state into st, reusing st's buffers
+// when they are large enough.
+func (g *Gshare) StateInto(st *GshareState) {
+	st.History, st.RASTop, st.Clock = g.history, g.rasTop, g.clock
+	st.Branches, st.DirWrong, st.TargetWrong = g.Branches, g.DirWrong, g.TargetWrong
+	st.Counters = append(st.Counters[:0], g.counters...)
+	st.RAS = append(st.RAS[:0], g.ras...)
+	st.BTB = st.BTB[:0]
+	for _, e := range g.btb {
+		st.BTB = append(st.BTB, BTBEntryState{PC: e.pc, Target: e.target, Valid: e.valid, LastUse: e.lastUse})
+	}
 }
 
 // SetState overwrites the predictor's state from a snapshot taken from

@@ -172,6 +172,35 @@ func TestFunctionalSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFunctionalSnapshotInto pins the reusable snapshot: SnapshotInto
+// over a state holding an earlier snapshot leaves exactly what
+// Snapshot returns, allocates nothing once the buffers are sized, and
+// Trained counts every train event, including those the full ring has
+// dropped.
+func TestFunctionalSnapshotInto(t *testing.T) {
+	w, err := workload.ByName("health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	insts, _ := recordStream(t, w, 100_000)
+	f := NewFunctional(mem.DefaultConfig(), DefaultGshareConfig(), insts)
+	var st FunctionalState
+	f.AdvanceTo(2_000)
+	f.SnapshotInto(&st)
+	trained := f.Trained()
+	f.AdvanceTo(100_000)
+	if allocs := testing.AllocsPerRun(3, func() { f.SnapshotInto(&st) }); allocs != 0 {
+		t.Errorf("SnapshotInto allocated %v times into sized buffers", allocs)
+	}
+	if want := f.Snapshot(); !reflect.DeepEqual(&st, want) {
+		t.Error("SnapshotInto over an earlier snapshot differs from Snapshot")
+	}
+	if len(st.Train) != TrainRingCap || f.Trained()-trained <= TrainRingCap {
+		t.Errorf("ring holds %d events after %d more trains, want a wrapped ring of %d",
+			len(st.Train), f.Trained()-trained, TrainRingCap)
+	}
+}
+
 // TestFunctionalStateRejectsWrongGeometry covers the snapshot shape
 // guards.
 func TestFunctionalStateRejectsWrongGeometry(t *testing.T) {

@@ -18,7 +18,16 @@ type CacheState struct {
 
 // State returns a deep copy of the cache's tag array and LRU clock.
 func (c *Cache) State() CacheState {
-	return CacheState{Clock: c.clock, Lines: append([]CacheLineState(nil), c.lines...)}
+	var st CacheState
+	c.StateInto(&st)
+	return st
+}
+
+// StateInto copies the cache's tag array and LRU clock into st,
+// reusing st's line buffer when it is large enough.
+func (c *Cache) StateInto(st *CacheState) {
+	st.Clock = c.clock
+	st.Lines = append(st.Lines[:0], c.lines...)
 }
 
 // SetState overwrites the cache's tag array and LRU clock from a
@@ -45,13 +54,17 @@ type TLBState struct {
 
 // State returns a deep copy of the TLB's residency state.
 func (t *TLB) State() TLBState {
-	return TLBState{
-		Clock:   t.clock,
-		Used:    t.used,
-		MRU:     t.mru,
-		Pages:   append([]uint64(nil), t.pages...),
-		LastUse: append([]uint64(nil), t.lastUse...),
-	}
+	var st TLBState
+	t.StateInto(&st)
+	return st
+}
+
+// StateInto copies the TLB's residency state into st, reusing st's
+// buffers when they are large enough.
+func (t *TLB) StateInto(st *TLBState) {
+	st.Clock, st.Used, st.MRU = t.clock, t.used, t.mru
+	st.Pages = append(st.Pages[:0], t.pages...)
+	st.LastUse = append(st.LastUse[:0], t.lastUse...)
 }
 
 // SetState overwrites the TLB's residency state from a snapshot taken
@@ -89,12 +102,18 @@ type WarmState struct {
 
 // WarmState snapshots the hierarchy's caches and DTLB.
 func (h *Hierarchy) WarmState() WarmState {
-	return WarmState{
-		L1D:  h.L1D.State(),
-		L1I:  h.L1I.State(),
-		L2:   h.L2.State(),
-		DTLB: h.DTLB.State(),
-	}
+	var ws WarmState
+	h.WarmStateInto(&ws)
+	return ws
+}
+
+// WarmStateInto snapshots the hierarchy's caches and DTLB into ws,
+// reusing its buffers when they are large enough.
+func (h *Hierarchy) WarmStateInto(ws *WarmState) {
+	h.L1D.StateInto(&ws.L1D)
+	h.L1I.StateInto(&ws.L1I)
+	h.L2.StateInto(&ws.L2)
+	h.DTLB.StateInto(&ws.DTLB)
 }
 
 // SetWarmState restores a snapshot taken from an identically-configured

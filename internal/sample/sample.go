@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -76,47 +78,91 @@ type Stats struct {
 	// functional fast-forward on behalf of the store — the work every
 	// hit avoided repeating.
 	FunctionalInsts uint64
+	// Bytes is the memory the store holds: its whole checkpoints and
+	// deltas, each key's generator scratch states and the cursors
+	// finished runs released. Executors and miss profiles are not
+	// counted.
+	Bytes uint64
 }
 
-// entry is one key's checkpoint set plus its live functional executor.
-// mu guards the states map (readers take it briefly); gen serializes
-// generation, so concurrent requests that both miss advance one
-// executor once instead of fast-forwarding twice (singleflight).
+// entry is one key's checkpoints plus its live functional executor.
+// mu guards the checkpoint index and the released cursors (readers
+// take it briefly); gen serializes generation, so concurrent requests
+// that both miss advance one executor once instead of fast-forwarding
+// twice (singleflight).
 type entry struct {
-	mu     sync.Mutex
-	states map[uint64]*cpu.FunctionalState
+	mu    sync.Mutex
+	ckpts []*ckpt   // published checkpoints, by position
+	idle  []*Cursor // cursors released by finished runs
 
 	gen sync.Mutex
 	f   *cpu.Functional
+	// last holds the checkpoint f last matched: the snapshot it took
+	// or the checkpoint it restored. Its ckpt is nil when f has matched
+	// none since it booted. trained is f.Trained() at that match.
+	last    Cursor
+	trained uint64
 
 	profMu   sync.Mutex
 	profiles map[uint64][]uint32 // miss profile by covered length
 }
 
-func (e *entry) lookup(pos uint64) *cpu.FunctionalState {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.states[pos]
+// after returns the index of the first checkpoint past pos. The
+// caller holds e.mu.
+func (e *entry) after(pos uint64) int {
+	return sort.Search(len(e.ckpts), func(i int) bool { return e.ckpts[i].pos > pos })
 }
 
-func (e *entry) publish(st *cpu.FunctionalState) {
+// best returns the checkpoint with the greatest position not exceeding
+// pos, or nil.
+func (e *entry) best(pos uint64) *ckpt {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.states[st.Pos] = st
-}
-
-// best returns the cached checkpoint with the greatest position not
-// exceeding pos, or nil.
-func (e *entry) best(pos uint64) *cpu.FunctionalState {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var b *cpu.FunctionalState
-	for p, st := range e.states {
-		if p <= pos && (b == nil || p > b.Pos) {
-			b = st
-		}
+	if i := e.after(pos); i > 0 {
+		return e.ckpts[i-1]
 	}
-	return b
+	return nil
+}
+
+func (e *entry) lookup(pos uint64) *ckpt {
+	if b := e.best(pos); b != nil && b.pos == pos {
+		return b
+	}
+	return nil
+}
+
+// Cursor is one reader's view of a key's checkpoints: the materialized
+// state of the checkpoint it last reached. Store.At moves it to the
+// requested checkpoint, applying only the deltas in between when the
+// target descends from the checkpoint it holds (one delta per interval
+// in a sampled run's ascending walk) and rebuilding from the target's
+// nearest whole checkpoint otherwise. A cursor belongs to one run at a
+// time. The zero value is ready to use; Store.Cursor reuses the
+// buffers of cursors earlier runs released.
+type Cursor struct {
+	e  *entry
+	ck *ckpt
+	st cpu.FunctionalState
+}
+
+// seek makes c hold ck, a checkpoint of e.
+func (c *Cursor) seek(e *entry, ck *ckpt) {
+	if c.e != e {
+		c.e, c.ck = e, nil
+	}
+	switch {
+	case ck == c.ck:
+		return
+	case ck.whole != nil:
+		if c.st.Train == nil {
+			c.st.Train = make([]cpu.TrainEvent, 0, cpu.TrainRingCap) // room for a full ring
+		}
+		copyState(&c.st, ck.whole)
+	default:
+		c.seek(e, ck.base)
+		ck.d.apply(&c.st)
+	}
+	c.ck = ck
 }
 
 // Store is the process-wide checkpoint store. The zero value is ready
@@ -125,7 +171,7 @@ type Store struct {
 	mu      sync.Mutex
 	entries map[Key]*entry
 
-	hits, misses, diskLoads, diskWrites, functional atomic.Uint64
+	hits, misses, diskLoads, diskWrites, functional, bytes atomic.Uint64
 }
 
 var shared Store
@@ -143,6 +189,7 @@ func (s *Store) Stats() Stats {
 		DiskLoads:       s.diskLoads.Load(),
 		DiskWrites:      s.diskWrites.Load(),
 		FunctionalInsts: s.functional.Load(),
+		Bytes:           s.bytes.Load(),
 	}
 }
 
@@ -154,10 +201,47 @@ func (s *Store) entry(k Key) *entry {
 	}
 	e := s.entries[k]
 	if e == nil {
-		e = &entry{states: make(map[uint64]*cpu.FunctionalState)}
+		e = new(entry)
 		s.entries[k] = e
 	}
 	return e
+}
+
+// publish adds a new checkpoint to e's index.
+func (s *Store) publish(e *entry, ck *ckpt) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.ckpts = slices.Insert(e.ckpts, e.after(ck.pos), ck)
+	s.bytes.Add(ck.size)
+}
+
+// Cursor returns a cursor for k's checkpoints, reusing one that an
+// earlier run released when there is one, so a warm run allocates no
+// state.
+func (s *Store) Cursor(k Key) *Cursor {
+	e := s.entry(k)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	n := len(e.idle)
+	if n == 0 {
+		return &Cursor{e: e}
+	}
+	c := e.idle[n-1]
+	e.idle = e.idle[:n-1]
+	s.bytes.Add(-stateBytes(&c.st))
+	return c
+}
+
+// Release hands c back for later runs of the key it last read. Neither
+// c nor the state its last At returned may be used afterwards.
+func (s *Store) Release(c *Cursor) {
+	if c.e == nil {
+		return
+	}
+	c.e.mu.Lock()
+	defer c.e.mu.Unlock()
+	c.e.idle = append(c.e.idle, c)
+	s.bytes.Add(stateBytes(&c.st))
 }
 
 // AtInfo attributes one At call: whether it hit a cached checkpoint,
@@ -169,66 +253,78 @@ type AtInfo struct {
 	FunctionalInsts uint64
 }
 
-// At returns the checkpoint for key k at stream position pos,
-// fast-forwarding functionally to create it if no cached or persisted
-// checkpoint exists. boot constructs a cold executor positioned at the
-// stream's start; it is only called when work is actually needed. When
-// dir is non-empty, checkpoints are loaded from and persisted to
+// At moves c to the checkpoint for key k at stream position pos and
+// returns its state, fast-forwarding functionally to create the
+// checkpoint if no cached or persisted one exists. boot constructs a
+// cold executor positioned at the stream's start; it is only called
+// when work is actually needed. When dir is non-empty, checkpoints are
+// loaded from and persisted to
 // <dir>/<workload>-seed<seed>-pos<pos>-g<geom>.psbckpt.
 //
 // Generation is incremental and singleflight per key: a request for
 // position P resumes the key's live executor (or the nearest earlier
 // checkpoint) rather than replaying from zero, and concurrent misses
-// on one key wait for a single generator. The returned state is shared
-// and must be treated as read-only.
-func (s *Store) At(k Key, pos uint64, dir string, boot func() *cpu.Functional) (*cpu.FunctionalState, AtInfo, error) {
+// on one key wait for a single generator. A generated checkpoint is
+// stored as a delta against the checkpoint the executor last matched;
+// a loaded one as a delta against c's checkpoint when that is earlier.
+// The returned state belongs to c: it is read-only and stays valid
+// until c's next At.
+func (s *Store) At(c *Cursor, k Key, pos uint64, dir string, boot func() *cpu.Functional) (*cpu.FunctionalState, AtInfo, error) {
 	e := s.entry(k)
-	if st := e.lookup(pos); st != nil {
+	if ck := e.lookup(pos); ck != nil {
 		s.hits.Add(1)
-		return st, AtInfo{Hit: true}, nil
+		c.seek(e, ck)
+		return &c.st, AtInfo{Hit: true}, nil
 	}
 
 	// Serialize generation for this key; whoever held the lock may
 	// have produced exactly the checkpoint we want.
 	e.gen.Lock()
 	defer e.gen.Unlock()
-	if st := e.lookup(pos); st != nil {
+	if ck := e.lookup(pos); ck != nil {
 		s.hits.Add(1)
-		return st, AtInfo{Hit: true}, nil
+		c.seek(e, ck)
+		return &c.st, AtInfo{Hit: true}, nil
 	}
 
 	if dir != "" {
 		if st, err := s.load(k, pos, dir); err == nil {
-			// A persisted checkpoint from an earlier process. Corrupt
-			// or mismatched files fall through and are regenerated
-			// (and overwritten) below.
+			// A persisted checkpoint from an earlier process. Its train
+			// ring is stored whole: nothing tells which events are new.
+			// Corrupt or mismatched files fall through and are
+			// regenerated (and overwritten) below.
 			s.diskLoads.Add(1)
-			e.publish(st)
-			return st, AtInfo{Disk: true}, nil
+			var base *ckpt
+			if c.e == e && c.ck != nil && c.ck.pos < pos && sameShape(&c.st, st) {
+				base = c.ck
+			}
+			ck := newCkpt(base, &c.st, st, uint64(len(st.Train)))
+			s.publish(e, ck)
+			c.seek(e, ck)
+			return &c.st, AtInfo{Disk: true}, nil
 		}
 	}
 
 	s.misses.Add(1)
+	held := stateBytes(&e.last.st)
+	defer func() { s.bytes.Add(stateBytes(&e.last.st) - held) }() // wraps to a subtraction when it shrank
 	if e.f == nil {
-		e.f = boot()
+		e.f, e.last.ck = boot(), nil
 	}
-	if e.f.Pos() > pos {
-		// The executor ran past the requested position (out-of-order
-		// request): rewind via the nearest earlier checkpoint, or
-		// rebuild cold.
-		if b := e.best(pos); b != nil {
-			if err := e.f.Restore(b); err != nil {
-				return nil, AtInfo{}, fmt.Errorf("sample: restoring checkpoint at %d: %w", b.Pos, err)
-			}
-		} else {
-			e.f = boot()
+	b := e.best(pos)
+	switch {
+	case b != nil && (e.f.Pos() > pos || b.pos > e.f.Pos()):
+		// Rewind an executor that ran past pos (an out-of-order
+		// request), or jump forward through a cached (e.g.
+		// disk-loaded) checkpoint ahead of it.
+		e.last.seek(e, b)
+		if err := e.f.Restore(&e.last.st); err != nil {
+			e.f = nil
+			return nil, AtInfo{}, fmt.Errorf("sample: restoring checkpoint at %d: %w", b.pos, err)
 		}
-	} else if b := e.best(pos); b != nil && b.Pos > e.f.Pos() {
-		// A cached (e.g. disk-loaded) checkpoint is ahead of the live
-		// executor: jump forward through it.
-		if err := e.f.Restore(b); err != nil {
-			return nil, AtInfo{}, fmt.Errorf("sample: restoring checkpoint at %d: %w", b.Pos, err)
-		}
+		e.trained = e.f.Trained()
+	case e.f.Pos() > pos:
+		e.f, e.last.ck = boot(), nil
 	}
 	advanced := e.f.AdvanceTo(pos)
 	s.functional.Add(advanced)
@@ -236,14 +332,20 @@ func (s *Store) At(k Key, pos uint64, dir string, boot func() *cpu.Functional) (
 		return nil, AtInfo{}, fmt.Errorf("sample: %s/seed%d: recording ends at %d, checkpoint position %d unreachable",
 			k.Workload, k.Seed, e.f.Pos(), pos)
 	}
-	st := e.f.Snapshot()
-	e.publish(st)
+	// The snapshot goes straight into the caller's cursor; the
+	// generator's own state follows it by one delta.
+	e.f.SnapshotInto(&c.st)
+	ck := newCkpt(e.last.ck, &e.last.st, &c.st, e.f.Trained()-e.trained)
+	c.e, c.ck = e, ck
+	e.last.seek(e, ck)
+	e.trained = e.f.Trained()
+	s.publish(e, ck)
 	if dir != "" {
-		if err := s.store(k, dir, st); err != nil {
+		if err := s.store(k, dir, &c.st); err != nil {
 			return nil, AtInfo{}, err
 		}
 	}
-	return st, AtInfo{FunctionalInsts: advanced}, nil
+	return &c.st, AtInfo{FunctionalInsts: advanced}, nil
 }
 
 // ProfileShift is the miss-profile bucket granularity: buckets of

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/cpu"
@@ -170,10 +171,11 @@ func TestCodecValidByte(t *testing.T) {
 func TestStoreIncrementalReuse(t *testing.T) {
 	insts := healthStream(t, 4_000)
 	var s Store
+	var cur Cursor
 	k := testKey()
 	boot := bootFor(insts)
 
-	st0, info, err := s.At(k, 0, "", boot)
+	st0, info, err := s.At(&cur, k, 0, "", boot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,18 +186,18 @@ func TestStoreIncrementalReuse(t *testing.T) {
 		t.Errorf("position 0 checkpoint at pos %d", st0.Pos)
 	}
 
-	if _, info, err = s.At(k, 1_000, "", boot); err != nil || info.FunctionalInsts != 1_000 {
+	if _, info, err = s.At(&cur, k, 1_000, "", boot); err != nil || info.FunctionalInsts != 1_000 {
 		t.Fatalf("advance to 1000: info=%+v err=%v, want 1000 functional insts", info, err)
 	}
-	if _, info, err = s.At(k, 1_000, "", boot); err != nil || !info.Hit {
+	if _, info, err = s.At(&cur, k, 1_000, "", boot); err != nil || !info.Hit {
 		t.Fatalf("repeat at 1000: info=%+v err=%v, want hit", info, err)
 	}
 	// Incremental: 1000 -> 3000 costs 2000, not 3000.
-	if _, info, err = s.At(k, 3_000, "", boot); err != nil || info.FunctionalInsts != 2_000 {
+	if _, info, err = s.At(&cur, k, 3_000, "", boot); err != nil || info.FunctionalInsts != 2_000 {
 		t.Fatalf("advance to 3000: info=%+v err=%v, want 2000 functional insts", info, err)
 	}
 	// Rewind: restored from the checkpoint at 1000, so 500 insts.
-	if _, info, err = s.At(k, 1_500, "", boot); err != nil || info.FunctionalInsts != 500 {
+	if _, info, err = s.At(&cur, k, 1_500, "", boot); err != nil || info.FunctionalInsts != 500 {
 		t.Fatalf("rewind to 1500: info=%+v err=%v, want 500 functional insts", info, err)
 	}
 
@@ -205,7 +207,7 @@ func TestStoreIncrementalReuse(t *testing.T) {
 	}
 
 	// Beyond the recording: an explicit error, not a silent short state.
-	if _, _, err := s.At(k, 10_000, "", boot); err == nil {
+	if _, _, err := s.At(&cur, k, 10_000, "", boot); err == nil {
 		t.Error("position beyond the recording accepted")
 	}
 }
@@ -216,7 +218,7 @@ func TestStoreDiskPersistence(t *testing.T) {
 	dir := t.TempDir()
 
 	var s1 Store
-	want, info, err := s1.At(k, 2_000, dir, bootFor(insts))
+	want, info, err := s1.At(new(Cursor), k, 2_000, dir, bootFor(insts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +236,7 @@ func TestStoreDiskPersistence(t *testing.T) {
 	// A fresh store (fresh process) loads from disk without functional
 	// work.
 	var s2 Store
-	got, info, err := s2.At(k, 2_000, dir, bootFor(insts))
+	got, info, err := s2.At(new(Cursor), k, 2_000, dir, bootFor(insts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +260,7 @@ func TestStoreDiskPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s3 Store
-	healed, info, err := s3.At(k, 2_000, dir, bootFor(insts))
+	healed, info, err := s3.At(new(Cursor), k, 2_000, dir, bootFor(insts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +271,165 @@ func TestStoreDiskPersistence(t *testing.T) {
 		t.Error("regenerated checkpoint differs")
 	}
 	var s4 Store
-	if _, info, err = s4.At(k, 2_000, dir, bootFor(insts)); err != nil || !info.Disk {
+	if _, info, err = s4.At(new(Cursor), k, 2_000, dir, bootFor(insts)); err != nil || !info.Disk {
 		t.Errorf("after healing: info=%+v err=%v, want disk hit (file overwritten)", info, err)
+	}
+}
+
+// TestStoreBytes pins the store's memory accounting and what deltas
+// save: at 200K on health, each generated checkpoint after the first
+// adds less than a quarter of a whole state to Stats.Bytes, and a
+// released cursor counts until a later run takes it back.
+func TestStoreBytes(t *testing.T) {
+	insts := healthStream(t, 200_000)
+	var s Store
+	k := testKey()
+	boot := bootFor(insts)
+	cur := s.Cursor(k)
+	st, _, err := s.At(cur, k, 20_000, "", boot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := stateBytes(st)
+	if got := s.Stats().Bytes; got < whole {
+		t.Fatalf("first checkpoint: store holds %d bytes, less than one whole state (%d)", got, whole)
+	}
+	for pos := uint64(40_000); pos < 200_000; pos += 20_000 {
+		held := s.Stats().Bytes
+		if _, _, err := s.At(cur, k, pos, "", boot); err != nil {
+			t.Fatal(err)
+		}
+		if added := s.Stats().Bytes - held; added == 0 || added >= whole/4 {
+			t.Errorf("checkpoint at %d added %d bytes, want 0 < added < %d (a quarter of a whole state)",
+				pos, added, whole/4)
+		}
+	}
+
+	held := s.Stats().Bytes
+	s.Release(cur)
+	if got, want := s.Stats().Bytes-held, stateBytes(&cur.st); got != want {
+		t.Errorf("releasing a cursor added %d bytes, want its %d", got, want)
+	}
+	if again := s.Cursor(k); again != cur || s.Stats().Bytes != held {
+		t.Errorf("a later run got a new cursor or left %d bytes counted, want the released one and %d",
+			s.Stats().Bytes, held)
+	}
+}
+
+// TestStoreConcurrentCursors runs four readers against one store, each
+// taking a cursor, walking the checkpoints in its own order and
+// releasing it, twice over. Every state must equal a straight
+// snapshot, and Stats.Bytes must end equal to what the store holds.
+func TestStoreConcurrentCursors(t *testing.T) {
+	insts := healthStream(t, 40_000)
+	k := testKey()
+	boot := bootFor(insts)
+	var pos []uint64
+	want := make(map[uint64]*cpu.FunctionalState)
+	f := boot()
+	for p := uint64(0); p < 40_000; p += 2_000 {
+		f.AdvanceTo(p)
+		pos = append(pos, p)
+		want[p] = f.Snapshot()
+	}
+
+	var s Store
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 2; round++ {
+				c := s.Cursor(k)
+				for i := range pos {
+					p := pos[(i*(2*g+1)+g)%len(pos)] // a different stride per reader
+					st, _, err := s.At(c, k, p, "", boot)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(st, want[p]) {
+						t.Errorf("reader %d: checkpoint at %d differs from a straight snapshot", g, p)
+						return
+					}
+				}
+				s.Release(c)
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	e := s.entry(k)
+	held := stateBytes(&e.last.st)
+	for _, ck := range e.ckpts {
+		held += ck.size
+	}
+	for _, c := range e.idle {
+		held += stateBytes(&c.st)
+	}
+	if got := s.Stats().Bytes; got != held {
+		t.Errorf("Stats.Bytes = %d, want the %d bytes the store holds", got, held)
+	}
+}
+
+// TestStoreDepthBound walks one chain past the depth bound: every
+// maxDepth+1st checkpoint is stored whole, so no checkpoint sits more
+// than maxDepth deltas from a whole one.
+func TestStoreDepthBound(t *testing.T) {
+	insts := healthStream(t, 5_000)
+	var s Store
+	var cur Cursor
+	k := testKey()
+	const n = 2*(maxDepth+1) + 1
+	for i := uint64(0); i < n; i++ {
+		if _, _, err := s.At(&cur, k, 16*i, "", bootFor(insts)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, ck := range s.entry(k).ckpts {
+		if want := i % (maxDepth + 1); ck.depth != want || (ck.whole != nil) != (want == 0) {
+			t.Errorf("checkpoint %d: depth %d (whole %v), want %d", i, ck.depth, ck.whole != nil, want)
+		}
+	}
+}
+
+// TestStoreLoadsMisshapenFile: a checksummed file for the right key
+// whose arrays have the wrong length cannot become a delta against the
+// reading cursor's checkpoint. It is stored whole and returned as
+// decoded, so the caller's restore reports the mismatch.
+func TestStoreLoadsMisshapenFile(t *testing.T) {
+	insts := healthStream(t, 3_000)
+	k := testKey()
+	dir := t.TempDir()
+	var gen Store
+	var cur Cursor
+	for _, pos := range []uint64{1_000, 2_000} {
+		if _, _, err := gen.At(&cur, k, pos, dir, bootFor(insts)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := bootFor(insts)()
+	f.AdvanceTo(2_000)
+	bad := f.Snapshot()
+	bad.Mem.L1D.Lines = bad.Mem.L1D.Lines[:len(bad.Mem.L1D.Lines)/2]
+	if err := os.WriteFile(filepath.Join(dir, k.filename(2_000)), Encode(k, bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var load Store
+	var c Cursor
+	if _, info, err := load.At(&c, k, 1_000, dir, bootFor(insts)); err != nil || !info.Disk {
+		t.Fatalf("loading 1000: info=%+v err=%v", info, err)
+	}
+	st, info, err := load.At(&c, k, 2_000, dir, bootFor(insts))
+	if err != nil || !info.Disk {
+		t.Fatalf("loading 2000: info=%+v err=%v", info, err)
+	}
+	if !reflect.DeepEqual(st, bad) {
+		t.Error("misshapen checkpoint not returned as decoded")
+	}
+	if ck := load.entry(k).ckpts[1]; ck.whole == nil {
+		t.Error("misshapen checkpoint stored as a delta")
 	}
 }
 

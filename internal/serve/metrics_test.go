@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sample"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -75,6 +77,38 @@ func TestMetricsEndpoint(t *testing.T) {
 	held := trace.Shared().Stats().Bytes
 	if want := fmt.Sprintf("psb_trace_bytes %d\n", held); held == 0 || !strings.Contains(text, want) {
 		t.Errorf("scrape missing %q\n%s", want, text)
+	}
+}
+
+// TestMetricsCheckpointBytes serves one sampled cell and checks the
+// checkpoint store's bytes appear both as the psb_checkpoint_bytes
+// gauge and in the checkpoints section of /v1/stats.
+func TestMetricsCheckpointBytes(t *testing.T) {
+	base := tinyCfg()
+	base.MaxInsts = 60_000
+	base.TraceMode = sim.TraceMemory
+	_, ts := newTestServer(t, Config{Base: base, Workers: 1})
+	if resp, b := postSim(t, ts, `{"bench":"health","scheme":"Base","sample":true}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("sampled request: status %d: %s", resp.StatusCode, b)
+	}
+
+	// The node is idle, so both read what the store holds now.
+	held := sample.Shared().Stats().Bytes
+	text := scrape(t, ts.URL)
+	if want := fmt.Sprintf("psb_checkpoint_bytes %d\n", held); held == 0 || !strings.Contains(text, want) {
+		t.Errorf("scrape missing %q\n%s", want, text)
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st ServerStats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("decoding stats: %v", err)
+	}
+	if st.Checkpoints.Bytes != held || st.Checkpoints.Misses == 0 {
+		t.Errorf("stats checkpoints = %+v, want %d bytes and the cell's misses", st.Checkpoints, held)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/runner"
+	"repro/internal/sample"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -867,19 +868,20 @@ type FaultStats struct {
 
 // ServerStats is the response body of GET /v1/stats.
 type ServerStats struct {
-	UptimeSec  float64          `json:"uptime_sec"`
-	Requests   uint64           `json:"requests"`
-	Degraded   bool             `json:"degraded"`
-	Cells      CellCounters     `json:"cells"`
-	Sampled    *SampledCounters `json:"sampled,omitempty"`
-	Cache      CacheStats       `json:"cache"`
-	Queue      QueueStats       `json:"queue"`
-	Tenants    []TenantStats    `json:"tenants,omitempty"`
-	Faults     *FaultStats      `json:"faults,omitempty"`
-	Peer       *PeerCounters    `json:"peer,omitempty"`
-	Cluster    *cluster.Stats   `json:"cluster,omitempty"`
-	Trace      trace.Stats      `json:"trace"`
-	GOMAXPROCS int              `json:"gomaxprocs"`
+	UptimeSec   float64          `json:"uptime_sec"`
+	Requests    uint64           `json:"requests"`
+	Degraded    bool             `json:"degraded"`
+	Cells       CellCounters     `json:"cells"`
+	Sampled     *SampledCounters `json:"sampled,omitempty"`
+	Cache       CacheStats       `json:"cache"`
+	Queue       QueueStats       `json:"queue"`
+	Tenants     []TenantStats    `json:"tenants,omitempty"`
+	Faults      *FaultStats      `json:"faults,omitempty"`
+	Peer        *PeerCounters    `json:"peer,omitempty"`
+	Cluster     *cluster.Stats   `json:"cluster,omitempty"`
+	Trace       trace.Stats      `json:"trace"`
+	Checkpoints sample.Stats     `json:"checkpoints"`
+	GOMAXPROCS  int              `json:"gomaxprocs"`
 }
 
 // Stats snapshots the server's counters.
@@ -913,15 +915,16 @@ func (s *Server) Stats() ServerStats {
 			Failed:   s.cellsFailed.Load(),
 			Rejected: s.cellsRejected.Load(),
 		},
-		Sampled:    s.sampledCounters(),
-		Cache:      s.cache.Stats(),
-		Queue:      s.queueStats(),
-		Tenants:    s.tenantStats(),
-		Faults:     faults,
-		Peer:       s.peerCounters(),
-		Cluster:    clusterStats,
-		Trace:      trace.Shared().Stats(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Sampled:     s.sampledCounters(),
+		Cache:       s.cache.Stats(),
+		Queue:       s.queueStats(),
+		Tenants:     s.tenantStats(),
+		Faults:      faults,
+		Peer:        s.peerCounters(),
+		Cluster:     clusterStats,
+		Trace:       trace.Shared().Stats(),
+		Checkpoints: sample.Shared().Stats(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 	}
 }
 

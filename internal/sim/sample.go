@@ -131,6 +131,8 @@ func runSampled(ctx context.Context, w workload.Workload, v core.Variant, cfg Co
 		Geometry: sample.GeometryDigest(cfg.Mem, cfg.CPU.Gshare),
 	}
 	store := sample.Shared()
+	cur := store.Cursor(key)
+	defer store.Release(cur)
 	// Every executor and every interval decodes the shared recording
 	// through its own Replay.
 	boot := func() *cpu.Functional { return cpu.NewFunctionalStream(cfg.Mem, cfg.CPU.Gshare, rep.From(0)) }
@@ -178,7 +180,7 @@ func runSampled(ctx context.Context, w workload.Workload, v core.Variant, cfg Co
 	sched := sampleSchedule(profile, cfg.MaxInsts, period, length, warmup)
 
 	for _, iv := range sched {
-		st, ai, err := store.At(key, iv.ck, dir, boot)
+		st, ai, err := store.At(cur, key, iv.ck, dir, boot)
 		if err != nil {
 			runErr = err
 			break
