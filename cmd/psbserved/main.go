@@ -117,16 +117,9 @@ func main() {
 	cfg := sim.Default()
 	cfg.MaxInsts = *insts
 	cfg.Seed = *seed
-	traceMode, err := sim.ParseTraceMode(*traceFlag)
+	traceMode, err := sim.ParseTraceFlags(*traceFlag, *traceDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *traceDir != "" && traceMode == sim.TraceMemory {
-		traceMode = sim.TraceDisk
-	}
-	if traceMode == sim.TraceDisk && *traceDir == "" {
-		fmt.Fprintln(os.Stderr, "-trace disk needs -trace-dir to name the recording directory")
 		os.Exit(2)
 	}
 	cfg.TraceMode = traceMode

@@ -75,7 +75,7 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "print each cell as canonical JSON (the exact bytes psbserved returns for the same cell)")
 		traceFlag  = flag.String("trace", "memory", "instruction stream source: off = live functional execution per cell, memory = record each workload once and replay (bit-identical), disk = memory plus .psbtrace persistence in -trace-dir")
 		traceDir   = flag.String("trace-dir", "", "directory for .psbtrace recordings (implies -trace disk)")
-		cycleMode  = flag.String("cycle-mode", "", "clock advancement: event = skip to the next event (default), accurate = tick every cycle (debug fallback; results are bit-identical)")
+		cycleMode  = flag.String("cycle-mode", "", "clock advancement: event = skip to the next event (default), accurate = tick every cycle (reference mode; machine statistics match, only the skip telemetry differs)")
 		sampled    = flag.Bool("sample", false, "sampled simulation: functional fast-forward with detailed measurement intervals and an IPC estimate with confidence bounds")
 		samplePer  = flag.Uint64("sample-period", 0, "instructions between measurement intervals (0 = default)")
 		sampleLen  = flag.Uint64("sample-len", 0, "measured instructions per interval (0 = default)")
@@ -110,15 +110,9 @@ func main() {
 		usageError("%v", err)
 	}
 	cfg.CPU.CycleMode = mode
-	traceMode, err := sim.ParseTraceMode(*traceFlag)
+	traceMode, err := sim.ParseTraceFlags(*traceFlag, *traceDir)
 	if err != nil {
 		usageError("%v", err)
-	}
-	if *traceDir != "" && traceMode == sim.TraceMemory {
-		traceMode = sim.TraceDisk
-	}
-	if traceMode == sim.TraceDisk && *traceDir == "" {
-		usageError("-trace disk needs -trace-dir to name the recording directory")
 	}
 	cfg.TraceMode = traceMode
 	cfg.TraceDir = *traceDir
@@ -211,11 +205,12 @@ func main() {
 	}
 }
 
-// runWithProgress runs the jobs serially on this goroutine through
-// resumable machines, printing a progress line to stderr about once a
-// second. The simulator is the same one the checked path drives, so
-// results are bit-identical; what -progress trades away is parallelism
-// and per-cell retry, which an interactive run does not want anyway.
+// runWithProgress runs the jobs serially on this goroutine, advancing
+// each sim.Machine in chunks and printing a progress line to stderr
+// about once a second. sim.RunChecked drives the same Machine in one
+// step, so results are bit-identical; what -progress trades away is
+// parallelism and per-cell retry, which an interactive run does not
+// want anyway.
 func runWithProgress(ctx context.Context, jobs []runner.Job) []runner.CellResult {
 	cells := make([]runner.CellResult, len(jobs))
 	for i, j := range jobs {

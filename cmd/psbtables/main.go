@@ -15,7 +15,6 @@
 //	psbtables -all -checkpoint run.jsonl          # journal completed cells
 //	psbtables -all -checkpoint run.jsonl -resume  # skip cells already journaled
 //	psbtables -all -job-timeout 2m                # watchdog per simulation
-//	psbtables -all -batch 8        # advance same-trace cells in lockstep batches
 //	psbtables -bench-json          # time serial vs parallel, write BENCH_runner.json
 //	psbtables -bench-json -bench-out fresh.json -bench-gate BENCH_runner.json
 //	psbtables -all -cpuprofile cpu.out -memprofile mem.out
@@ -87,7 +86,6 @@ func run() int {
 		seed       = flag.Int64("seed", 1, "workload layout seed")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		parallel   = flag.Int("parallel", 0, "concurrent simulations: 0 = serial, N = N workers, -1 = all cores")
-		batch      = flag.Int("batch", 0, "advance up to N same-trace simulations in lockstep per goroutine (0 = run each cell to completion alone; results are bit-identical)")
 		checkpoint = flag.String("checkpoint", "", "journal completed cells to this JSONL file")
 		resume     = flag.Bool("resume", false, "load cells already journaled in -checkpoint instead of re-running them")
 		jobTimeout = flag.Duration("job-timeout", 0, "wall-clock budget per simulation attempt (0 = unlimited)")
@@ -97,7 +95,7 @@ func run() int {
 		benchGate  = flag.String("bench-gate", "", "committed bench JSON to gate against: fail if the fresh insts_per_sec_serial_event regresses >15% (skipped when either run is degraded)")
 		traceFlag  = flag.String("trace", "memory", "instruction stream source: off = live functional execution per cell, memory = record each workload once and replay (bit-identical), disk = memory plus .psbtrace persistence in -trace-dir")
 		traceDir   = flag.String("trace-dir", "", "directory for .psbtrace recordings (implies -trace disk)")
-		cycleMode  = flag.String("cycle-mode", "", "clock advancement: event = skip to the next event (default), accurate = tick every cycle (debug fallback; results are bit-identical)")
+		cycleMode  = flag.String("cycle-mode", "", "clock advancement: event = skip to the next event (default), accurate = tick every cycle (reference mode; tables and machine statistics match, only the skip telemetry differs)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		sample     = flag.Bool("sample", false, "sampled simulation for every cell: functional fast-forward between detailed measurement intervals; tables carry the IPC estimates")
@@ -130,9 +128,6 @@ func run() int {
 	}
 	if !*benchJSON && *benchGate != "" {
 		usageError("-bench-gate only applies to -bench-json runs")
-	}
-	if *batch < 0 {
-		usageError("-batch must be >= 0, got %d", *batch)
 	}
 	if *sampleAcc && (*all || *ablations || *extensions || *benchJSON || len(figs) > 0 || len(tables) > 0) {
 		usageError("-sample-accuracy runs its own exact-vs-sampled matrix; drop the other modes")
@@ -169,15 +164,9 @@ func run() int {
 		}()
 	}
 
-	traceMode, err := sim.ParseTraceMode(*traceFlag)
+	traceMode, err := sim.ParseTraceFlags(*traceFlag, *traceDir)
 	if err != nil {
 		usageError("%v", err)
-	}
-	if *traceDir != "" && traceMode == sim.TraceMemory {
-		traceMode = sim.TraceDisk
-	}
-	if traceMode == sim.TraceDisk && *traceDir == "" {
-		usageError("-trace disk needs -trace-dir to name the recording directory")
 	}
 
 	mode, err := cpu.ParseCycleMode(*cycleMode)
@@ -189,7 +178,6 @@ func run() int {
 	cfg.MaxInsts = *insts
 	cfg.Seed = *seed
 	cfg.Workers = *parallel
-	cfg.Batch = *batch
 	cfg.TraceMode = traceMode
 	cfg.TraceDir = *traceDir
 	cfg.CPU.CycleMode = mode
@@ -346,43 +334,42 @@ func run() int {
 	return 0
 }
 
-// benchRunner times seven full RunMatrix configurations — serial and
-// all-cores with tracing off and with the in-memory trace cache,
-// warm-cache serial legs in accurate and event cycle modes, then a
-// warm-cache serial event leg in lockstep-batched mode — and records
-// the headline runner numbers in the bench JSON artifact (consumed by
-// EXPERIMENTS.md, the CI regression gate and future perf PRs). The
-// first traced leg includes the one-time recording cost: the cache
-// starts cold, so its time is what a user sees on a first traced
+// benchRunner times six full RunMatrix configurations — serial and
+// all-cores with tracing off and with the in-memory trace cache, then
+// warm-cache serial legs in accurate and event cycle modes — and
+// records the headline runner numbers in the bench JSON artifact
+// (consumed by EXPERIMENTS.md, the CI regression gate and future perf
+// PRs). The first traced leg includes the one-time recording cost: the
+// cache starts cold, so its time is what a user sees on a first traced
 // invocation; every later leg measures the warm steady state, which is
-// also what makes the accurate-vs-event and event-vs-batched
-// comparisons apples-to-apples.
+// also what makes the accurate-vs-event comparison apples-to-apples.
+// A failed cell in any leg fails the run: its timing would cover less
+// work than the other legs'.
 func benchRunner(cfg sim.Config, outPath, gatePath string) error {
 	sims := len(workload.All()) * len(experiments.Schemes())
 
-	matrix := func(workers, batch int, tm sim.TraceMode, cm cpu.CycleMode) (float64, *experiments.Matrix) {
+	var failed int
+	matrix := func(workers int, tm sim.TraceMode, cm cpu.CycleMode) (float64, *experiments.Matrix) {
 		c := cfg
 		c.Workers = workers
-		c.Batch = batch
 		c.TraceMode = tm
 		c.TraceDir = ""
 		c.CPU.CycleMode = cm
 		start := time.Now()
 		m := experiments.RunMatrix(c)
+		failed += m.Failed()
 		return time.Since(start).Seconds(), m
 	}
 
-	batchSize := cfg.Batch
-	if batchSize <= 0 {
-		batchSize = 8
+	serialSec, _ := matrix(0, sim.TraceOff, cfg.CPU.CycleMode)
+	parSec, _ := matrix(-1, sim.TraceOff, cfg.CPU.CycleMode)
+	serialTracedSec, _ := matrix(0, sim.TraceMemory, cfg.CPU.CycleMode)
+	parTracedSec, _ := matrix(-1, sim.TraceMemory, cfg.CPU.CycleMode)
+	accurateSec, _ := matrix(0, sim.TraceMemory, cpu.CycleModeAccurate)
+	eventSec, em := matrix(0, sim.TraceMemory, cpu.CycleModeEvent)
+	if failed > 0 {
+		return fmt.Errorf("bench-json: %d cell(s) failed to simulate", failed)
 	}
-	serialSec, _ := matrix(0, 0, sim.TraceOff, cfg.CPU.CycleMode)
-	parSec, _ := matrix(-1, 0, sim.TraceOff, cfg.CPU.CycleMode)
-	serialTracedSec, _ := matrix(0, 0, sim.TraceMemory, cfg.CPU.CycleMode)
-	parTracedSec, _ := matrix(-1, 0, sim.TraceMemory, cfg.CPU.CycleMode)
-	accurateSec, _ := matrix(0, 0, sim.TraceMemory, cpu.CycleModeAccurate)
-	eventSec, em := matrix(0, 0, sim.TraceMemory, cpu.CycleModeEvent)
-	batchedSec, _ := matrix(0, batchSize, sim.TraceMemory, cpu.CycleModeEvent)
 
 	// Functional fast-forward leg: the sampled engine's executor over
 	// replays of the same warm recordings, decoding them in batches as
@@ -418,7 +405,6 @@ func benchRunner(cfg sim.Config, outPath, gatePath string) error {
 	// counters.
 	sampledCfg := cfg
 	sampledCfg.Workers = 0
-	sampledCfg.Batch = 0
 	sampledCfg.TraceMode = sim.TraceMemory
 	sampledCfg.TraceDir = ""
 	sampledCfg.CPU.CycleMode = cpu.CycleModeEvent
@@ -426,6 +412,9 @@ func benchRunner(cfg sim.Config, outPath, gatePath string) error {
 	start := time.Now()
 	sm := experiments.RunMatrix(sampledCfg)
 	sampledSec := time.Since(start).Seconds()
+	if n := sm.Failed(); n > 0 {
+		return fmt.Errorf("bench-json: %d sampled cell(s) failed to simulate", n)
+	}
 	var maxRelErr float64
 	var ckHits, ckMisses, ffInsts uint64
 	for name, row := range sm.Results {
@@ -484,8 +473,6 @@ func benchRunner(cfg sim.Config, outPath, gatePath string) error {
 		ParTracedSec     float64 `json:"parallel_traced_sec"`
 		AccurateSec      float64 `json:"serial_traced_accurate_sec"`
 		EventSec         float64 `json:"serial_traced_event_sec"`
-		BatchSize        int     `json:"batch_size"`
-		BatchedSec       float64 `json:"batched_sec"`
 		SampledSec       float64 `json:"sampled_sec"`
 		SpeedupSampled   float64 `json:"speedup_sampled"`
 		IPCRelErr        float64 `json:"ipc_rel_err"`
@@ -502,7 +489,6 @@ func benchRunner(cfg sim.Config, outPath, gatePath string) error {
 		SpeedupTrace     float64 `json:"speedup_trace"`
 		SpeedupCombined  float64 `json:"speedup_combined"`
 		SpeedupEvent     float64 `json:"speedup_event"`
-		SpeedupBatched   float64 `json:"speedup_batched"`
 		TotalCycles      uint64  `json:"total_cycles"`
 		SkippedCycles    uint64  `json:"skipped_cycles"`
 		Jumps            uint64  `json:"jumps"`
@@ -524,8 +510,6 @@ func benchRunner(cfg sim.Config, outPath, gatePath string) error {
 		ParTracedSec:     parTracedSec,
 		AccurateSec:      accurateSec,
 		EventSec:         eventSec,
-		BatchSize:        batchSize,
-		BatchedSec:       batchedSec,
 		SampledSec:       sampledSec,
 		SpeedupSampled:   eventSec / sampledSec,
 		IPCRelErr:        maxRelErr,
@@ -542,7 +526,6 @@ func benchRunner(cfg sim.Config, outPath, gatePath string) error {
 		SpeedupTrace:     serialSec / serialTracedSec,
 		SpeedupCombined:  serialSec / parTracedSec,
 		SpeedupEvent:     accurateSec / eventSec,
-		SpeedupBatched:   eventSec / batchedSec,
 		TotalCycles:      totalCycles,
 		SkippedCycles:    skipped,
 		Jumps:            jumps,
@@ -560,10 +543,9 @@ func benchRunner(cfg sim.Config, outPath, gatePath string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr,
-		"%s: %d sims, serial %.2fs, parallel %.2fs, traced serial %.2fs, traced parallel %.2fs, accurate %.2fs vs event %.2fs (%.2fx, %.0f%% cycles skipped), batched[%d] %.2fs (%.2fx, %d workers)\n",
-		outPath, sims, serialSec, parSec, serialTracedSec, parTracedSec,
-		accurateSec, eventSec, out.SpeedupEvent, skipFrac*100,
-		batchSize, batchedSec, out.SpeedupBatched, out.Workers)
+		"%s: %d sims, serial %.2fs, parallel %.2fs (%d workers), traced serial %.2fs, traced parallel %.2fs, accurate %.2fs vs event %.2fs (%.2fx, %.0f%% cycles skipped)\n",
+		outPath, sims, serialSec, parSec, out.Workers, serialTracedSec, parTracedSec,
+		accurateSec, eventSec, out.SpeedupEvent, skipFrac*100)
 	fmt.Fprintf(os.Stderr,
 		"sampled: %.2fs (%.2fx vs event), max IPC err %.2f%%, functional %.2fM insts/s (%.1fx vs serial event), checkpoints %d hit / %d miss\n",
 		sampledSec, out.SpeedupSampled, maxRelErr,
@@ -586,7 +568,6 @@ func sampleAccuracy(cfg sim.Config, tolPct float64) error {
 	exactCfg.SampleMode = sim.SampleOff
 	sampledCfg := cfg
 	sampledCfg.SampleMode = sim.SampleOn
-	sampledCfg.Batch = 0 // sampled runs manage their own machines
 	if err := sampledCfg.Validate(); err != nil {
 		return err
 	}

@@ -72,7 +72,8 @@ type Config struct {
 
 	// CycleMode selects how the clock advances: event-driven skipping
 	// (the zero-value default) or the cycle-by-cycle accurate loop.
-	// Both produce bit-identical results; see CycleMode's docs.
+	// Both produce the same statistics except the skip telemetry; see
+	// CycleMode's docs.
 	CycleMode CycleMode
 
 	// FUCount[class] is the number of functional units per class;

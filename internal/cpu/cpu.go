@@ -341,8 +341,8 @@ type CPU struct {
 
 // runState is the resumable part of the run loop, kept on the CPU so
 // Advance can pause at an instruction target and continue later with
-// bit-identical behavior (the batched lockstep runner interleaves many
-// cores this way).
+// bit-identical behavior (psbsim -progress reports between such
+// pauses).
 type runState struct {
 	started       bool
 	eventDriven   bool
@@ -615,7 +615,8 @@ func (c *CPU) Run(maxInsts uint64) Stats {
 // replaying the prefetcher's per-cycle work across the gap. Jumps are
 // capped at the watchdog's firing cycle and at the next ctx-check
 // boundary, so deadlock detection and cancellation behave exactly as
-// in accurate mode, and results are bit-identical between the modes.
+// in accurate mode. Every statistic matches between the modes except
+// the skip telemetry (Stats.SkippedCycles and Stats.Jumps).
 func (c *CPU) RunChecked(ctx context.Context, maxInsts uint64) (Stats, error) {
 	_, err := c.Advance(ctx, maxInsts, 0)
 	return c.Stats(), err
@@ -626,8 +627,8 @@ func (c *CPU) RunChecked(ctx context.Context, maxInsts uint64) (Stats, error) {
 // instructions have committed (stopAt == 0 never pauses). It reports
 // whether the run finished — paused runs resume with another Advance
 // call and are bit-identical to an unpaused RunChecked, which is what
-// lets the batched lockstep runner interleave many machines over one
-// shared trace. Watchdog and cancellation semantics match RunChecked.
+// lets sim.Machine report progress between chunks. Watchdog and
+// cancellation semantics match RunChecked.
 func (c *CPU) Advance(ctx context.Context, maxInsts, stopAt uint64) (bool, error) {
 	if !c.run.started {
 		c.run.started = true

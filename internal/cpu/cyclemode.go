@@ -9,13 +9,16 @@ import (
 
 // CycleMode selects how RunChecked advances the simulated clock.
 //
-// Both modes produce bit-identical statistics: event-driven skipping
-// only jumps over cycles in which no component can change observable
-// state (see the skipping invariants in EXPERIMENTS.md), and the
-// differential tests in internal/sim enforce equality on every
-// workload × scheme cell. CycleModeAccurate exists for debugging a
-// suspected skip bug — if results ever differ with it, the skip logic
-// is at fault — and for timing comparisons.
+// Both modes produce the same tables and the same value for every
+// machine statistic: event-driven skipping only jumps over cycles in
+// which no component can change observable state (see the skipping
+// invariants in EXPERIMENTS.md), and the differential tests in
+// internal/sim enforce equality on every workload × scheme cell. Only
+// the skip telemetry differs: Stats.SkippedCycles and Stats.Jumps
+// count the jumps, so they are zero in accurate mode and a result's
+// JSON encoding differs in those two fields. CycleModeAccurate exists
+// for debugging a suspected skip bug — if results ever differ with
+// it, the skip logic is at fault — and for timing comparisons.
 type CycleMode int
 
 const (

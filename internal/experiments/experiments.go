@@ -6,7 +6,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -44,45 +43,11 @@ func (m *Matrix) Failed() int {
 }
 
 // CellRunner executes a batch of jobs and returns one cell per job in
-// job order. The legacy path wraps Pool.Run (panics propagate); a
-// Session wraps Pool.RunChecked (failures become per-cell errors); the
-// serving layer (internal/serve) supplies an executor backed by its
-// fingerprint-keyed result cache, so repeated artifact requests never
-// re-simulate a cell.
+// job order. A Session wraps Pool.RunChecked (failures become per-cell
+// errors); the serving layer (internal/serve) supplies an executor
+// backed by its fingerprint-keyed result cache, so repeated artifact
+// requests never re-simulate a cell.
 type CellRunner func(jobs []runner.Job) []runner.CellResult
-
-// plainRunner is the legacy fail-fast executor.
-func plainRunner(workers int) CellRunner {
-	return func(jobs []runner.Job) []runner.CellResult {
-		results := runner.ForWorkers(workers).Run(jobs)
-		cells := make([]runner.CellResult, len(jobs))
-		for i, r := range results {
-			cells[i] = runner.CellResult{Result: r, Attempts: 1}
-		}
-		return cells
-	}
-}
-
-// batchedRunner executes jobs through the lockstep batched path:
-// same-trace cells advance together in groups of batch (see
-// runner.RunBatched), groups fan out across workers. Failures become
-// per-cell errors rather than panics.
-func batchedRunner(workers, batch int) CellRunner {
-	return func(jobs []runner.Job) []runner.CellResult {
-		cells, _ := runner.ForWorkers(workers).RunBatched(
-			context.Background(), jobs, batch, runner.DefaultOptions())
-		return cells
-	}
-}
-
-// cellRunner picks the executor cfg asks for: lockstep batching when
-// cfg.Batch is positive, the legacy per-cell path otherwise.
-func cellRunner(cfg sim.Config) CellRunner {
-	if cfg.Batch > 0 {
-		return batchedRunner(cfg.Workers, cfg.Batch)
-	}
-	return plainRunner(cfg.Workers)
-}
 
 // Schemes lists the configurations of the Figure 5-9 bars, base first.
 func Schemes() []core.Variant {
@@ -90,15 +55,11 @@ func Schemes() []core.Variant {
 }
 
 // RunMatrix simulates every benchmark under every scheme, fanning the
-// independent simulations across cfg.Workers goroutines (0 = serial);
-// with cfg.Batch > 0, same-trace cells advance in lockstep batches
-// instead (see runner.RunBatched). The assembled matrix is identical
-// for any worker count and batch size. On the per-cell path any cell
-// panic propagates (fail-fast), on the batched path failures land in
-// Errs; Session.Matrix is the general fault-isolating path.
-func RunMatrix(cfg sim.Config) *Matrix {
-	return runMatrixWith(cfg, cellRunner(cfg))
-}
+// independent simulations across cfg.Workers goroutines (0 = serial).
+// It is Session.Matrix on a one-shot session with default options, so
+// a failed cell lands in Errs. The assembled matrix is identical for
+// any worker count.
+func RunMatrix(cfg sim.Config) *Matrix { return oneShot(cfg).Matrix() }
 
 func runMatrixWith(cfg sim.Config, run CellRunner) *Matrix {
 	benches := workload.All()
@@ -172,9 +133,7 @@ var Fig4Widths = []int{4, 6, 8, 10, 12, 14, 16, 20, 24, 32}
 // Markov predictor captures as a function of the per-entry delta
 // width. Each benchmark runs once (base config) with the delta-bits
 // histogram attached.
-func Fig4(cfg sim.Config) *stats.Table {
-	return fig4With(cfg, plainRunner(cfg.Workers))
-}
+func Fig4(cfg sim.Config) *stats.Table { return oneShot(cfg).Fig4() }
 
 func fig4With(cfg sim.Config, run CellRunner) *stats.Table {
 	cfg.CollectFig4 = true
@@ -271,9 +230,7 @@ var Fig10Configs = []struct {
 // Fig10 regenerates Figure 10: speedup of PC-stride and
 // ConfAlloc-Priority over a base machine with the same L1
 // configuration, across three cache geometries.
-func Fig10(cfg sim.Config) *stats.Table {
-	return fig10With(cfg, plainRunner(cfg.Workers))
-}
+func Fig10(cfg sim.Config) *stats.Table { return oneShot(cfg).Fig10() }
 
 func fig10With(cfg sim.Config, run CellRunner) *stats.Table {
 	headers := []string{"program"}
@@ -321,9 +278,7 @@ func fig10With(cfg sim.Config, run CellRunner) *stats.Table {
 
 // Fig11 regenerates Figure 11: IPC with and without perfect memory
 // disambiguation for the base machine and ConfAlloc-Priority PSB.
-func Fig11(cfg sim.Config) *stats.Table {
-	return fig11With(cfg, plainRunner(cfg.Workers))
-}
+func Fig11(cfg sim.Config) *stats.Table { return oneShot(cfg).Fig11() }
 
 func fig11With(cfg sim.Config, run CellRunner) *stats.Table {
 	t := stats.NewTable("Figure 11: IPC with (Dis) and without (NoDis) perfect store sets",

@@ -1,13 +1,16 @@
 package experiments
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // tinyConfig keeps these structural tests fast; the numerical shapes
@@ -47,6 +50,9 @@ func TestMatrixComplete(t *testing.T) {
 
 func TestMatrixDerivedTables(t *testing.T) {
 	m := RunMatrix(tinyConfig())
+	if n := m.Failed(); n != 0 {
+		t.Fatalf("%d matrix cell(s) failed", n)
+	}
 	for _, tb := range []interface{ String() string }{
 		Table2(m), Fig5(m), Fig6(m), Fig7(m), Fig8(m), Fig9(m),
 	} {
@@ -62,8 +68,22 @@ func TestMatrixDerivedTables(t *testing.T) {
 	}
 }
 
+// noERR fails the test if any cell of tb rendered as a failed
+// simulation.
+func noERR(t *testing.T, tb *stats.Table) {
+	t.Helper()
+	for _, row := range tb.Rows {
+		for _, c := range row {
+			if c == "ERR" {
+				t.Fatalf("%s: a cell failed:\n%s", tb.Title, tb)
+			}
+		}
+	}
+}
+
 func TestFig4Structure(t *testing.T) {
 	tb := Fig4(tinyConfig())
+	noERR(t, tb)
 	if len(tb.Rows) != 6 {
 		t.Fatalf("Fig4 rows = %d, want 6", len(tb.Rows))
 	}
@@ -74,6 +94,7 @@ func TestFig4Structure(t *testing.T) {
 
 func TestFig10Structure(t *testing.T) {
 	tb := Fig10(tinyConfig())
+	noERR(t, tb)
 	if len(tb.Rows) != 6 {
 		t.Fatalf("Fig10 rows = %d, want 6", len(tb.Rows))
 	}
@@ -85,6 +106,7 @@ func TestFig10Structure(t *testing.T) {
 
 func TestFig11Structure(t *testing.T) {
 	tb := Fig11(tinyConfig())
+	noERR(t, tb)
 	if len(tb.Rows) != 6 || len(tb.Headers) != 5 {
 		t.Errorf("Fig11 shape = %dx%d, want 6x5", len(tb.Rows), len(tb.Headers))
 	}
@@ -108,6 +130,9 @@ func TestRunMatrixParallelDeterminism(t *testing.T) {
 
 	ms := RunMatrix(serial)
 	mp := RunMatrix(parallel)
+	if ms.Failed() != 0 || mp.Failed() != 0 {
+		t.Fatalf("matrix cells failed: serial=%d parallel=%d", ms.Failed(), mp.Failed())
+	}
 	if len(ms.Results) != len(mp.Results) {
 		t.Fatalf("benchmark count differs: serial %d, parallel %d", len(ms.Results), len(mp.Results))
 	}
@@ -120,6 +145,31 @@ func TestRunMatrixParallelDeterminism(t *testing.T) {
 			if !reflect.DeepEqual(rs, rp) {
 				t.Errorf("%s/%s: parallel result differs from serial\nserial:   %+v\nparallel: %+v",
 					name, v, rs, rp)
+			}
+		}
+	}
+}
+
+// TestRunMatrixRecordsFailedCells: RunMatrix and the figure sweeps run
+// on the checked runner, so a cell that fails lands in Errs (and
+// renders as ERR) instead of panicking out of the whole matrix.
+func TestRunMatrixRecordsFailedCells(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.CPU.WatchdogCycles = 3 // every cell trips the no-commit watchdog
+	m := RunMatrix(cfg)
+	if want := len(workload.All()) * len(Schemes()); m.Failed() != want {
+		t.Fatalf("Failed() = %d, want %d", m.Failed(), want)
+	}
+	var de *cpu.DeadlockError
+	if err := m.Err("health", core.PSBConfPriority); !errors.As(err, &de) {
+		t.Errorf("health/ConfAlloc-Priority err = %v, want *cpu.DeadlockError", err)
+	}
+	for _, tb := range []*stats.Table{Fig5(m), Fig4(cfg), Fig10(cfg), Fig11(cfg)} {
+		for _, row := range tb.Rows {
+			for _, c := range row[1:] {
+				if c != "ERR" {
+					t.Fatalf("%s: cell %q, want ERR:\n%s", tb.Title, c, tb)
+				}
 			}
 		}
 	}

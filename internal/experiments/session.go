@@ -10,13 +10,13 @@ import (
 	"repro/internal/stats"
 )
 
-// Session drives the experiment suite through the fault-isolating
-// runner path: per-cell panic recovery, wall-clock watchdogs with
-// retry, and optional checkpoint/resume. The table-building logic is
-// shared with the legacy fail-fast entry points; only the executor
-// differs. A Session accumulates failure and cache-hit accounting
-// across every table it builds, so a driver can render the whole
-// suite and then report what (if anything) went wrong, once.
+// Session drives the experiment suite through the checked runner:
+// per-cell panic recovery, wall-clock watchdogs with retry, and
+// optional checkpoint/resume. RunMatrix, Fig4, Fig10 and Fig11 are
+// one-shot sessions with default options. A Session accumulates
+// failure and cache-hit accounting across every table it builds, so a
+// driver can render the whole suite and then report what (if anything)
+// went wrong, once.
 type Session struct {
 	Ctx  context.Context
 	Cfg  sim.Config
@@ -31,6 +31,12 @@ type Session struct {
 // with the given checked-runner options.
 func NewSession(ctx context.Context, cfg sim.Config, opts runner.Options) *Session {
 	return &Session{Ctx: ctx, Cfg: cfg, Opts: opts}
+}
+
+// oneShot is the session behind RunMatrix, Fig4, Fig10 and Fig11: no
+// cancellation, no timeout, one retry and no checkpoint.
+func oneShot(cfg sim.Config) *Session {
+	return NewSession(context.Background(), cfg, runner.DefaultOptions())
 }
 
 // run executes one batch of jobs through the checked runner and folds

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/runner"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -26,7 +27,7 @@ func faultyRunner(bad func(j runner.Job) bool) CellRunner {
 				}, Attempts: 1}
 				continue
 			}
-			cells[i] = runner.CellResult{Result: j.Run(), Attempts: 1}
+			cells[i] = runner.CellResult{Result: sim.Run(j.Workload, j.Variant, j.Config), Attempts: 1}
 		}
 		return cells
 	}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -93,30 +94,64 @@ func DefaultOptions() Options { return Options{Retries: 1} }
 
 // Fingerprint returns the job's deterministic identity: a hash of the
 // workload name, variant and configuration. Two jobs that must produce
-// equal results have equal fingerprints; Config.Workers, Config.Batch,
-// the trace fields and CycleMode are excluded because neither
-// concurrency, lockstep batching, the stream's provenance (live vs
-// replayed), nor how the clock advances (event-driven skipping is
-// bit-identical to accurate ticking) affects results. Checkpoint
-// entries are keyed by this.
+// equal results have equal fingerprints. Config.Workers, the trace
+// fields and CycleMode are excluded, because neither concurrency, the
+// stream's provenance (live or replayed) nor how the clock advances
+// changes a result: event-driven skipping matches accurate ticking in
+// every table and machine statistic, and differs only in the skip
+// telemetry (CPU.SkippedCycles and CPU.Jumps). Checkpoint journals,
+// serve caches and peer fills are keyed by this.
 func (j Job) Fingerprint() string {
-	key := struct {
-		Workload string
-		Variant  int
-		Config   sim.Config
-	}{j.Workload.Name, int(j.Variant), j.Config}
-	key.Config.Workers = 0
-	key.Config.Batch = 0
-	key.Config.TraceMode = sim.TraceOff
-	key.Config.TraceDir = ""
-	key.Config.CPU.CycleMode = cpu.CycleModeDefault
+	var key fingerprintKey
+	key.Workload = j.Workload.Name
+	key.Variant = int(j.Variant)
+	c := &key.Config
+	c.CPU = j.Config.CPU
+	c.CPU.CycleMode = cpu.CycleModeDefault
+	c.Mem = j.Config.Mem
+	c.Opts = j.Config.Opts
+	c.MaxInsts = j.Config.MaxInsts
+	c.Seed = j.Config.Seed
+	c.CollectFig4 = j.Config.CollectFig4
+	c.SampleMode = int(j.Config.SampleMode)
+	c.SamplePeriod = j.Config.SamplePeriod
+	c.SampleLen = j.Config.SampleLen
+	c.SampleWarmup = j.Config.SampleWarmup
 	b, err := json.Marshal(key)
 	if err != nil {
-		// sim.Config is plain data; Marshal cannot fail on it.
+		// The key is plain data; Marshal cannot fail on it.
 		panic(err)
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:8])
+}
+
+// fingerprintKey is the JSON document Fingerprint hashes. Its layout is
+// frozen: stored fingerprints were computed from exactly these field
+// names, order and types, so adding or removing a sim.Config field does
+// not re-key stored results. Workers, Batch, TraceMode and TraceDir are
+// always zero. They hold the place of Config fields that are excluded
+// (Workers and the trace fields) or gone (Batch, a retired lockstep
+// batch size).
+type fingerprintKey struct {
+	Workload string
+	Variant  int
+	Config   struct {
+		CPU          cpu.Config
+		Mem          mem.Config
+		Opts         core.Options
+		MaxInsts     uint64
+		Seed         int64
+		CollectFig4  bool
+		Workers      int
+		Batch        int
+		TraceMode    int
+		TraceDir     string
+		SampleMode   int
+		SamplePeriod uint64
+		SampleLen    uint64
+		SampleWarmup uint64
+	}
 }
 
 // RunChecked executes every job with per-cell fault isolation and

@@ -58,7 +58,7 @@ func TestRunCheckedIsolatesFailures(t *testing.T) {
 		if !cells[i].OK() {
 			t.Fatalf("healthy cell %d failed: %v", i, cells[i].Err)
 		}
-		want := jobs[i].Run()
+		want := sim.Run(jobs[i].Workload, jobs[i].Variant, jobs[i].Config)
 		if !reflect.DeepEqual(cells[i].Result, want) {
 			t.Errorf("cell %d: checked result differs from plain Run", i)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -37,7 +38,7 @@ func TestDispatcherSubmitWait(t *testing.T) {
 	if !cell.OK() {
 		t.Fatalf("healthy cell failed: %v", cell.Err)
 	}
-	want := (Job{Workload: w, Variant: core.None, Config: cfg}).Run()
+	want := sim.Run(w, core.None, cfg)
 	if !reflect.DeepEqual(cell.Result, want) {
 		t.Errorf("dispatched result differs from plain Run")
 	}

@@ -1,0 +1,90 @@
+package runner
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/cpu"
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+// TestFingerprintGolden pins Job.Fingerprint values. Fingerprints key
+// checkpoint journals, the serving layer's memory and disk caches and
+// peer cache fills, so a change that moves them silently invalidates
+// every stored result. TestFingerprint checks only which jobs agree;
+// this test notices when every value moves at once, for example when a
+// sim.Config field is added or removed.
+func TestFingerprintGolden(t *testing.T) {
+	bench := func(name string) workload.Workload {
+		w, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	def := sim.Default()
+
+	excluded := def
+	excluded.Workers = 8
+	excluded.TraceMode = sim.TraceDisk
+	excluded.TraceDir = "traces"
+	excluded.CPU.CycleMode = cpu.CycleModeAccurate
+
+	sampled := def
+	sampled.MaxInsts = 2_000_000
+	sampled.TraceMode = sim.TraceMemory
+	sampled.SampleMode = sim.SampleOn
+
+	fig4 := def
+	fig4.CollectFig4 = true
+
+	l1 := def
+	l1.Mem.L1D.SizeBytes = 16 << 10
+	l1.Mem.L1D.Ways = 4
+
+	noDis := def
+	noDis.CPU.Disambiguation = cpu.DisNone
+
+	other := def
+	other.Seed = 7
+	other.MaxInsts = 20_000
+
+	for _, tc := range []struct {
+		name string
+		job  Job
+		want string
+	}{
+		{"default", Job{bench("health"), core.PSBConfPriority, def}, "a6ab94be30fee338"},
+		{"excluded fields", Job{bench("health"), core.PSBConfPriority, excluded}, "a6ab94be30fee338"},
+		{"sampled", Job{bench("deltablue"), core.PSBConfRR, sampled}, "ba7105ac6e926a21"},
+		{"fig4", Job{bench("burg"), core.None, fig4}, "e3638de7ece0c288"},
+		{"l1 override", Job{bench("gs"), core.PCStride, l1}, "15b7dc48911ff673"},
+		{"nodis", Job{bench("sis"), core.PSBConfPriority, noDis}, "27019dcd792e0b4a"},
+		{"seed and budget", Job{bench("turb3d"), core.None, other}, "8a0db859dfd10375"},
+	} {
+		if got := tc.job.Fingerprint(); got != tc.want {
+			t.Errorf("%s: fingerprint %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestFingerprintKeyCoversConfig guards the frozen key layout: every
+// sim.Config field must have a same-named place in the key, or two
+// configurations that differ only in a new field would share a
+// fingerprint and serve each other's results. A new field that can
+// change a result needs a place in the key, which moves every
+// fingerprint (update TestFingerprintGolden on purpose). A new field
+// that cannot change a result belongs in ignored.
+func TestFingerprintKeyCoversConfig(t *testing.T) {
+	ignored := map[string]bool{}
+	key := reflect.TypeOf(fingerprintKey{}).Field(2).Type
+	cfg := reflect.TypeOf(sim.Config{})
+	for i := 0; i < cfg.NumField(); i++ {
+		name := cfg.Field(i).Name
+		if _, ok := key.FieldByName(name); !ok && !ignored[name] {
+			t.Errorf("sim.Config.%s has no place in the fingerprint key", name)
+		}
+	}
+}

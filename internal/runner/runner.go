@@ -1,9 +1,9 @@
 // Package runner fans independent simulations out across a bounded
 // worker pool. Every (workload, variant, config) cell of the paper's
-// evaluation matrix is an isolated full-machine simulation — sim.Run
-// shares no mutable state between calls — so the experiment drivers
-// are embarrassingly parallel and wall-clock should scale with cores,
-// not with matrix size.
+// evaluation matrix is an isolated full-machine simulation —
+// sim.RunChecked shares no mutable state between calls — so the
+// experiment drivers are embarrassingly parallel and wall-clock should
+// scale with cores, not with matrix size.
 //
 // Determinism: results are keyed by job position, never by completion
 // order, and each simulation is single-threaded internally, so a
@@ -28,9 +28,6 @@ type Job struct {
 	Variant  core.Variant
 	Config   sim.Config
 }
-
-// Run executes the job on the calling goroutine.
-func (j Job) Run() sim.Result { return sim.Run(j.Workload, j.Variant, j.Config) }
 
 // Pool is a bounded worker pool for independent simulations. The zero
 // value is not useful; construct with New or ForWorkers.
@@ -64,15 +61,6 @@ func ForWorkers(n int) *Pool {
 
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return p.workers }
-
-// Run executes every job and returns results in job order: results[i]
-// belongs to jobs[i] regardless of which worker finished it first, so
-// parallel output is identical to serial output.
-func (p *Pool) Run(jobs []Job) []sim.Result {
-	results := make([]sim.Result, len(jobs))
-	p.Map(len(jobs), func(i int) { results[i] = jobs[i].Run() })
-	return results
-}
 
 // Map invokes f(0), f(1), ... f(n-1), spreading the calls across the
 // pool. Workers claim indices from a shared counter, so a fast worker

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -80,14 +81,24 @@ func TestRunResultsKeyedByJob(t *testing.T) {
 			jobs = append(jobs, Job{Workload: w, Variant: v, Config: cfg})
 		}
 	}
-	serial := New(1).Run(jobs)
-	parallel := New(8).Run(jobs)
+	serial, err := New(1).RunChecked(context.Background(), jobs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := New(8).RunChecked(context.Background(), jobs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range jobs {
-		if serial[i].Workload != jobs[i].Workload.Name || serial[i].Variant != jobs[i].Variant {
-			t.Fatalf("job %d: result tagged %s/%s, want %s/%s",
-				i, serial[i].Workload, serial[i].Variant, jobs[i].Workload.Name, jobs[i].Variant)
+		if !serial[i].OK() || !parallel[i].OK() {
+			t.Fatalf("job %d failed: %v / %v", i, serial[i].Err, parallel[i].Err)
 		}
-		if !reflect.DeepEqual(serial[i], parallel[i]) {
+		got := serial[i].Result
+		if got.Workload != jobs[i].Workload.Name || got.Variant != jobs[i].Variant {
+			t.Fatalf("job %d: result tagged %s/%s, want %s/%s",
+				i, got.Workload, got.Variant, jobs[i].Workload.Name, jobs[i].Variant)
+		}
+		if !reflect.DeepEqual(got, parallel[i].Result) {
 			t.Fatalf("job %d (%s/%s): parallel result differs from serial",
 				i, jobs[i].Workload.Name, jobs[i].Variant)
 		}

@@ -8,13 +8,11 @@ import (
 	"repro/internal/workload"
 )
 
-// Machine is one resumable simulation: RunChecked split into
-// build / advance / result phases so a caller can interleave many
-// machines over the same wall-clock span. The batched lockstep path in
-// internal/runner advances K same-trace machines a few thousand
-// instructions at a time, so they decode the same region of one shared
-// recording while it is hot in cache; a Machine advanced in any number
-// of steps is bit-identical to an unpaused RunChecked of the same job.
+// Machine is one exact simulation split into build, advance and result
+// phases. RunChecked drives a Machine to completion in one Advance;
+// psbsim -progress advances one in chunks and reports progress between
+// them. A Machine advanced in any number of steps is bit-identical to
+// one advanced in a single step.
 type Machine struct {
 	w    workload.Workload
 	v    core.Variant
@@ -28,17 +26,12 @@ type Machine struct {
 // machine without running any cycles. The error cases are exactly
 // RunChecked's pre-run ones: a *ConfigError or a trace-cache failure.
 func NewMachine(w workload.Workload, v core.Variant, cfg Config) (*Machine, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := validateJob(v, cfg); err != nil {
 		return nil, err
 	}
-	if !v.Known() {
-		return nil, &ConfigError{Field: "Variant",
-			Err: fmt.Errorf("unknown variant %d", int(v))}
-	}
 	if cfg.SampleMode != SampleOff {
-		// Sampled runs manage their own interval machines; they cannot
-		// be lockstepped (Validate already rejects Batch > 0, this
-		// covers direct Machine construction).
+		// Sampled runs build and rewarm their own interval machine
+		// (see runSampled).
 		return nil, &ConfigError{Field: "SampleMode",
 			Err: fmt.Errorf("sampled simulation cannot run as a resumable Machine; use Run or RunChecked")}
 	}
@@ -47,6 +40,28 @@ func NewMachine(w workload.Workload, v core.Variant, cfg Config) (*Machine, erro
 		return nil, err
 	}
 	return &Machine{w: w, v: v, cfg: cfg, m: m}, nil
+}
+
+// RunChecked is Run with errors as values: the configuration is
+// validated up front (returning a *ConfigError before any simulation
+// work), the cpu no-commit watchdog surfaces as a *cpu.DeadlockError
+// instead of a panic, and ctx cancellation or deadline aborts the run
+// with ctx's error. On error the Result still carries whatever was
+// simulated up to the abort. Like Run, RunChecked is safe for
+// concurrent use and deterministic for equal arguments.
+func RunChecked(ctx context.Context, w workload.Workload, v core.Variant, cfg Config) (Result, error) {
+	if cfg.SampleMode != SampleOff {
+		if err := validateJob(v, cfg); err != nil {
+			return Result{}, err
+		}
+		return runSampled(ctx, w, v, cfg)
+	}
+	m, err := NewMachine(w, v, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	_, err = m.Advance(ctx, 0)
+	return m.Result(), err
 }
 
 // Advance runs the simulation until at least stopAt instructions have

@@ -163,12 +163,6 @@ func TestSampledValidation(t *testing.T) {
 	}
 
 	cfg = base
-	cfg.Batch = 4
-	if err := cfg.Validate(); err == nil {
-		t.Error("lockstep batching accepted for sampling")
-	}
-
-	cfg = base
 	cfg.SampleWarmup = 20_000
 	cfg.SampleLen = 10_000
 	cfg.SamplePeriod = 25_000

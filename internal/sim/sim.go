@@ -37,16 +37,6 @@ type Config struct {
 	// results do not depend on Workers (see internal/runner).
 	Workers int
 
-	// Batch, when positive, makes the experiment drivers advance up to
-	// Batch same-trace simulations in lockstep on one goroutine (a few
-	// thousand instructions each per turn) instead of running each cell
-	// to completion alone, so a whole column of the matrix decodes one
-	// hot region of the shared recording with one warm cache
-	// footprint. Results do not
-	// depend on Batch (see internal/runner's differential tests); like
-	// Workers it is excluded from job fingerprints.
-	Batch int
-
 	// TraceMode selects how the run obtains its instruction stream:
 	// live functional execution (TraceOff), the process-wide trace
 	// cache (TraceMemory), or the cache backed by .psbtrace files in
@@ -62,7 +52,7 @@ type Config struct {
 	// measured after a SampleWarmup detailed prefix), functional
 	// fast-forward between them, and an IPC estimate with confidence
 	// bounds in Result.Sampled. Sampling changes the statistics a run
-	// reports, so unlike Workers/Batch/TraceMode these four fields are
+	// reports, so unlike Workers and TraceMode these four fields are
 	// result-affecting and participate in job fingerprints. Requires a
 	// trace mode other than TraceOff; zero parameter fields select the
 	// Default* constants in sample.go.
@@ -167,29 +157,21 @@ func (m machine) result(w workload.Workload, v core.Variant, st cpu.Stats) Resul
 	}
 }
 
-// Run simulates the workload under the given prefetcher variant.
+// Run simulates the workload under the given prefetcher variant. It
+// is RunChecked without a context, panicking on any error: an invalid
+// configuration, a simulated deadlock or a trace-cache failure.
 //
 // Run is safe for concurrent use: every call builds a private machine,
 // memory hierarchy and prefetcher, and the packages it draws on keep
 // no mutable package-level state (workload registration happens at
 // init time and is read-only afterwards). Two concurrent Runs with
 // equal arguments return equal Results.
-//
-// Run panics on invalid configurations and simulated deadlocks;
-// RunChecked is the errors-as-values path.
 func Run(w workload.Workload, v core.Variant, cfg Config) Result {
-	if cfg.SampleMode != SampleOff {
-		r, err := runSampled(context.Background(), w, v, cfg)
-		if err != nil {
-			panic(err)
-		}
-		return r
-	}
-	m, err := build(w, v, cfg)
+	r, err := RunChecked(context.Background(), w, v, cfg)
 	if err != nil {
 		panic(err)
 	}
-	return m.result(w, v, m.cpu.Run(cfg.MaxInsts))
+	return r
 }
 
 // RunWithPrefetcher simulates the workload with a caller-constructed
@@ -203,39 +185,9 @@ func RunWithPrefetcher(w workload.Workload, cfg Config,
 		panic(err)
 	}
 	hier := mem.New(cfg.Mem)
-	pf := build(hier)
-	c := cpu.New(cfg.CPU, hier, pf, src)
-	st := c.Run(cfg.MaxInsts)
-	return Result{
-		Workload:    w.Name,
-		CPU:         st,
-		SB:          pf.Stats(),
-		L1D:         hier.L1D.Stats(),
-		L1I:         hier.L1I.Stats(),
-		L2:          hier.L2.Stats(),
-		L1L2Util:    hier.L1L2.Utilization(st.Cycles),
-		MemBusUtil:  hier.MemBus.Utilization(st.Cycles),
-		TLBMissRate: hier.DTLB.MissRate(),
-	}
-}
-
-// RunByName resolves the benchmark by name and runs it.
-func RunByName(name string, v core.Variant, cfg Config) (Result, error) {
-	w, err := workload.ByName(name)
-	if err != nil {
-		return Result{}, err
-	}
-	return Run(w, v, cfg), nil
-}
-
-// RunAll runs every registered benchmark under the given variant.
-func RunAll(v core.Variant, cfg Config) []Result {
-	all := workload.All()
-	out := make([]Result, 0, len(all))
-	for _, w := range all {
-		out = append(out, Run(w, v, cfg))
-	}
-	return out
+	m := machine{hier: hier, pf: build(hier)}
+	m.cpu = cpu.New(cfg.CPU, hier, m.pf, src)
+	return m.result(w, core.None, m.cpu.Run(cfg.MaxInsts))
 }
 
 func blockShift(blockBytes int) uint {

@@ -153,17 +153,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestRunByName(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxInsts = 20_000
-	if _, err := RunByName("health", core.None, cfg); err != nil {
-		t.Error(err)
-	}
-	if _, err := RunByName("nope", core.None, cfg); err == nil {
-		t.Error("unknown benchmark accepted")
-	}
-}
-
 func TestFig4Collection(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxInsts = 60_000

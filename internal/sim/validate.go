@@ -1,12 +1,10 @@
 package sim
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/workload"
 )
 
 // ConfigError reports an invalid simulation configuration, detected by
@@ -74,10 +72,6 @@ func (cfg Config) Validate() error {
 			return &ConfigError{Field: "SampleMode",
 				Err: errors.New("sampled simulation needs a recorded stream; use trace mode memory or disk")}
 		}
-		if cfg.Batch > 0 {
-			return &ConfigError{Field: "SampleMode",
-				Err: errors.New("sampled simulation is incompatible with lockstep batching (Batch > 0)")}
-		}
 		period, length, warmup := cfg.sampleSpec()
 		if warmup+length > period {
 			return &ConfigError{Field: "SamplePeriod",
@@ -87,28 +81,15 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// RunChecked is Run with errors as values: the configuration is
-// validated up front (returning a *ConfigError before any simulation
-// work), the cpu no-commit watchdog surfaces as a *cpu.DeadlockError
-// instead of a panic, and ctx cancellation or deadline aborts the run
-// with ctx's error. On error the Result still carries whatever was
-// simulated up to the abort. Like Run, RunChecked is safe for
-// concurrent use and deterministic for equal arguments.
-func RunChecked(ctx context.Context, w workload.Workload, v core.Variant, cfg Config) (Result, error) {
+// validateJob is Validate plus the variant check: every error RunChecked
+// and NewMachine report before any simulation work starts.
+func validateJob(v core.Variant, cfg Config) error {
 	if err := cfg.Validate(); err != nil {
-		return Result{}, err
+		return err
 	}
 	if !v.Known() {
-		return Result{}, &ConfigError{Field: "Variant",
+		return &ConfigError{Field: "Variant",
 			Err: fmt.Errorf("unknown variant %d", int(v))}
 	}
-	if cfg.SampleMode != SampleOff {
-		return runSampled(ctx, w, v, cfg)
-	}
-	m, err := build(w, v, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	st, err := m.cpu.RunChecked(ctx, cfg.MaxInsts)
-	return m.result(w, v, st), err
+	return nil
 }
