@@ -5,14 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,23 +17,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
-
-// chaosOptions collects the -chaos flags.
-type chaosOptions struct {
-	url      string
-	insts    uint64
-	seed     int64
-	workers  int
-	cacheDir string
-	out      string
-
-	duration  time.Duration
-	tenants   int
-	faultSpec string
-	rate      float64
-	recovery  time.Duration
-	p99Max    time.Duration
-}
 
 // chaosTenantReport is one tenant's outcome.
 type chaosTenantReport struct {
@@ -56,7 +34,7 @@ type chaosTenantReport struct {
 	P99Ms        float64 `json:"p99_ms"`
 }
 
-// chaosReport is the -chaos output schema (written to -out).
+// chaosReport is the -chaos report schema.
 type chaosReport struct {
 	Mode        string  `json:"mode"`
 	InstsPerSim uint64  `json:"insts_per_sim"`
@@ -96,7 +74,18 @@ type chaosCell struct {
 // served results, no tenant starved below half its fair share, bounded
 // p99, and recovery to a non-degraded /healthz once faults clear.
 // Returns the process exit code.
-func runChaos(o chaosOptions) int {
+func runChaos(o options) int {
+	// Without -targets the harness arms its own server; a bad plan is
+	// flag misuse, refused before the pool is precomputed.
+	var plan serve.FaultPlan
+	if len(o.targets) == 0 {
+		var err error
+		if plan, err = serve.ParseFaultPlan(o.chaosFaults); err != nil {
+			fmt.Fprintln(o.stderr, err)
+			return 2
+		}
+	}
+
 	// The verifiable cell pool: every workload x two schemes x two
 	// seeds, with expected bytes computed by direct sim.RunChecked
 	// before any fault is armed.
@@ -105,7 +94,7 @@ func runChaos(o chaosOptions) int {
 	baseCfg.TraceMode = sim.TraceMemory
 	variants := []core.Variant{core.Variants()[0], core.Variants()[len(core.Variants())-1]}
 	var pool []chaosCell
-	fmt.Fprintf(os.Stderr, "psbload -chaos: precomputing expected results for the verification pool...\n")
+	fmt.Fprintf(o.stderr, "psbload -chaos: precomputing expected results for the verification pool...\n")
 	for _, w := range workload.All() {
 		for _, v := range variants {
 			for _, s := range []int64{o.seed, o.seed + 1} {
@@ -113,33 +102,26 @@ func runChaos(o chaosOptions) int {
 				cfg.Seed = s
 				res, err := sim.RunChecked(context.Background(), w, v, cfg)
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "precompute %s/%s seed %d: %v\n", w.Name, v, s, err)
+					fmt.Fprintf(o.stderr, "precompute %s/%s seed %d: %v\n", w.Name, v, s, err)
 					return 1
 				}
-				pool = append(pool, chaosCell{
-					body: fmt.Sprintf(`{"bench":%q,"scheme":%q,"insts":%d,"seed":%d}`,
-						w.Name, v.String(), o.insts, s),
-					expected: serve.EncodeResult(res),
-				})
+				pool = append(pool, chaosCell{body: cellBody(w.Name, v, o.insts, s), expected: serve.EncodeResult(res)})
 			}
 		}
 	}
 
-	// Self-host a fault-injected server unless -url points at one
+	// Self-host a fault-injected server unless -targets names one
 	// (started with its own -faults plan, typically with for=<window>).
-	base := o.url
+	var base string
 	var srv *serve.Server
-	if base == "" {
-		plan, err := serve.ParseFaultPlan(o.faultSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
+	if len(o.targets) == 1 {
+		base = o.targets[0]
+	} else {
 		cacheDir := o.cacheDir
 		if cacheDir == "" {
 			dir, err := os.MkdirTemp("", "psbchaos")
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(o.stderr, err)
 				return 1
 			}
 			defer os.RemoveAll(dir)
@@ -147,7 +129,9 @@ func runChaos(o chaosOptions) int {
 		}
 		cfg := baseCfg
 		cfg.Seed = o.seed
-		srv = serve.New(serve.Config{
+		var stopServer func()
+		var err error
+		base, srv, stopServer, err = serveLocal(serve.Config{
 			Base:    cfg,
 			Workers: o.workers,
 			// A small memory tier forces disk reads, so corrupted
@@ -156,20 +140,17 @@ func runChaos(o chaosOptions) int {
 			CacheDir:     cacheDir,
 			JobTimeout:   time.Minute,
 			Retries:      1,
-			Tenant:       serve.TenantPolicy{Rate: o.rate},
+			Tenant:       serve.TenantPolicy{Rate: o.chaosRate},
 			Faults:       plan,
-			EventLog:     os.Stderr,
+			EventLog:     o.stderr,
 			HealInterval: 500 * time.Millisecond,
 		})
-		defer srv.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(o.stderr, err)
 			return 1
 		}
-		go http.Serve(ln, srv.Handler())
-		base = "http://" + ln.Addr().String()
-		fmt.Fprintf(os.Stderr, "psbload -chaos: in-process fault-injected server on %s (faults %s)\n", base, plan)
+		defer stopServer()
+		fmt.Fprintf(o.stderr, "psbload -chaos: in-process fault-injected server on %s (faults %s)\n", base, plan)
 	}
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 32}}
 
@@ -185,13 +166,14 @@ func runChaos(o chaosOptions) int {
 		mu                                      sync.Mutex
 		latencies                               []time.Duration
 	}
-	tenants := make([]*tenantState, o.tenants)
+	tenants := make([]*tenantState, o.chaosTenants)
 	for i := range tenants {
 		tenants[i] = &tenantState{name: fmt.Sprintf("tenant-%d", i), greedy: i == 0}
 	}
 	var divergence, netErrors atomic.Int64
 	var degradedObserved atomic.Bool
-	stop := make(chan struct{})
+	traffic, stop := context.WithCancel(context.Background())
+	defer stop()
 
 	// Health monitor: watches for the degraded flag during the run.
 	var monWG sync.WaitGroup
@@ -200,7 +182,7 @@ func runChaos(o chaosOptions) int {
 		defer monWG.Done()
 		for {
 			select {
-			case <-stop:
+			case <-traffic.Done():
 				return
 			case <-time.After(200 * time.Millisecond):
 			}
@@ -215,12 +197,7 @@ func runChaos(o chaosOptions) int {
 	worker := func(ts *tenantState, widx int) {
 		defer trafficWG.Done()
 		rng := rand.New(rand.NewSource(int64(widx)*7919 + 17))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		for traffic.Err() == nil {
 			var body string
 			var expected []byte
 			verified := rng.Intn(2) == 0
@@ -230,49 +207,28 @@ func runChaos(o chaosOptions) int {
 			} else {
 				w := workload.All()[rng.Intn(len(workload.All()))]
 				v := variants[rng.Intn(len(variants))]
-				seed := o.seed + 1_000_000 + churnSeq.Add(1)
-				body = fmt.Sprintf(`{"bench":%q,"scheme":%q,"insts":%d,"seed":%d}`,
-					w.Name, v.String(), o.insts, seed)
+				body = cellBody(w.Name, v, o.insts, o.seed+1_000_000+churnSeq.Add(1))
 			}
-			start := time.Now()
-			req, _ := http.NewRequest("POST", base+"/v1/sim", strings.NewReader(body))
-			req.Header.Set("Content-Type", "application/json")
-			req.Header.Set(serve.TenantHeader, ts.name)
-			resp, err := client.Do(req)
-			if err != nil {
+			r := post(traffic, client, base+"/v1/sim", ts.name, body)
+			ts.throttled.Add(int64(r.throttled))
+			switch r.status {
+			case 0:
 				netErrors.Add(1)
-				continue
-			}
-			respBody, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			switch {
-			case resp.StatusCode == http.StatusOK:
-				lat := time.Since(start)
+			case http.StatusOK:
 				ts.completed.Add(1)
 				if !verified {
 					ts.simCompleted.Add(1)
 				}
 				ts.mu.Lock()
-				ts.latencies = append(ts.latencies, lat)
+				ts.latencies = append(ts.latencies, r.latency)
 				ts.mu.Unlock()
-				if verified && !bytes.Equal(respBody, expected) {
+				if verified && !bytes.Equal(r.body, expected) {
 					divergence.Add(1)
-					fmt.Fprintf(os.Stderr, "DIVERGENCE: %s (tenant %s): served bytes differ from direct RunChecked\n",
+					fmt.Fprintf(o.stderr, "DIVERGENCE: %s (tenant %s): served bytes differ from direct RunChecked\n",
 						body, ts.name)
 				}
-			case resp.StatusCode == http.StatusTooManyRequests:
-				ts.throttled.Add(1)
-				// Honor the hint but stay aggressive: this client's job
-				// is to keep the server saturated.
-				wait := retryAfterOf(resp)
-				if wait > 300*time.Millisecond {
-					wait = 300 * time.Millisecond
-				}
-				select {
-				case <-stop:
-					return
-				case <-time.After(wait):
-				}
+			case http.StatusTooManyRequests:
+				// The traffic window closed while a 429 was waited out.
 			default:
 				ts.err.Add(1)
 			}
@@ -291,9 +247,9 @@ func runChaos(o chaosOptions) int {
 		}
 	}
 
-	fmt.Fprintf(os.Stderr, "psbload -chaos: driving %d tenants for %s...\n", o.tenants, o.duration)
-	time.Sleep(o.duration)
-	close(stop)
+	fmt.Fprintf(o.stderr, "psbload -chaos: driving %d tenants for %s...\n", o.chaosTenants, o.chaosDur)
+	time.Sleep(o.chaosDur)
+	stop()
 	trafficWG.Wait()
 	monWG.Wait()
 
@@ -306,10 +262,11 @@ func runChaos(o chaosOptions) int {
 
 	// Recovery: the node must return to a non-degraded /healthz now
 	// that faults have stopped.
+	ctx := context.Background()
 	recoveryStart := time.Now()
 	recovered := false
 	var recoverySec float64
-	for i := 0; time.Since(recoveryStart) < o.recovery; i++ {
+	for i := 0; time.Since(recoveryStart) < o.chaosRecovery; i++ {
 		h, err := fetchHealth(client, base)
 		if err == nil && !h.Degraded && !h.FaultsActive {
 			recovered = true
@@ -320,7 +277,7 @@ func runChaos(o chaosOptions) int {
 		// probe (healing is driven by traffic, not a background
 		// timer). Cycle through the pool: it is larger than the
 		// memory tier, so some of these must miss to disk.
-		doOne(client, base, pool[i%len(pool)].body, "")
+		post(ctx, client, base+"/v1/sim", "", pool[i%len(pool)].body)
 		time.Sleep(250 * time.Millisecond)
 	}
 
@@ -328,11 +285,11 @@ func runChaos(o chaosOptions) int {
 	// with exactly the precomputed bytes.
 	finalOK := true
 	for _, c := range pool {
-		status, respBody := doOne(client, base, c.body, "")
-		if status != http.StatusOK || !bytes.Equal(respBody, c.expected) {
+		r := post(ctx, client, base+"/v1/sim", "", c.body)
+		if r.status != http.StatusOK || !bytes.Equal(r.body, c.expected) {
 			finalOK = false
-			fmt.Fprintf(os.Stderr, "final pass: %s -> status %d, byte match %v\n",
-				c.body, status, bytes.Equal(respBody, c.expected))
+			fmt.Fprintf(o.stderr, "final pass: %s -> status %d, byte match %v\n",
+				c.body, r.status, bytes.Equal(r.body, c.expected))
 		}
 	}
 
@@ -342,9 +299,9 @@ func runChaos(o chaosOptions) int {
 	r := chaosReport{
 		Mode:               "chaos",
 		InstsPerSim:        o.insts,
-		Tenants:            o.tenants,
-		DurationSec:        o.duration.Seconds(),
-		FaultSpec:          o.faultSpec,
+		Tenants:            o.chaosTenants,
+		DurationSec:        o.chaosDur.Seconds(),
+		FaultSpec:          o.chaosFaults,
 		DegradedObserved:   degradedObserved.Load(),
 		Recovered:          recovered,
 		RecoverySec:        recoverySec,
@@ -358,7 +315,6 @@ func runChaos(o chaosOptions) int {
 	}
 	var allLat []time.Duration
 	for _, ts := range tenants {
-		p99 := durPercentile(ts.latencies, 0.99)
 		r.PerTenant = append(r.PerTenant, chaosTenantReport{
 			Tenant:       ts.name,
 			Greedy:       ts.greedy,
@@ -366,7 +322,7 @@ func runChaos(o chaosOptions) int {
 			SimCompleted: int(ts.simCompleted.Load()),
 			Throttled:    int(ts.throttled.Load()),
 			Errors:       int(ts.err.Load()),
-			P99Ms:        float64(p99.Microseconds()) / 1e3,
+			P99Ms:        us(percentile(ts.latencies, 0.99)) / 1e3,
 		})
 		r.TotalCompleted += int(ts.completed.Load())
 		r.TotalSims += int(ts.simCompleted.Load())
@@ -376,8 +332,8 @@ func runChaos(o chaosOptions) int {
 	}
 	r.Divergence = int(divergence.Load())
 	r.NetErrors = int(netErrors.Load())
-	r.P50Ms = float64(durPercentile(allLat, 0.50).Microseconds()) / 1e3
-	r.P99Ms = float64(durPercentile(allLat, 0.99).Microseconds()) / 1e3
+	r.P50Ms = us(percentile(allLat, 0.50)) / 1e3
+	r.P99Ms = us(percentile(allLat, 0.99)) / 1e3
 
 	violate := func(format string, args ...any) {
 		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
@@ -386,23 +342,23 @@ func runChaos(o chaosOptions) int {
 		violate("%d served results diverged from direct RunChecked", r.Divergence)
 	}
 	if !recovered {
-		violate("node did not return to non-degraded /healthz within %s of faults clearing", o.recovery)
+		violate("node did not return to non-degraded /healthz within %s of faults clearing", o.chaosRecovery)
 	}
 	if !finalOK {
 		violate("final verification pass failed after faults cleared")
 	}
 	// Fairness: on the contended resource (simulated cells), every
 	// tenant must complete at least half its fair share.
-	fair := float64(r.TotalSims) / float64(o.tenants)
-	if r.TotalSims >= 2*o.tenants {
+	fair := float64(r.TotalSims) / float64(o.chaosTenants)
+	if r.TotalSims >= 2*o.chaosTenants {
 		for _, t := range r.PerTenant {
 			if float64(t.SimCompleted) < fair/2 {
 				violate("tenant %s starved: %d simulated cells vs fair share %.1f", t.Tenant, t.SimCompleted, fair)
 			}
 		}
 	}
-	if p99 := time.Duration(r.P99Ms * 1e6); p99 > o.p99Max {
-		violate("p99 %.0fms exceeds bound %s", r.P99Ms, o.p99Max)
+	if p99 := time.Duration(r.P99Ms * 1e6); p99 > o.chaosP99Max {
+		violate("p99 %.0fms exceeds bound %s", r.P99Ms, o.chaosP99Max)
 	}
 	if r.FaultsInjected != nil {
 		fc := *r.FaultsInjected
@@ -414,55 +370,23 @@ func runChaos(o chaosOptions) int {
 		}
 	}
 
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if err := writeReport(o, r); err != nil {
+		fmt.Fprintln(o.stderr, err)
 		return 1
 	}
-	if err := os.WriteFile(o.out, append(b, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Fprintf(os.Stderr,
-		"%s: %d completed (%d simulated), %d throttled, %d 5xx, divergence %d, "+
+	fmt.Fprintf(o.stderr,
+		"psbload -chaos: %d completed (%d simulated), %d throttled, %d 5xx, divergence %d, "+
 			"p99 %.0fms, degraded seen %v, recovered %v (%.1fs), quarantined %d\n",
-		o.out, r.TotalCompleted, r.TotalSims, r.Throttled, r.Errors5xx, r.Divergence,
+		r.TotalCompleted, r.TotalSims, r.Throttled, r.Errors5xx, r.Divergence,
 		r.P99Ms, r.DegradedObserved, r.Recovered, r.RecoverySec, r.QuarantinedEntries)
 	if len(r.Violations) > 0 {
 		for _, v := range r.Violations {
-			fmt.Fprintf(os.Stderr, "CHAOS INVARIANT VIOLATED: %s\n", v)
+			fmt.Fprintf(o.stderr, "CHAOS INVARIANT VIOLATED: %s\n", v)
 		}
 		return 1
 	}
-	fmt.Fprintln(os.Stderr, "psbload -chaos: all invariants held")
+	fmt.Fprintln(o.stderr, "psbload -chaos: all invariants held")
 	return 0
-}
-
-// doOne posts one /v1/sim request and returns status and body.
-func doOne(client *http.Client, base, body, tenant string) (int, []byte) {
-	req, _ := http.NewRequest("POST", base+"/v1/sim", strings.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	if tenant != "" {
-		req.Header.Set(serve.TenantHeader, tenant)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, nil
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, b
-}
-
-// retryAfterOf parses the Retry-After hint (seconds), defaulting to
-// 200ms.
-func retryAfterOf(resp *http.Response) time.Duration {
-	if s := resp.Header.Get("Retry-After"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return time.Duration(n) * time.Second
-		}
-	}
-	return 200 * time.Millisecond
 }
 
 // fetchHealth decodes GET /healthz.
@@ -474,15 +398,4 @@ func fetchHealth(client *http.Client, base string) (serve.HealthReport, error) {
 	}
 	defer resp.Body.Close()
 	return h, json.NewDecoder(resp.Body).Decode(&h)
-}
-
-// durPercentile returns the q-th percentile of latencies (zero when
-// empty).
-func durPercentile(lat []time.Duration, q float64) time.Duration {
-	if len(lat) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), lat...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[int(q*float64(len(s)-1))]
 }

@@ -1,394 +1,236 @@
-// Command psbload benchmarks the serving layer: it drives psbserved's
-// HTTP API through a cold pass (every cell simulated), a hot pass
-// (every cell cache-served) and a dedup burst (concurrent identical
-// requests), then writes BENCH_serve.json with throughput, latency
-// percentiles, cache hit rate and dedup savings.
+// Command psbload benchmarks and gates the serving layer. It drives
+// psbserved's HTTP API on one node or a cluster: every cell of the
+// benchmark x scheme matrix is requested from every node at once (the
+// worst case for a shared cache), first cold (simulations and peer
+// fills) and then -hot-iters times hot (cache hits), and every node's
+// bytes are checked identical for each cell. A dedup burst then sends
+// -concurrency identical requests for one uncached cell, spread over
+// the nodes, which must cost one simulation. The JSON report records
+// per-node latency, hit rate and peer traffic, the fleet-wide
+// simulation count, cold over hot p50 (speedup_hot) and the burst's
+// cost (dedup_sims). It goes to stdout unless -out names a file.
 //
 // Usage:
 //
-//	psbload                          # self-hosted: spins up the server in-process
-//	psbload -url http://host:8724    # drive an already-running psbserved
-//	psbload -insts 60000 -concurrency 8 -hot-iters 10 -out BENCH_serve.json
+//	psbload                                   # one in-process psbserved
+//	psbload -targets host:8724                # an already-running node
 //	psbload -targets host1:8724,host2:8724,host3:8724 \
-//	    -gate-dedup -min-hit-rate 0.9                  # cluster benchmark + CI gates
+//	    -gate-dedup -min-hit-rate 0.9         # a cluster, with CI gates
+//	psbload -insts 60000 -concurrency 8 -hot-iters 10 -out report.json
 //
-// With -targets it benchmarks a psbserved cluster instead: every cell
-// is requested from every node simultaneously (the worst case for a
-// shared cache), responses are checked byte-identical across nodes,
-// and BENCH_cluster.json records per-node latency, hit rate and peer
-// traffic plus the cluster-wide simulation count. The -gate-dedup,
-// -max-sims and -min-hit-rate flags turn the report into a CI gate.
-// Adding -batch-size N appends a scatter-gather phase: a fresh cell
-// set is driven through /v1/batch in N-cell batches (cold fan-out,
-// hot rotated-ingress waves, then a per-cell differential re-check),
-// and the report's "batch" section records per-batch latency, hot
-// cells/sec versus the per-cell path, and the peer-RPC counters;
+// The -gate-dedup, -max-sims and -min-hit-rate flags turn the report
+// into a gate. Adding -batch-size N appends a scatter-gather phase: a
+// fresh cell set is driven through /v1/batch in N-cell batches (cold
+// fan-out, hot waves, then a per-cell differential re-check), and the
+// report's "batch" section records per-batch latency, hot cells/sec
+// versus the per-cell path, and the peer-RPC counters;
 // -gate-batch-rpcs fails the run unless every posted batch cost at
 // most one peer RPC per remote owner.
 //
-// With -chaos it becomes a fault-tolerance harness instead of a
-// benchmark: it arms a deterministic fault plan (-chaos-faults),
-// drives mixed-tenant traffic — one greedy tenant, the rest polite —
-// for -chaos-dur, then asserts that every byte served matched a direct
-// simulation, no tenant starved below half its fair share, p99 stayed
-// under -chaos-p99-max, and the node recovered to a non-degraded
-// /healthz within -chaos-recovery of the faults clearing. Exit status
-// 1 if any invariant is violated; the evidence goes to CHAOS_serve.json.
+// With -chaos it becomes a fault-tolerance harness instead: it arms a
+// deterministic fault plan (-chaos-faults) on an in-process node, or
+// drives the single node -targets names, with mixed-tenant traffic —
+// one greedy tenant, the rest polite — for -chaos-dur, then asserts
+// that every byte served matched a direct simulation, no tenant
+// starved below half its fair share, p99 stayed under -chaos-p99-max,
+// and the node recovered to a non-degraded /healthz within
+// -chaos-recovery of the faults clearing.
+//
+// Exit status: 0 = every gate held, 1 = a gate or invariant failed,
+// 2 = flag misuse.
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
+	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/serve"
-	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
-// request is one scheduled cell fetch.
-type request struct {
-	body string
-}
+// options holds every flag value plus the output streams.
+type options struct {
+	targets     []string
+	insts       uint64
+	seed        int64
+	workers     int
+	cacheDir    string
+	concurrency int
+	hotIters    int
+	out         string
 
-// sample is one completed request's measurement.
-type sample struct {
-	latency time.Duration
-	tier    string // X-Psb-Cache: sim, dedup, mem, disk
-	status  int
-}
+	// Gates (CI): minHitRate fails the run when the fleet-wide hit
+	// rate lands below it (-1 = off); maxSims bounds the fleet-wide
+	// simulation count (-1 = off); gateDedup requires exactly one
+	// simulation per unique cell.
+	minHitRate float64
+	maxSims    int64
+	gateDedup  bool
+	// batchSize > 0 adds a batched phase: a fresh (cold) cell set is
+	// driven through /v1/batch in batches this large, measuring the
+	// scatter-gather fan-out. gateBatchRPCs fails the run unless every
+	// posted batch cost at most one peer RPC per remote owner.
+	batchSize     int
+	gateBatchRPCs bool
 
-// report is the BENCH_serve.json schema.
-type report struct {
-	InstsPerSim uint64 `json:"insts_per_sim"`
-	Cells       int    `json:"cells"`
-	Concurrency int    `json:"concurrency"`
-	HotIters    int    `json:"hot_iters"`
-	Workers     int    `json:"workers"`
-	GOMAXPROCS  int    `json:"gomaxprocs"`
-	// Degraded flags a single-worker box: parallel service still works
-	// but concurrency measurements are meaningless.
-	Degraded bool `json:"degraded"`
+	chaosDur      time.Duration
+	chaosTenants  int
+	chaosFaults   string
+	chaosRate     float64
+	chaosRecovery time.Duration
+	chaosP99Max   time.Duration
 
-	ColdRequests int     `json:"cold_requests"`
-	ColdP50Us    float64 `json:"cold_p50_us"`
-	ColdP95Us    float64 `json:"cold_p95_us"`
-	ColdP99Us    float64 `json:"cold_p99_us"`
-
-	HotRequests int     `json:"hot_requests"`
-	HotP50Us    float64 `json:"hot_p50_us"`
-	HotP95Us    float64 `json:"hot_p95_us"`
-	HotP99Us    float64 `json:"hot_p99_us"`
-	HotRPS      float64 `json:"hot_rps"`
-
-	// SpeedupHot is cold p50 over hot p50: how much faster a cache hit
-	// answers than a fresh simulation, HTTP round trip included.
-	SpeedupHot float64 `json:"speedup_hot"`
-
-	// CacheHitRate is (mem+disk hits) / all cache lookups, from the
-	// server's own counters.
-	CacheHitRate float64 `json:"cache_hit_rate"`
-
-	// The dedup burst: DedupRequests concurrent identical requests for
-	// an uncached cell cost DedupSims simulations (want exactly 1).
-	DedupRequests int    `json:"dedup_requests"`
-	DedupSims     uint64 `json:"dedup_sims"`
-	DedupSaved    uint64 `json:"dedup_saved"`
-
-	Errors int `json:"errors"`
+	stdout, stderr io.Writer
 }
 
 func main() {
-	var (
-		url         = flag.String("url", "", "psbserved base URL (empty = start an in-process server)")
-		insts       = flag.Uint64("insts", 60_000, "instruction budget per cell")
-		seed        = flag.Int64("seed", 1, "workload layout seed")
-		workers     = flag.Int("workers", -1, "in-process server concurrency (-1 = all cores; ignored with -url)")
-		cacheDir    = flag.String("cache-dir", "", "in-process server on-disk result tier (ignored with -url)")
-		concurrency = flag.Int("concurrency", 8, "concurrent client requests")
-		hotIters    = flag.Int("hot-iters", 12, "hot passes over the cell set")
-		out         = flag.String("out", "BENCH_serve.json", "output path (CHAOS_serve.json with -chaos, BENCH_cluster.json with -targets)")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-		targets    = flag.String("targets", "", "comma-separated psbserved base URLs: cluster benchmark mode (overrides -url)")
-		minHitRate = flag.Float64("min-hit-rate", -1, "cluster: fail unless the cluster-wide hit rate reaches this (-1 = no gate)")
-		maxSims    = flag.Int64("max-sims", -1, "cluster: fail if the run cost more than this many simulations cluster-wide (-1 = no gate)")
-		gateDedup  = flag.Bool("gate-dedup", false, "cluster: fail unless the run cost exactly one simulation per unique cell cluster-wide")
-		batchSize  = flag.Int("batch-size", 0, "cluster: also drive /v1/batch with fresh cells in batches this large (0 = skip the batched phase)")
-		gateBatch  = flag.Bool("gate-batch-rpcs", false, "cluster: fail unless every posted batch cost at most one peer RPC per remote owner")
-
-		chaos       = flag.Bool("chaos", false, "run the chaos harness instead of the benchmark")
-		chaosDur    = flag.Duration("chaos-dur", 12*time.Second, "chaos: traffic window length")
-		chaosTen    = flag.Int("chaos-tenants", 4, "chaos: tenant count (tenant-0 is greedy)")
-		chaosFaults = flag.String("chaos-faults",
-			"seed=7,sim-panic=0.1,disk-corrupt=0.05,disk-fail=0.35,disk-delay=1ms",
-			"chaos: fault plan for the in-process server (ignored with -url; arm the daemon with -faults '...,for=...' instead)")
-		chaosRate     = flag.Float64("chaos-rate", 300, "chaos: per-tenant token-bucket rate for the in-process server (cells/sec, 0 = unlimited)")
-		chaosRecovery = flag.Duration("chaos-recovery", 20*time.Second, "chaos: how long the node gets to return to non-degraded health")
-		chaosP99Max   = flag.Duration("chaos-p99-max", 10*time.Second, "chaos: upper bound on successful-request p99")
-	)
-	flag.Parse()
-	if *chaos {
-		outPath := *out
-		outSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "out" {
-				outSet = true
+// run parses args and runs the benchmark or the chaos harness,
+// returning the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("psbload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o := options{stdout: stdout, stderr: stderr}
+	var targets string
+	var chaos bool
+	fs.StringVar(&targets, "targets", "", "comma-separated psbserved base URLs (empty = start one in-process server)")
+	fs.Uint64Var(&o.insts, "insts", 60_000, "instruction budget per cell")
+	fs.Int64Var(&o.seed, "seed", 1, "workload layout seed")
+	fs.IntVar(&o.workers, "workers", -1, "in-process server concurrency (-1 = all cores; ignored with -targets)")
+	fs.StringVar(&o.cacheDir, "cache-dir", "", "in-process server on-disk result tier (ignored with -targets)")
+	fs.IntVar(&o.concurrency, "concurrency", 8, "concurrent client requests, and the dedup burst's size")
+	fs.IntVar(&o.hotIters, "hot-iters", 12, "hot passes over the cell set")
+	fs.StringVar(&o.out, "out", "", "write the JSON report to this file (empty = stdout)")
+	fs.Float64Var(&o.minHitRate, "min-hit-rate", -1, "fail unless the fleet-wide hit rate reaches this (-1 = no gate)")
+	fs.Int64Var(&o.maxSims, "max-sims", -1, "fail if the run cost more than this many simulations fleet-wide (-1 = no gate)")
+	fs.BoolVar(&o.gateDedup, "gate-dedup", false, "fail unless the run cost exactly one simulation per unique cell fleet-wide")
+	fs.IntVar(&o.batchSize, "batch-size", 0, "also drive /v1/batch with fresh cells in batches this large (0 = skip the batched phase)")
+	fs.BoolVar(&o.gateBatchRPCs, "gate-batch-rpcs", false, "fail unless every posted batch cost at most one peer RPC per remote owner")
+	fs.BoolVar(&chaos, "chaos", false, "run the chaos harness instead of the benchmark")
+	fs.DurationVar(&o.chaosDur, "chaos-dur", 12*time.Second, "chaos: traffic window length")
+	fs.IntVar(&o.chaosTenants, "chaos-tenants", 4, "chaos: tenant count (tenant-0 is greedy)")
+	fs.StringVar(&o.chaosFaults, "chaos-faults",
+		"seed=7,sim-panic=0.1,disk-corrupt=0.05,disk-fail=0.35,disk-delay=1ms",
+		"chaos: fault plan for the in-process server (ignored with -targets; arm the daemon with -faults '...,for=...' instead)")
+	fs.Float64Var(&o.chaosRate, "chaos-rate", 300, "chaos: per-tenant token-bucket rate for the in-process server (cells/sec, 0 = unlimited)")
+	fs.DurationVar(&o.chaosRecovery, "chaos-recovery", 20*time.Second, "chaos: how long the node gets to return to non-degraded health")
+	fs.DurationVar(&o.chaosP99Max, "chaos-p99-max", 10*time.Second, "chaos: upper bound on successful-request p99")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	for _, t := range strings.Split(targets, ",") {
+		if t = strings.TrimSpace(t); t != "" {
+			if !strings.Contains(t, "://") {
+				t = "http://" + t
 			}
-		})
-		if !outSet {
-			outPath = "CHAOS_serve.json"
-		}
-		os.Exit(runChaos(chaosOptions{
-			url:       *url,
-			insts:     *insts,
-			seed:      *seed,
-			workers:   *workers,
-			cacheDir:  *cacheDir,
-			out:       outPath,
-			duration:  *chaosDur,
-			tenants:   *chaosTen,
-			faultSpec: *chaosFaults,
-			rate:      *chaosRate,
-			recovery:  *chaosRecovery,
-			p99Max:    *chaosP99Max,
-		}))
-	}
-
-	if *targets != "" {
-		outPath := *out
-		outSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "out" {
-				outSet = true
-			}
-		})
-		if !outSet {
-			outPath = "BENCH_cluster.json"
-		}
-		var urls []string
-		for _, t := range strings.Split(*targets, ",") {
-			if t = strings.TrimSpace(t); t != "" {
-				if !strings.Contains(t, "://") {
-					t = "http://" + t
-				}
-				urls = append(urls, t)
-			}
-		}
-		if len(urls) < 2 {
-			fmt.Fprintln(os.Stderr, "-targets needs at least 2 URLs")
-			os.Exit(2)
-		}
-		os.Exit(runClusterBench(clusterOptions{
-			targets:       urls,
-			insts:         *insts,
-			seed:          *seed,
-			concurrency:   *concurrency,
-			hotIters:      *hotIters,
-			out:           outPath,
-			minHitRate:    *minHitRate,
-			maxSims:       *maxSims,
-			gateDedup:     *gateDedup,
-			batchSize:     *batchSize,
-			gateBatchRPCs: *gateBatch,
-		}))
-	}
-
-	nWorkers := runtime.GOMAXPROCS(0)
-	base := *url
-	if base == "" {
-		cfg := sim.Default()
-		cfg.MaxInsts = *insts
-		cfg.Seed = *seed
-		cfg.TraceMode = sim.TraceMemory
-		s := serve.New(serve.Config{Base: cfg, Workers: *workers, CacheDir: *cacheDir})
-		defer s.Close()
-		nWorkers = s.Stats().Queue.Workers
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		go http.Serve(ln, s.Handler())
-		base = "http://" + ln.Addr().String()
-		fmt.Fprintf(os.Stderr, "psbload: in-process server on %s (workers=%d)\n", base, nWorkers)
-	}
-	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: *concurrency}}
-
-	// The cell set: every benchmark x every scheme at the given budget.
-	var cells []request
-	for _, w := range workload.All() {
-		for _, v := range core.Variants() {
-			cells = append(cells, request{body: fmt.Sprintf(
-				`{"bench":%q,"scheme":%q,"insts":%d,"seed":%d}`, w.Name, v.String(), *insts, *seed)})
+			o.targets = append(o.targets, t)
 		}
 	}
-
-	cold := fire(client, base, cells, *concurrency)
-	var hot []sample
-	hotStart := time.Now()
-	for i := 0; i < *hotIters; i++ {
-		hot = append(hot, fire(client, base, cells, *concurrency)...)
+	if o.concurrency < 1 {
+		fmt.Fprintln(stderr, "-concurrency must be at least 1")
+		return 2
 	}
-	hotElapsed := time.Since(hotStart)
-
-	// Dedup burst: one uncached cell (fresh seed), many concurrent
-	// identical requests.
-	before := fetchStats(client, base)
-	burst := request{body: fmt.Sprintf(
-		`{"bench":%q,"scheme":%q,"insts":%d,"seed":%d}`,
-		workload.All()[0].Name, core.Variants()[0].String(), *insts, *seed+1)}
-	burstReqs := make([]request, *concurrency)
-	for i := range burstReqs {
-		burstReqs[i] = burst
-	}
-	burstSamples := fire(client, base, burstReqs, *concurrency)
-	after := fetchStats(client, base)
-
-	errors := 0
-	tally := func(ss []sample, wantTiers string) {
-		for _, s := range ss {
-			if s.status != http.StatusOK || !strings.Contains(wantTiers, s.tier) {
-				errors++
-			}
+	if chaos {
+		if len(o.targets) > 1 {
+			fmt.Fprintln(stderr, "-chaos drives one node: give -targets at most one URL")
+			return 2
 		}
+		return runChaos(o)
 	}
-	tally(cold, "sim dedup")
-	tally(hot, "mem disk")
-	tally(burstSamples, "sim dedup mem disk")
+	return runBench(o)
+}
 
-	cacheStats := after.Cache
-	lookups := cacheStats.MemHits + cacheStats.DiskHits + cacheStats.Misses
-	hitRate := 0.0
-	if lookups > 0 {
-		hitRate = float64(cacheStats.MemHits+cacheStats.DiskHits) / float64(lookups)
-	}
-
-	coldP := percentiles(cold)
-	hotP := percentiles(hot)
-	r := report{
-		InstsPerSim:   *insts,
-		Cells:         len(cells),
-		Concurrency:   *concurrency,
-		HotIters:      *hotIters,
-		Workers:       nWorkers,
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Degraded:      nWorkers == 1,
-		ColdRequests:  len(cold),
-		ColdP50Us:     coldP[0],
-		ColdP95Us:     coldP[1],
-		ColdP99Us:     coldP[2],
-		HotRequests:   len(hot),
-		HotP50Us:      hotP[0],
-		HotP95Us:      hotP[1],
-		HotP99Us:      hotP[2],
-		HotRPS:        float64(len(hot)) / hotElapsed.Seconds(),
-		SpeedupHot:    coldP[0] / hotP[0],
-		CacheHitRate:  hitRate,
-		DedupRequests: len(burstReqs),
-		DedupSims:     after.Cells.Sim - before.Cells.Sim,
-		DedupSaved:    after.Cells.Dedup - before.Cells.Dedup,
-		Errors:        errors,
-	}
-	if r.Degraded {
-		fmt.Fprintf(os.Stderr,
-			"warning: only 1 worker available (GOMAXPROCS=%d); concurrency measurements are degraded\n",
-			r.GOMAXPROCS)
-	}
-
-	b, err := json.MarshalIndent(r, "", "  ")
+// serveLocal starts an in-process psbserved on a loopback port and
+// returns its base URL, the server and a function that stops both.
+func serveLocal(cfg serve.Config) (string, *serve.Server, func(), error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return "", nil, nil, err
 	}
-	b = append(b, '\n')
-	if err := os.WriteFile(*out, b, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr,
-		"%s: %d cells, cold p50 %.0fus, hot p50 %.0fus (%.0fx), %.0f hot req/s, hit rate %.3f, dedup %d->%d sims, %d errors\n",
-		*out, r.Cells, r.ColdP50Us, r.HotP50Us, r.SpeedupHot, r.HotRPS, r.CacheHitRate,
-		r.DedupRequests, r.DedupSims, r.Errors)
-	if errors > 0 {
-		os.Exit(1)
-	}
+	srv := serve.New(cfg)
+	hs := &http.Server{Handler: srv.Handler()}
+	go hs.Serve(ln)
+	return "http://" + ln.Addr().String(), srv, func() {
+		hs.Close()
+		srv.Close()
+	}, nil
 }
 
-// fire sends every request through a bounded worker set and returns
-// one sample per request.
-func fire(client *http.Client, base string, reqs []request, concurrency int) []sample {
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	samples := make([]sample, len(reqs))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				samples[i] = one(client, base, reqs[i])
-			}
-		}()
-	}
-	for i := range reqs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return samples
+// reply is one POST's outcome once any 429s have been waited out.
+type reply struct {
+	status    int    // 0 on a transport error
+	tier      string // X-Psb-Cache: sim, dedup, mem, disk, peer
+	body      []byte
+	latency   time.Duration // from the first attempt, retry waits included
+	throttled int           // 429 answers waited out
 }
 
-// one sends a single /v1/sim request. Overloaded (429) requests are
-// retried after the server's Retry-After hint; the retry wait counts
-// into the sample's latency, as a real client would experience it.
-func one(client *http.Client, base string, r request) sample {
+// post sends body to url as tenant ("" = none). A 429 is retried after
+// the server's Retry-After hint, capped at 300ms so a load generator
+// keeps the server busy, until another answer arrives or ctx ends
+// (then the reply carries the 429). The waits count into the latency,
+// as a real client would experience them.
+func post(ctx context.Context, client *http.Client, url, tenant, body string) reply {
 	start := time.Now()
+	var r reply
 	for {
-		resp, err := client.Post(base+"/v1/sim", "application/json", strings.NewReader(r.body))
+		req, err := http.NewRequest("POST", url, strings.NewReader(body))
 		if err != nil {
-			return sample{latency: time.Since(start), tier: "error", status: 0}
+			r.latency = time.Since(start)
+			return r
 		}
-		io.Copy(io.Discard, resp.Body)
+		req.Header.Set("Content-Type", "application/json")
+		if tenant != "" {
+			req.Header.Set(serve.TenantHeader, tenant)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			r.latency = time.Since(start)
+			return r
+		}
+		b, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode == http.StatusTooManyRequests {
-			time.Sleep(200 * time.Millisecond)
-			continue
+		r.status, r.tier, r.body = resp.StatusCode, resp.Header.Get("X-Psb-Cache"), b
+		if err != nil {
+			r.status = 0
 		}
-		return sample{
-			latency: time.Since(start),
-			tier:    resp.Header.Get("X-Psb-Cache"),
-			status:  resp.StatusCode,
+		if r.status != http.StatusTooManyRequests {
+			r.latency = time.Since(start)
+			return r
+		}
+		r.throttled++
+		select {
+		case <-ctx.Done():
+			r.latency = time.Since(start)
+			return r
+		case <-time.After(min(retryAfterOf(resp), 300*time.Millisecond)):
 		}
 	}
 }
 
-// percentiles returns the p50/p95/p99 latencies in microseconds.
-func percentiles(ss []sample) [3]float64 {
-	if len(ss) == 0 {
-		return [3]float64{}
+// retryAfterOf parses the Retry-After hint (seconds), defaulting to
+// 200ms.
+func retryAfterOf(resp *http.Response) time.Duration {
+	if s := resp.Header.Get("Retry-After"); s != "" {
+		if n, err := strconv.Atoi(s); err == nil && n > 0 {
+			return time.Duration(n) * time.Second
+		}
 	}
-	lat := make([]time.Duration, len(ss))
-	for i, s := range ss {
-		lat[i] = s.latency
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	pick := func(q float64) float64 {
-		idx := int(q * float64(len(lat)-1))
-		return float64(lat[idx].Nanoseconds()) / 1e3
-	}
-	return [3]float64{pick(0.50), pick(0.95), pick(0.99)}
+	return 200 * time.Millisecond
 }
 
 // fetchStats snapshots /v1/stats.
@@ -401,4 +243,32 @@ func fetchStats(client *http.Client, base string) serve.ServerStats {
 	defer resp.Body.Close()
 	json.NewDecoder(resp.Body).Decode(&st)
 	return st
+}
+
+// percentile returns the q-th percentile of lat (zero when empty).
+func percentile(lat []time.Duration, q float64) time.Duration {
+	if len(lat) == 0 {
+		return 0
+	}
+	s := append([]time.Duration(nil), lat...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	return s[int(q*float64(len(s)-1))]
+}
+
+// us renders a duration in microseconds.
+func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
+
+// writeReport writes v as indented JSON to -out, or to stdout when
+// -out is empty.
+func writeReport(o options, v any) error {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	b = append(b, '\n')
+	if o.out == "" {
+		_, err = o.stdout.Write(b)
+		return err
+	}
+	return os.WriteFile(o.out, b, 0o644)
 }

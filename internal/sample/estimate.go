@@ -63,6 +63,13 @@ type Estimate struct {
 	FunctionalInsts uint64
 
 	// Checkpoint traffic attributed to this run.
+	//
+	// FunctionalInsts, CheckpointHits and CheckpointMisses record what
+	// the process's checkpoint store already held when the run asked,
+	// so they depend on which runs came before or ran beside it: two
+	// cells run in parallel, or a psbserved node that has served other
+	// sampled cells, can give one fingerprint different values here.
+	// Every other field is a function of the run's configuration alone.
 	CheckpointHits   uint64
 	CheckpointMisses uint64
 }

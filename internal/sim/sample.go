@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sort"
 
 	"repro/internal/core"
@@ -217,18 +218,18 @@ func runSampled(ctx context.Context, w workload.Workload, v core.Variant, cfg Co
 			break
 		}
 		s1 := m.cpu.Stats()
-		d := subCPUStats(s1, s0)
+		d := addDelta(cpu.Stats{}, s1, s0)
 		if d.Committed == 0 {
 			// The recording ran dry inside this interval's warm-up
 			// (only possible in degenerate configurations); there is
 			// nothing to measure here or in any later interval.
 			break
 		}
-		agg = addCPUStats(agg, d)
-		sbAgg = addSBStats(sbAgg, subSBStats(m.pf.Stats(), sb0))
-		l1dAgg = addCacheStats(l1dAgg, subCacheStats(m.hier.L1D.Stats(), l1d0))
-		l1iAgg = addCacheStats(l1iAgg, subCacheStats(m.hier.L1I.Stats(), l1i0))
-		l2Agg = addCacheStats(l2Agg, subCacheStats(m.hier.L2.Stats(), l20))
+		agg = addDelta(agg, s1, s0)
+		sbAgg = addDelta(sbAgg, m.pf.Stats(), sb0)
+		l1dAgg = addDelta(l1dAgg, m.hier.L1D.Stats(), l1d0)
+		l1iAgg = addDelta(l1iAgg, m.hier.L1I.Stats(), l1i0)
+		l2Agg = addDelta(l2Agg, m.hier.L2.Stats(), l20)
 		tlbAcc += m.hier.DTLB.Accesses - tlbA0
 		tlbMiss += m.hier.DTLB.Misses - tlbM0
 		if iv.certainty {
@@ -395,96 +396,18 @@ func ratio(num, den uint64) float64 {
 	return float64(num) / float64(den)
 }
 
-func subCPUStats(a, b cpu.Stats) cpu.Stats {
-	return cpu.Stats{
-		Cycles:         a.Cycles - b.Cycles,
-		Committed:      a.Committed - b.Committed,
-		Loads:          a.Loads - b.Loads,
-		Stores:         a.Stores - b.Stores,
-		DAccesses:      a.DAccesses - b.DAccesses,
-		DMisses:        a.DMisses - b.DMisses,
-		SBHitsReady:    a.SBHitsReady - b.SBHitsReady,
-		SBHitsPending:  a.SBHitsPending - b.SBHitsPending,
-		LoadLatencySum: a.LoadLatencySum - b.LoadLatencySum,
-		Forwards:       a.Forwards - b.Forwards,
-		Branches:       a.Branches - b.Branches,
-		Mispredicts:    a.Mispredicts - b.Mispredicts,
-		TrainEvents:    a.TrainEvents - b.TrainEvents,
-		SkippedCycles:  a.SkippedCycles - b.SkippedCycles,
-		Jumps:          a.Jumps - b.Jumps,
+// addDelta returns acc plus (now - before), field by field. Every field
+// of T must be a uint64 counter, as in cpu.Stats, sbuf.Stats and
+// mem.CacheStats (TestAddDeltaCarriesEveryCounter checks all three),
+// so a counter added to one of them reaches sampled results unlisted.
+// Reflection costs nothing measurable here: a sampled cell calls this
+// a few times per measurement interval.
+func addDelta[T any](acc, now, before T) T {
+	a := reflect.ValueOf(&acc).Elem()
+	n, b := reflect.ValueOf(now), reflect.ValueOf(before)
+	for i := 0; i < a.NumField(); i++ {
+		f := a.Field(i)
+		f.SetUint(f.Uint() + n.Field(i).Uint() - b.Field(i).Uint())
 	}
-}
-
-func addCPUStats(a, b cpu.Stats) cpu.Stats {
-	return cpu.Stats{
-		Cycles:         a.Cycles + b.Cycles,
-		Committed:      a.Committed + b.Committed,
-		Loads:          a.Loads + b.Loads,
-		Stores:         a.Stores + b.Stores,
-		DAccesses:      a.DAccesses + b.DAccesses,
-		DMisses:        a.DMisses + b.DMisses,
-		SBHitsReady:    a.SBHitsReady + b.SBHitsReady,
-		SBHitsPending:  a.SBHitsPending + b.SBHitsPending,
-		LoadLatencySum: a.LoadLatencySum + b.LoadLatencySum,
-		Forwards:       a.Forwards + b.Forwards,
-		Branches:       a.Branches + b.Branches,
-		Mispredicts:    a.Mispredicts + b.Mispredicts,
-		TrainEvents:    a.TrainEvents + b.TrainEvents,
-		SkippedCycles:  a.SkippedCycles + b.SkippedCycles,
-		Jumps:          a.Jumps + b.Jumps,
-	}
-}
-
-func subSBStats(a, b sbuf.Stats) sbuf.Stats {
-	return sbuf.Stats{
-		Lookups:            a.Lookups - b.Lookups,
-		HitsReady:          a.HitsReady - b.HitsReady,
-		HitsPending:        a.HitsPending - b.HitsPending,
-		HitsUnfetched:      a.HitsUnfetched - b.HitsUnfetched,
-		AllocationRequests: a.AllocationRequests - b.AllocationRequests,
-		Allocations:        a.Allocations - b.Allocations,
-		AllocationsDenied:  a.AllocationsDenied - b.AllocationsDenied,
-		Predictions:        a.Predictions - b.Predictions,
-		PredictionsDropped: a.PredictionsDropped - b.PredictionsDropped,
-		PrefetchesIssued:   a.PrefetchesIssued - b.PrefetchesIssued,
-		PrefetchesUsed:     a.PrefetchesUsed - b.PrefetchesUsed,
-		PrefetchL2Hits:     a.PrefetchL2Hits - b.PrefetchL2Hits,
-		TLBSkipped:         a.TLBSkipped - b.TLBSkipped,
-	}
-}
-
-func addSBStats(a, b sbuf.Stats) sbuf.Stats {
-	return sbuf.Stats{
-		Lookups:            a.Lookups + b.Lookups,
-		HitsReady:          a.HitsReady + b.HitsReady,
-		HitsPending:        a.HitsPending + b.HitsPending,
-		HitsUnfetched:      a.HitsUnfetched + b.HitsUnfetched,
-		AllocationRequests: a.AllocationRequests + b.AllocationRequests,
-		Allocations:        a.Allocations + b.Allocations,
-		AllocationsDenied:  a.AllocationsDenied + b.AllocationsDenied,
-		Predictions:        a.Predictions + b.Predictions,
-		PredictionsDropped: a.PredictionsDropped + b.PredictionsDropped,
-		PrefetchesIssued:   a.PrefetchesIssued + b.PrefetchesIssued,
-		PrefetchesUsed:     a.PrefetchesUsed + b.PrefetchesUsed,
-		PrefetchL2Hits:     a.PrefetchL2Hits + b.PrefetchL2Hits,
-		TLBSkipped:         a.TLBSkipped + b.TLBSkipped,
-	}
-}
-
-func subCacheStats(a, b mem.CacheStats) mem.CacheStats {
-	return mem.CacheStats{
-		Accesses: a.Accesses - b.Accesses,
-		Misses:   a.Misses - b.Misses,
-		Fills:    a.Fills - b.Fills,
-		Evicts:   a.Evicts - b.Evicts,
-	}
-}
-
-func addCacheStats(a, b mem.CacheStats) mem.CacheStats {
-	return mem.CacheStats{
-		Accesses: a.Accesses + b.Accesses,
-		Misses:   a.Misses + b.Misses,
-		Fills:    a.Fills + b.Fills,
-		Evicts:   a.Evicts + b.Evicts,
-	}
+	return acc
 }

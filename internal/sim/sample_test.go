@@ -3,11 +3,15 @@ package sim
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cpu"
+	"repro/internal/mem"
+	"repro/internal/sbuf"
 )
 
 func sampledConfig() Config {
@@ -203,5 +207,34 @@ func TestExactResultJSONHasNoSampledKey(t *testing.T) {
 	}
 	if !strings.Contains(string(b), `"Sampled"`) {
 		t.Error("sampled result JSON does not carry the estimate")
+	}
+}
+
+// TestAddDeltaCarriesEveryCounter sets every field of the three counter
+// types a sampled run aggregates to a distinct value and checks that
+// addDelta carries each one: a field it dropped or mixed up would keep
+// another field's value.
+func TestAddDeltaCarriesEveryCounter(t *testing.T) {
+	checkAddDelta[cpu.Stats](t)
+	checkAddDelta[sbuf.Stats](t)
+	checkAddDelta[mem.CacheStats](t)
+}
+
+func checkAddDelta[T any](t *testing.T) {
+	var acc, now, before T
+	a, n, b := reflect.ValueOf(&acc).Elem(), reflect.ValueOf(&now).Elem(), reflect.ValueOf(&before).Elem()
+	for i := 0; i < a.NumField(); i++ {
+		if k := a.Field(i).Kind(); k != reflect.Uint64 {
+			t.Fatalf("%s.%s is %s: addDelta handles only uint64 counters", a.Type(), a.Type().Field(i).Name, k)
+		}
+		a.Field(i).SetUint(1_000_000 * uint64(i+1))
+		b.Field(i).SetUint(1_000 * uint64(i+1))
+		n.Field(i).SetUint(1_000*uint64(i+1) + uint64(i+1))
+	}
+	got := reflect.ValueOf(addDelta(acc, now, before))
+	for i := 0; i < got.NumField(); i++ {
+		if want := 1_000_000*uint64(i+1) + uint64(i+1); got.Field(i).Uint() != want {
+			t.Errorf("%s.%s: got %d, want %d", a.Type(), a.Type().Field(i).Name, got.Field(i).Uint(), want)
+		}
 	}
 }
