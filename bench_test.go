@@ -101,30 +101,46 @@ func BenchmarkFig11Disambiguation(b *testing.B) {
 
 // --- Ablations (DESIGN.md §5) ---
 
-func ablationBench(b *testing.B, run func(sim.Config) *stats.Table) {
+func ablationBench(b *testing.B, run func(experiments.Studies) *stats.Table) {
 	b.Helper()
-	cfg := benchConfig()
+	studies := experiments.NewStudies(benchConfig())
 	var t *stats.Table
 	for i := 0; i < b.N; i++ {
-		t = run(cfg)
+		t = run(studies)
 	}
 	logTable(b, t)
 }
 
-func BenchmarkAblationMarkovDelta(b *testing.B) { ablationBench(b, experiments.AblationMarkovDelta) }
-func BenchmarkAblationAllocation(b *testing.B)  { ablationBench(b, experiments.AblationAllocation) }
-func BenchmarkAblationScheduler(b *testing.B)   { ablationBench(b, experiments.AblationScheduler) }
-func BenchmarkAblationGeometry(b *testing.B)    { ablationBench(b, experiments.AblationGeometry) }
-func BenchmarkAblationMarkovSize(b *testing.B)  { ablationBench(b, experiments.AblationMarkovSize) }
-func BenchmarkAblationOverlap(b *testing.B)     { ablationBench(b, experiments.AblationOverlap) }
+func BenchmarkAblationMarkovDelta(b *testing.B) {
+	ablationBench(b, experiments.Studies.AblationMarkovDelta)
+}
+func BenchmarkAblationAllocation(b *testing.B) {
+	ablationBench(b, experiments.Studies.AblationAllocation)
+}
+func BenchmarkAblationScheduler(b *testing.B) {
+	ablationBench(b, experiments.Studies.AblationScheduler)
+}
+func BenchmarkAblationGeometry(b *testing.B) { ablationBench(b, experiments.Studies.AblationGeometry) }
+func BenchmarkAblationMarkovSize(b *testing.B) {
+	ablationBench(b, experiments.Studies.AblationMarkovSize)
+}
+func BenchmarkAblationOverlap(b *testing.B) { ablationBench(b, experiments.Studies.AblationOverlap) }
 
 // --- Extensions (prior work, Markov order, per-buffer TLB) ---
 
-func BenchmarkExtensionPriorWork(b *testing.B)   { ablationBench(b, experiments.PriorWork) }
-func BenchmarkExtensionMarkovOrder(b *testing.B) { ablationBench(b, experiments.AblationMarkovOrder) }
-func BenchmarkExtensionStreamTLB(b *testing.B)   { ablationBench(b, experiments.AblationStreamTLB) }
-func BenchmarkExtensionUnrolling(b *testing.B)   { ablationBench(b, experiments.AblationUnrolling) }
-func BenchmarkExtensionShootout(b *testing.B)    { ablationBench(b, experiments.PredictorShootout) }
+func BenchmarkExtensionPriorWork(b *testing.B) { ablationBench(b, experiments.Studies.PriorWork) }
+func BenchmarkExtensionMarkovOrder(b *testing.B) {
+	ablationBench(b, experiments.Studies.AblationMarkovOrder)
+}
+func BenchmarkExtensionStreamTLB(b *testing.B) {
+	ablationBench(b, experiments.Studies.AblationStreamTLB)
+}
+func BenchmarkExtensionUnrolling(b *testing.B) {
+	ablationBench(b, experiments.Studies.AblationUnrolling)
+}
+func BenchmarkExtensionShootout(b *testing.B) {
+	ablationBench(b, experiments.Studies.PredictorShootout)
+}
 
 // --- Parallel experiment runner ---
 
@@ -258,16 +274,23 @@ func TestArtifactTitles(t *testing.T) {
 	cfg.MaxInsts = 20_000
 	m := experiments.RunMatrix(cfg)
 	cases := map[string]*stats.Table{
-		"Table 2":  experiments.Table2(m),
-		"Figure 5": experiments.Fig5(m),
-		"Figure 6": experiments.Fig6(m),
-		"Figure 7": experiments.Fig7(m),
-		"Figure 8": experiments.Fig8(m),
-		"Figure 9": experiments.Fig9(m),
+		"Table 2":   experiments.Table2(m),
+		"Figure 4":  experiments.Fig4(cfg),
+		"Figure 5":  experiments.Fig5(m),
+		"Figure 6":  experiments.Fig6(m),
+		"Figure 7":  experiments.Fig7(m),
+		"Figure 8":  experiments.Fig8(m),
+		"Figure 9":  experiments.Fig9(m),
+		"Figure 10": experiments.Fig10(cfg),
+		"Figure 11": experiments.Fig11(cfg),
 	}
 	for want, table := range cases {
 		if !strings.Contains(table.Title, want) {
 			t.Errorf("artifact title %q does not mention %q", table.Title, want)
+		}
+		// Titles print verbatim; only notes are format strings.
+		if strings.Contains(table.Title, "%%") {
+			t.Errorf("artifact title %q prints a literal %%%%", table.Title)
 		}
 		if len(table.Rows) != 6 {
 			t.Errorf("%s has %d rows, want 6 benchmarks", want, len(table.Rows))

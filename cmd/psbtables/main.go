@@ -1,5 +1,6 @@
 // Command psbtables regenerates the paper's evaluation artifacts:
-// Table 2 and Figures 4-11, plus the repository's ablation studies.
+// Table 2 and Figures 4-11, plus the repository's ablation and
+// extension studies.
 //
 // Usage:
 //
@@ -18,10 +19,13 @@
 //	psbtables -bench-json > bench.json  # time the harness legs, print their JSON
 //	psbtables -all -cpuprofile cpu.out -memprofile mem.out
 //
-// A cell that panics, deadlocks or times out fails alone: its table
-// entries render as ERR, the rest of the suite completes, and the
-// failures are reported on stderr. Exit status: 0 = clean, 1 = one or
-// more cells failed, 2 = flag misuse, 130 = interrupted.
+// A cell of Table 2 or Figures 4-11 that panics, deadlocks or times
+// out fails alone: its table entries render as ERR, the rest of the
+// suite completes, and the failures are reported on stderr. -checkpoint,
+// -resume, -job-timeout and -retries apply to those cells only; the
+// ablation and extension tables run their cells directly, and a failed
+// cell there aborts the run. Exit status: 0 = clean, 1 = one or more
+// cells failed, 2 = flag misuse, 130 = interrupted.
 package main
 
 import (
@@ -80,15 +84,15 @@ func run() int {
 	var (
 		all        = flag.Bool("all", false, "regenerate every table and figure")
 		ablations  = flag.Bool("ablations", false, "run the ablation studies")
-		extensions = flag.Bool("extensions", false, "run the extension studies (prior-work comparison, Markov order, per-buffer TLB)")
+		extensions = flag.Bool("extensions", false, "run the extension studies (prior-work comparison, predictor shootout, loop unrolling, Markov order, per-buffer TLB)")
 		insts      = flag.Uint64("insts", 500_000, "instruction budget per run")
 		seed       = flag.Int64("seed", 1, "workload layout seed")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		parallel   = flag.Int("parallel", 0, "concurrent simulations: 0 = serial, N = N workers, -1 = all cores")
-		checkpoint = flag.String("checkpoint", "", "journal completed cells to this JSONL file")
-		resume     = flag.Bool("resume", false, "load cells already journaled in -checkpoint instead of re-running them")
-		jobTimeout = flag.Duration("job-timeout", 0, "wall-clock budget per simulation attempt (0 = unlimited)")
-		retries    = flag.Int("retries", 1, "re-runs allowed per cell after a panic or timeout")
+		checkpoint = flag.String("checkpoint", "", "journal completed cells to this JSONL file (Table 2 and Figures 4-11 only)")
+		resume     = flag.Bool("resume", false, "load cells already journaled in -checkpoint instead of re-running them (Table 2 and Figures 4-11 only)")
+		jobTimeout = flag.Duration("job-timeout", 0, "wall-clock budget per simulation attempt, 0 = unlimited (Table 2 and Figures 4-11 only)")
+		retries    = flag.Int("retries", 1, "re-runs allowed per cell after a panic or timeout (Table 2 and Figures 4-11 only)")
 		benchJSON  = flag.Bool("bench-json", false, "time RunMatrix serial vs parallel, live vs traced, and print the timings as JSON on stdout")
 		traceFlag  = flag.String("trace", "memory", "instruction stream source: off = live functional execution per cell, memory = record each workload once and replay (bit-identical), disk = memory plus .psbtrace persistence in -trace-dir")
 		traceDir   = flag.String("trace-dir", "", "directory for .psbtrace recordings (implies -trace disk)")
@@ -284,31 +288,18 @@ func run() int {
 		}
 	}
 
+	studies := experiments.NewStudies(cfg)
+	var studyTables []func() *stats.Table
 	if *ablations {
-		fmt.Fprintln(os.Stderr, "running ablations...")
-		for _, t := range []*stats.Table{
-			experiments.AblationMarkovDelta(cfg),
-			experiments.AblationAllocation(cfg),
-			experiments.AblationScheduler(cfg),
-			experiments.AblationGeometry(cfg),
-			experiments.AblationMarkovSize(cfg),
-			experiments.AblationOverlap(cfg),
-		} {
-			emit(t)
-		}
+		studyTables = append(studyTables, studies.AblationMarkovDelta, studies.AblationAllocation, studies.AblationScheduler,
+			studies.AblationGeometry, studies.AblationMarkovSize, studies.AblationOverlap)
 	}
-
 	if *extensions {
-		fmt.Fprintln(os.Stderr, "running extensions...")
-		for _, t := range []*stats.Table{
-			experiments.PriorWork(cfg),
-			experiments.PredictorShootout(cfg),
-			experiments.AblationMarkovOrder(cfg),
-			experiments.AblationStreamTLB(cfg),
-			experiments.AblationUnrolling(cfg),
-		} {
-			emit(t)
-		}
+		studyTables = append(studyTables, studies.PriorWork, studies.PredictorShootout, studies.AblationMarkovOrder,
+			studies.AblationStreamTLB, studies.AblationUnrolling)
+	}
+	for _, table := range studyTables {
+		emit(table())
 	}
 
 	if s.Cached() > 0 {

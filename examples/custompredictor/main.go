@@ -163,7 +163,7 @@ func main() {
 	stride := run(func(h *mem.Hierarchy) sbuf.Prefetcher { return core.New(core.PCStride, h) })
 	sfm := run(func(h *mem.Hierarchy) sbuf.Prefetcher { return core.New(core.PSBConfPriority, h) })
 	custom := run(func(h *mem.Hierarchy) sbuf.Prefetcher {
-		return core.NewCustom(newDualStride(32), sbuf.DefaultConfig(), h)
+		return sbuf.NewEngine(sbuf.DefaultConfig(), newDualStride(32), h)
 	})
 
 	fmt.Println("alternating-stride walk (3 blocks, then 11 blocks):")

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/mem"
-	"repro/internal/sbuf"
 	"repro/internal/workload"
 )
 
@@ -25,11 +24,7 @@ func main() {
 		machine := workload.BuildPointerChase(1500, 42)
 		hier := mem.New(mem.DefaultConfig())
 
-		var pf sbuf.Prefetcher = sbuf.Null{}
-		if variant != core.None {
-			pf = core.New(variant, hier)
-		}
-		c := cpu.New(cpu.DefaultConfig(), hier, pf, cpu.MachineSource{M: machine})
+		c := cpu.New(cpu.DefaultConfig(), hier, core.New(variant, hier), cpu.MachineSource{M: machine})
 		return c.Run(insts)
 	}
 

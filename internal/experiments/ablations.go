@@ -6,201 +6,129 @@ import (
 	"repro/internal/core"
 	"repro/internal/predict"
 	"repro/internal/sbuf"
-	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // The ablation studies isolate the design choices DESIGN.md calls out.
 // Each runs a small set of benchmarks (the ones the choice matters
-// for) under modified configurations.
-
-func mustWorkload(name string) workload.Workload {
-	w, err := workload.ByName(name)
-	if err != nil {
-		panic(err)
-	}
-	return w
-}
+// for) under edits of the resolved ConfAlloc-Priority scheme.
 
 // AblationMarkovDelta compares the differential Markov table (the
 // paper's 16-bit deltas) against narrower widths and against absolute
 // addressing, reporting both performance and the implied data storage.
-func AblationMarkovDelta(cfg sim.Config) *stats.Table {
+func (s Studies) AblationMarkovDelta() *stats.Table {
 	t := stats.NewTable("Ablation: Markov entry encoding (ConfAlloc-Priority PSB)",
 		"encoding", "data bytes", "health speedup", "deltablue speedup")
-	benches := []workload.Workload{mustWorkload("health"), mustWorkload("deltablue")}
-	bases := make([]sim.Result, len(benches))
-	for i, w := range benches {
-		bases[i] = sim.Run(w, core.None, cfg)
+	var settings []setting
+	for _, bits := range []int{8, 12, 16, 24} {
+		settings = append(settings, s.psb(fmt.Sprintf("%d-bit delta", bits), func(sc *core.Scheme) { sc.SFM.DeltaBits = bits }))
 	}
-	for _, bits := range []int{8, 12, 16, 24, 0} {
-		c := cfg
-		c.Opts.SFM.DeltaBits = bits
-		name := fmt.Sprintf("%d-bit delta", bits)
-		if bits == 0 {
-			name = "absolute"
-		}
-		table := predict.NewMarkovTable(c.Opts.SFM.MarkovEntries,
-			c.Opts.SFM.BlockShift, bits, c.Opts.SFM.TagBits)
-		row := []string{name, fmt.Sprintf("%d", table.DataBytes())}
-		for i, w := range benches {
-			r := sim.Run(w, core.PSBConfPriority, c)
-			row = append(row, stats.SignedPct(r.SpeedupOver(bases[i])))
-		}
-		t.AddRow(row...)
-	}
+	settings = append(settings, s.psb("absolute", func(sc *core.Scheme) { sc.SFM.DeltaBits = 0 }))
+	s.rows(t, workloads("health", "deltablue"), settings, func(r sweep, i int) []string {
+		return append([]string{dataBytes(settings[i].scheme.SFM)}, r.speedups(i)...)
+	})
 	t.AddNote("paper §4.2: 16-bit deltas capture almost all transitions at a quarter of the storage")
 	return t
+}
+
+// dataBytes renders the data storage of the Markov table c sizes.
+func dataBytes(c predict.SFMConfig) string {
+	return fmt.Sprintf("%d", predict.NewMarkovTable(c.MarkovEntries, c.BlockShift, c.DeltaBits, c.TagBits).DataBytes())
 }
 
 // AblationAllocation sweeps the allocation filter and the confidence
 // threshold on the thrash-prone benchmark (sis) and a well-behaved one
 // (health).
-func AblationAllocation(cfg sim.Config) *stats.Table {
+func (s Studies) AblationAllocation() *stats.Table {
 	t := stats.NewTable("Ablation: allocation filter (priority scheduling)",
 		"filter", "sis speedup", "sis accuracy", "health speedup")
-	sis, health := mustWorkload("sis"), mustWorkload("health")
-	sisBase := sim.Run(sis, core.None, cfg)
-	healthBase := sim.Run(health, core.None, cfg)
-
-	run := func(name string, alloc sbuf.AllocPolicy, threshold int) {
-		c := cfg
-		c.Opts.Buffers.Alloc = alloc
-		c.Opts.Buffers.Sched = sbuf.SchedPriority
-		c.Opts.Buffers.ConfThreshold = threshold
-		rs := sim.Run(sis, variantFor(alloc), c)
-		rh := sim.Run(health, variantFor(alloc), c)
-		_ = rh
-		t.AddRow(name,
-			stats.SignedPct(rs.SpeedupOver(sisBase)),
-			stats.Pct(rs.SB.Accuracy()),
-			stats.SignedPct(rh.SpeedupOver(healthBase)))
+	add := func(name string, alloc sbuf.AllocPolicy, threshold int) setting {
+		return s.psb(name, func(sc *core.Scheme) { sc.Buffers.Alloc, sc.Buffers.ConfThreshold = alloc, threshold })
 	}
-	run("none (always)", sbuf.AllocAlways, 0)
-	run("two-miss", sbuf.AllocTwoMiss, 0)
+	settings := []setting{add("none (always)", sbuf.AllocAlways, 0), add("two-miss", sbuf.AllocTwoMiss, 0)}
 	for _, th := range []int{1, 2, 4, 6} {
-		run(fmt.Sprintf("confidence >= %d", th), sbuf.AllocConfidence, th)
+		settings = append(settings, add(fmt.Sprintf("confidence >= %d", th), sbuf.AllocConfidence, th))
 	}
+	s.rows(t, workloads("sis", "health"), settings, func(r sweep, i int) []string {
+		return []string{r.speedup(i, 0), stats.Pct(r.at(i, 0).SB.Accuracy()), r.speedup(i, 1)}
+	})
 	t.AddNote("paper §4.3: threshold 1 is appropriate; confidence eliminates stream thrashing on sis")
 	return t
-}
-
-// variantFor picks the PSB variant whose allocation policy matches
-// (scheduling is forced separately); custom thresholds are applied via
-// options.
-func variantFor(alloc sbuf.AllocPolicy) core.Variant {
-	if alloc == sbuf.AllocConfidence {
-		return core.PSBConfPriority
-	}
-	return core.PSB2MissPriority
 }
 
 // AblationScheduler sweeps the priority-counter parameters (hit
 // increment and aging period) against round-robin on the
 // bandwidth-bound benchmarks.
-func AblationScheduler(cfg sim.Config) *stats.Table {
+func (s Studies) AblationScheduler() *stats.Table {
 	t := stats.NewTable("Ablation: prefetch scheduling (confidence allocation)",
 		"scheduler", "deltablue speedup", "sis speedup")
-	db, sis := mustWorkload("deltablue"), mustWorkload("sis")
-	dbBase := sim.Run(db, core.None, cfg)
-	sisBase := sim.Run(sis, core.None, cfg)
-
-	addRow := func(name string, sched sbuf.SchedPolicy, inc, aging int) {
-		c := cfg
-		c.Opts.Buffers.Sched = sched
-		c.Opts.Buffers.HitIncrement = inc
-		c.Opts.Buffers.AgingPeriod = aging
-		v := core.PSBConfRR
-		if sched == sbuf.SchedPriority {
-			v = core.PSBConfPriority
-		}
-		r1 := sim.Run(db, v, c)
-		r2 := sim.Run(sis, v, c)
-		t.AddRow(name,
-			stats.SignedPct(r1.SpeedupOver(dbBase)),
-			stats.SignedPct(r2.SpeedupOver(sisBase)))
+	add := func(name string, sched sbuf.SchedPolicy, inc, aging int) setting {
+		return s.psb(name, func(sc *core.Scheme) {
+			sc.Buffers.Sched, sc.Buffers.HitIncrement, sc.Buffers.AgingPeriod = sched, inc, aging
+		})
 	}
-	addRow("round-robin", sbuf.SchedRoundRobin, 2, 10)
-	addRow("priority +2/hit, age 10", sbuf.SchedPriority, 2, 10)
-	addRow("priority +1/hit, age 10", sbuf.SchedPriority, 1, 10)
-	addRow("priority +4/hit, age 10", sbuf.SchedPriority, 4, 10)
-	addRow("priority +2/hit, age 5", sbuf.SchedPriority, 2, 5)
-	addRow("priority +2/hit, age 20", sbuf.SchedPriority, 2, 20)
+	settings := []setting{
+		add("round-robin", sbuf.SchedRoundRobin, 2, 10),
+		add("priority +2/hit, age 10", sbuf.SchedPriority, 2, 10),
+		add("priority +1/hit, age 10", sbuf.SchedPriority, 1, 10),
+		add("priority +4/hit, age 10", sbuf.SchedPriority, 4, 10),
+		add("priority +2/hit, age 5", sbuf.SchedPriority, 2, 5),
+		add("priority +2/hit, age 20", sbuf.SchedPriority, 2, 20),
+	}
+	s.rows(t, workloads("deltablue", "sis"), settings, sweep.speedups)
 	t.AddNote("paper §4.4: +2 per hit with a 10-miss aging period provided decent results")
 	return t
 }
 
 // AblationGeometry sweeps stream-buffer count and entries per buffer.
-func AblationGeometry(cfg sim.Config) *stats.Table {
+func (s Studies) AblationGeometry() *stats.Table {
 	t := stats.NewTable("Ablation: stream-buffer geometry (ConfAlloc-Priority, health)",
 		"buffers", "2 entries", "4 entries", "8 entries")
-	w := mustWorkload("health")
-	base := sim.Run(w, core.None, cfg)
-	for _, nb := range []int{2, 4, 8, 16} {
-		row := []string{fmt.Sprintf("%d", nb)}
-		for _, ne := range []int{2, 4, 8} {
-			c := cfg
-			c.Opts.Buffers.NumBuffers = nb
-			c.Opts.Buffers.EntriesPerBuffer = ne
-			r := sim.Run(w, core.PSBConfPriority, c)
-			row = append(row, stats.SignedPct(r.SpeedupOver(base)))
+	counts, entries := []int{2, 4, 8, 16}, []int{2, 4, 8}
+	var settings []setting
+	for _, nb := range counts {
+		for _, ne := range entries {
+			settings = append(settings, s.psb(fmt.Sprintf("%dx%d", nb, ne), func(sc *core.Scheme) {
+				sc.Buffers.NumBuffers, sc.Buffers.EntriesPerBuffer = nb, ne
+			}))
 		}
-		t.AddRow(row...)
+	}
+	r := s.run(workloads("health"), settings)
+	for row, nb := range counts {
+		i := row * len(entries) // settings run nb-major, one column per entry count
+		t.AddRow(fmt.Sprintf("%d", nb), r.speedup(i, 0), r.speedup(i+1, 0), r.speedup(i+2, 0))
 	}
 	t.AddNote("paper evaluates 8 buffers x 4 entries")
 	return t
 }
 
 // AblationMarkovSize sweeps the Markov table size.
-func AblationMarkovSize(cfg sim.Config) *stats.Table {
+func (s Studies) AblationMarkovSize() *stats.Table {
 	t := stats.NewTable("Ablation: Markov table entries (ConfAlloc-Priority)",
 		"entries", "data bytes", "health speedup", "deltablue speedup")
-	benches := []workload.Workload{mustWorkload("health"), mustWorkload("deltablue")}
-	bases := make([]sim.Result, len(benches))
-	for i, w := range benches {
-		bases[i] = sim.Run(w, core.None, cfg)
-	}
+	var settings []setting
 	for _, entries := range []int{256, 512, 1024, 2048, 4096, 8192} {
-		c := cfg
-		c.Opts.SFM.MarkovEntries = entries
-		table := predict.NewMarkovTable(entries, c.Opts.SFM.BlockShift,
-			c.Opts.SFM.DeltaBits, c.Opts.SFM.TagBits)
-		row := []string{fmt.Sprintf("%d", entries), fmt.Sprintf("%d", table.DataBytes())}
-		for i, w := range benches {
-			r := sim.Run(w, core.PSBConfPriority, c)
-			row = append(row, stats.SignedPct(r.SpeedupOver(bases[i])))
-		}
-		t.AddRow(row...)
+		settings = append(settings, s.psb(fmt.Sprintf("%d", entries), func(sc *core.Scheme) { sc.SFM.MarkovEntries = entries }))
 	}
+	s.rows(t, workloads("health", "deltablue"), settings, func(r sweep, i int) []string {
+		return append([]string{dataBytes(settings[i].scheme.SFM)}, r.speedups(i)...)
+	})
 	t.AddNote("paper uses 2K entries (4KB of data storage)")
 	return t
 }
 
 // AblationOverlap toggles the non-overlapping-streams check.
-func AblationOverlap(cfg sim.Config) *stats.Table {
+func (s Studies) AblationOverlap() *stats.Table {
 	t := stats.NewTable("Ablation: non-overlap check (ConfAlloc-Priority)",
 		"check", "health speedup", "health issued", "deltablue speedup", "deltablue issued")
-	benches := []workload.Workload{mustWorkload("health"), mustWorkload("deltablue")}
-	bases := make([]sim.Result, len(benches))
-	for i, w := range benches {
-		bases[i] = sim.Run(w, core.None, cfg)
+	settings := []setting{
+		s.psb("on", func(sc *core.Scheme) { sc.Buffers.NonOverlapCheck = true }),
+		s.psb("off", func(sc *core.Scheme) { sc.Buffers.NonOverlapCheck = false }),
 	}
-	for _, on := range []bool{true, false} {
-		c := cfg
-		c.Opts.Buffers.NonOverlapCheck = on
-		name := "on"
-		if !on {
-			name = "off"
-		}
-		row := []string{name}
-		for i, w := range benches {
-			r := sim.Run(w, core.PSBConfPriority, c)
-			row = append(row, stats.SignedPct(r.SpeedupOver(bases[i])),
-				fmt.Sprintf("%d", r.SB.PrefetchesIssued))
-		}
-		t.AddRow(row...)
-	}
+	s.rows(t, workloads("health", "deltablue"), settings, func(r sweep, i int) []string {
+		issued := func(j int) string { return fmt.Sprintf("%d", r.at(i, j).SB.PrefetchesIssued) }
+		return []string{r.speedup(i, 0), issued(0), r.speedup(i, 1), issued(1)}
+	})
 	t.AddNote("Farkas et al.: enforcing non-overlapping streams saves bus bandwidth")
 	return t
 }

@@ -141,7 +141,7 @@ func fig4With(cfg sim.Config, run CellRunner) *stats.Table {
 	for _, wdt := range Fig4Widths {
 		headers = append(headers, fmt.Sprintf("%db", wdt))
 	}
-	t := stats.NewTable("Figure 4: %% of L1 misses Markov-predictable vs delta entry width", headers...)
+	t := stats.NewTable("Figure 4: % of L1 misses Markov-predictable vs delta entry width", headers...)
 	benches := workload.All()
 	jobs := make([]runner.Job, len(benches))
 	for i, w := range benches {
@@ -199,7 +199,7 @@ func Fig9(m *Matrix) *stats.Table {
 	for _, v := range Schemes() {
 		headers = append(headers, v.String()+" L1L2", v.String()+" L2M")
 	}
-	t := stats.NewTable("Figure 9: bus utilization (%% of cycles busy)", headers...)
+	t := stats.NewTable("Figure 9: bus utilization (% of cycles busy)", headers...)
 	for _, w := range workload.All() {
 		row := []string{w.Name}
 		for _, v := range Schemes() {
@@ -237,7 +237,7 @@ func fig10With(cfg sim.Config, run CellRunner) *stats.Table {
 	for _, cc := range Fig10Configs {
 		headers = append(headers, cc.Name+" PCstride", cc.Name+" ConfPri")
 	}
-	t := stats.NewTable("Figure 10: %% speedup varying L1D size and associativity", headers...)
+	t := stats.NewTable("Figure 10: % speedup varying L1D size and associativity", headers...)
 	variants := []core.Variant{core.None, core.PCStride, core.PSBConfPriority}
 	benches := workload.All()
 	var jobs []runner.Job

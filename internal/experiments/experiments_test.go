@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/sbuf"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -175,19 +177,92 @@ func TestRunMatrixRecordsFailedCells(t *testing.T) {
 	}
 }
 
+// ablations and extensions list the study tables.
+var (
+	ablations = map[string]func(Studies) *stats.Table{
+		"delta":     Studies.AblationMarkovDelta,
+		"alloc":     Studies.AblationAllocation,
+		"scheduler": Studies.AblationScheduler,
+		"geometry":  Studies.AblationGeometry,
+		"size":      Studies.AblationMarkovSize,
+		"overlap":   Studies.AblationOverlap,
+	}
+	extensions = map[string]func(Studies) *stats.Table{
+		"prior-work": Studies.PriorWork,
+		"shootout":   Studies.PredictorShootout,
+		"unrolling":  Studies.AblationUnrolling,
+		"order":      Studies.AblationMarkovOrder,
+		"tlb":        Studies.AblationStreamTLB,
+	}
+)
+
+// TestAblationsRun renders every ablation and extension table, and
+// checks that one of each renders the same bytes whether its cells
+// run serially or spread over workers.
 func TestAblationsRun(t *testing.T) {
-	cfg := tinyConfig()
-	for name, run := range map[string]func(sim.Config) *stats.Table{
-		"delta":     AblationMarkovDelta,
-		"alloc":     AblationAllocation,
-		"scheduler": AblationScheduler,
-		"geometry":  AblationGeometry,
-		"size":      AblationMarkovSize,
-		"overlap":   AblationOverlap,
-	} {
-		tb := run(cfg)
-		if tb == nil || len(tb.Rows) == 0 {
-			t.Errorf("ablation %s produced no rows", name)
+	ext := tinyConfig()
+	ext.MaxInsts = 5_000 // the extension tables run up to 42 cells each
+	for _, c := range []struct {
+		cfg    sim.Config
+		tables map[string]func(Studies) *stats.Table
+		par    string
+	}{{tinyConfig(), ablations, "alloc"}, {ext, extensions, "tlb"}} {
+		for name, table := range c.tables {
+			tb := table(NewStudies(c.cfg))
+			if tb == nil || len(tb.Rows) == 0 {
+				t.Errorf("table %s produced no rows", name)
+				continue
+			}
+			if name != c.par {
+				continue
+			}
+			par := c.cfg
+			par.Workers = -1
+			if got := table(NewStudies(par)).String(); got != tb.String() {
+				t.Errorf("%s with Workers -1 differs from serial:\n%s\nserial:\n%s", name, got, tb)
+			}
+		}
+	}
+}
+
+// dry is a sweeper that simulates nothing: every result is zero.
+func dry(ws []workload.Workload, settings []setting) sweep {
+	return sweep{res: make([]sim.Result, (1+len(settings))*len(ws)), n: len(ws)}
+}
+
+type nopFetch struct{}
+
+func (nopFetch) Prefetch(cycle, addr uint64) (uint64, bool) { return cycle + 1, true }
+func (nopFetch) BusFreeAt(cycle uint64) bool                { return true }
+func (nopFetch) L1Resident(addr uint64) bool                { return false }
+
+// TestSettingsAreLive: within one ablation or extension table, no two
+// settings reach construction with the same workload, predictor and
+// configuration, so no row can repeat another because some step
+// overwrote what the row set. Every setting of a table runs on the same
+// workloads, so it suffices that the built configurations differ. They
+// are read back from the built prefetchers, without simulating.
+func TestSettingsAreLive(t *testing.T) {
+	for _, tables := range []map[string]func(Studies) *stats.Table{ablations, extensions} {
+		for name, table := range tables {
+			table(Studies{sim.Default(), func(ws []workload.Workload, settings []setting) sweep {
+				if len(settings) < 2 {
+					t.Errorf("%s: %d settings, want a sweep", name, len(settings))
+				}
+				seen := map[string]string{}
+				for _, s := range settings {
+					built := s.scheme
+					if e, ok := built.Build(nopFetch{}).(*sbuf.Engine); ok {
+						built.Buffers = e.Config()
+					}
+					key := fmt.Sprintf("%+v", built)
+					if prev, ok := seen[key]; ok {
+						t.Errorf("%s: settings %q and %q build the same prefetcher %s", name, prev, s.name, key)
+					}
+					seen[key] = s.name
+				}
+				return dry(ws, settings)
+			}})
 		}
 	}
 }

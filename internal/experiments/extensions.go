@@ -4,40 +4,29 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/predict"
-	"repro/internal/sbuf"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
 // The extension studies go beyond the paper's figures: the prior-work
-// prefetchers of §3 as working comparators, the higher-order Markov
-// comparison of §2.2, and the per-buffer TLB caching suggested in
-// §4.5.
+// prefetchers of §3 as working comparators, the §2 predictors directing
+// one engine, the higher-order Markov comparison of §2.2, the
+// loop-unrolling remark of §6, and the per-buffer TLB caching
+// suggested in §4.5.
 
 // PriorWork compares the full lineage of prefetchers the paper builds
 // on — next-line prefetching, the demand-based Markov prefetcher,
 // Jouppi's sequential stream buffers, Farkas's PC-stride buffers — to
 // predictor-directed stream buffers, as percent speedup over base.
-func PriorWork(cfg sim.Config) *stats.Table {
-	schemes := []core.Variant{core.NextLine, core.MarkovPrefetch,
-		core.Sequential, core.MinDeltaStride, core.PCStride, core.PSBConfPriority}
-	headers := []string{"program"}
-	for _, v := range schemes {
-		headers = append(headers, v.String())
+func (s Studies) PriorWork() *stats.Table {
+	var settings []setting
+	for _, v := range []core.Variant{core.NextLine, core.MarkovPrefetch,
+		core.Sequential, core.MinDeltaStride, core.PCStride, core.PSBConfPriority} {
+		settings = append(settings, setting{v.String(), s.cfg.Scheme(v)})
 	}
-	t := stats.NewTable("Extension: prior-work prefetchers vs PSB (% speedup over base)", headers...)
-	for _, w := range workload.All() {
-		base := sim.Run(w, core.None, cfg)
-		row := []string{w.Name}
-		for _, v := range schemes {
-			r := sim.Run(w, v, cfg)
-			row = append(row, stats.SignedPct(r.SpeedupOver(base)))
-		}
-		t.AddRow(row...)
-	}
+	t := s.columns("Extension: prior-work prefetchers vs PSB (% speedup over base)", "program",
+		workload.All(), settings)
 	t.AddNote("demand-triggered schemes (NextLine, MarkovPF) cannot run ahead of the miss stream (§3.2/3.3)")
 	return t
 }
@@ -47,43 +36,17 @@ func PriorWork(cfg sim.Config) *stats.Table {
 // predictors. The paper: "we examined several types of predictors ...
 // but only provide results for a SFM table, as it performed uniformly
 // better."
-func PredictorShootout(cfg sim.Config) *stats.Table {
-	sfmCfg := cfg.Opts.SFM
-	buffers := cfg.Opts.Buffers
-	buffers.Alloc = sbuf.AllocConfidence
-	buffers.Sched = sbuf.SchedPriority
-
-	preds := []struct {
-		name  string
-		build func() predict.Predictor
-	}{
-		{"PC-stride", func() predict.Predictor { return predict.NewPCStride(sfmCfg) }},
-		{"Markov-only", func() predict.Predictor { return predict.NewMarkovOnly(sfmCfg) }},
-		{"Correlated", func() predict.Predictor {
-			cc := predict.DefaultCorrelatedConfig()
-			cc.BlockShift = sfmCfg.BlockShift
-			return predict.NewCorrelated(cc)
-		}},
-		{"SFM", func() predict.Predictor { return predict.NewSFM(sfmCfg) }},
+func (s Studies) PredictorShootout() *stats.Table {
+	var settings []setting
+	for _, p := range []struct {
+		name string
+		pred core.Predictor
+	}{{"PC-stride", core.PredPCStride}, {"Markov-only", core.PredMarkovOnly},
+		{"Correlated", core.PredCorrelated}, {"SFM", core.PredSFM}} {
+		settings = append(settings, s.psb(p.name, func(sc *core.Scheme) { sc.Predictor = p.pred }))
 	}
-
-	headers := []string{"program"}
-	for _, p := range preds {
-		headers = append(headers, p.name)
-	}
-	t := stats.NewTable("Extension: predictor shootout (ConfAlloc-Priority engine, % speedup over base)", headers...)
-	for _, w := range workload.All() {
-		base := sim.Run(w, core.None, cfg)
-		row := []string{w.Name}
-		for _, p := range preds {
-			p := p
-			r := sim.RunWithPrefetcher(w, cfg, func(fetch sbuf.Fetcher) sbuf.Prefetcher {
-				return sbuf.NewEngine(buffers, p.build(), fetch)
-			})
-			row = append(row, stats.SignedPct(r.SpeedupOver(base)))
-		}
-		t.AddRow(row...)
-	}
+	t := s.columns("Extension: predictor shootout (ConfAlloc-Priority engine, % speedup over base)", "program",
+		workload.All(), settings)
 	t.AddNote("paper §2/§4.2: the stride-filtered Markov predictor performed uniformly better than its components")
 	return t
 }
@@ -92,23 +55,22 @@ func PredictorShootout(cfg sim.Config) *stats.Table {
 // a hardware-predictable loop multiplies its load PCs, so one array
 // stream becomes many competing streams — degrading stream-buffer
 // performance as the unroll factor passes the buffer count.
-func AblationUnrolling(cfg sim.Config) *stats.Table {
-	t := stats.NewTable("Extension: loop unrolling vs stream buffers (strided sweep, % speedup over same-unroll base)",
-		"unroll", "PC-stride", "ConfAlloc-Priority")
-	for _, u := range []int{1, 2, 4, 8, 16} {
-		u := u
-		w := workload.Workload{
+func (s Studies) AblationUnrolling() *stats.Table {
+	unrolls := []int{1, 2, 4, 8, 16}
+	var ws []workload.Workload
+	for _, u := range unrolls {
+		ws = append(ws, workload.Workload{
 			Name: fmt.Sprintf("sweep-u%d", u),
 			Build: func(seed int64) *vm.Machine {
 				return workload.BuildUnrolledSweep(4096, 64, u, seed)
 			},
-		}
-		base := sim.Run(w, core.None, cfg)
-		pcs := sim.Run(w, core.PCStride, cfg)
-		psb := sim.Run(w, core.PSBConfPriority, cfg)
-		t.AddRow(fmt.Sprintf("%d", u),
-			stats.SignedPct(pcs.SpeedupOver(base)),
-			stats.SignedPct(psb.SpeedupOver(base)))
+		})
+	}
+	t := s.columns("Extension: loop unrolling vs stream buffers (strided sweep, % speedup over same-unroll base)",
+		"unroll", ws, []setting{{"PC-stride", s.cfg.Scheme(core.PCStride)},
+			{"ConfAlloc-Priority", s.cfg.Scheme(core.PSBConfPriority)}})
+	for j, u := range unrolls {
+		t.Rows[j][0] = fmt.Sprintf("%d", u) // label rows by unroll factor, not workload name
 	}
 	t.AddNote("paper §6: unrolling increases load instructions and can degrade stream buffers; " +
 		"a predictable loop may do better NOT unrolled, letting the buffers hide the latency")
@@ -119,26 +81,14 @@ func AblationUnrolling(cfg sim.Config) *stats.Table {
 // vs second-order Markov prediction inside the SFM predictor. The
 // paper "saw little to no improvement in prediction accuracy and
 // coverage over first order".
-func AblationMarkovOrder(cfg sim.Config) *stats.Table {
+func (s Studies) AblationMarkovOrder() *stats.Table {
 	t := stats.NewTable("Extension: Markov order (ConfAlloc-Priority PSB)",
 		"order", "health speedup", "burg speedup", "deltablue speedup")
-	benches := []workload.Workload{
-		mustWorkload("health"), mustWorkload("burg"), mustWorkload("deltablue"),
-	}
-	bases := make([]sim.Result, len(benches))
-	for i, w := range benches {
-		bases[i] = sim.Run(w, core.None, cfg)
-	}
+	var settings []setting
 	for _, order := range []int{1, 2} {
-		c := cfg
-		c.Opts.SFM.MarkovOrder = order
-		row := []string{stats.F1(float64(order))}
-		for i, w := range benches {
-			r := sim.Run(w, core.PSBConfPriority, c)
-			row = append(row, stats.SignedPct(r.SpeedupOver(bases[i])))
-		}
-		t.AddRow(row...)
+		settings = append(settings, s.psb(stats.F1(float64(order)), func(sc *core.Scheme) { sc.SFM.MarkovOrder = order }))
 	}
+	s.rows(t, workloads("health", "burg", "deltablue"), settings, sweep.speedups)
 	t.AddNote("paper §2.2: higher-order Markov provided little to no improvement")
 	return t
 }
@@ -146,27 +96,17 @@ func AblationMarkovOrder(cfg sim.Config) *stats.Table {
 // AblationStreamTLB evaluates §4.5's suggestion: caching the page
 // translation in each stream buffer so prefetches only consult the
 // TLB on page crossings.
-func AblationStreamTLB(cfg sim.Config) *stats.Table {
+func (s Studies) AblationStreamTLB() *stats.Table {
 	t := stats.NewTable("Extension: per-buffer TLB caching (ConfAlloc-Priority)",
 		"caching", "sis speedup", "sis TLB skipped", "gs speedup", "gs TLB skipped")
-	sis, gs := mustWorkload("sis"), mustWorkload("gs")
-	sisBase := sim.Run(sis, core.None, cfg)
-	gsBase := sim.Run(gs, core.None, cfg)
-	for _, on := range []bool{false, true} {
-		c := cfg
-		c.Opts.Buffers.CacheTLBInBuffer = on
-		name := "off"
-		if on {
-			name = "on"
-		}
-		rs := sim.Run(sis, core.PSBConfPriority, c)
-		rg := sim.Run(gs, core.PSBConfPriority, c)
-		t.AddRow(name,
-			stats.SignedPct(rs.SpeedupOver(sisBase)),
-			stats.F1(float64(rs.SB.TLBSkipped)),
-			stats.SignedPct(rg.SpeedupOver(gsBase)),
-			stats.F1(float64(rg.SB.TLBSkipped)))
+	settings := []setting{
+		s.psb("off", func(sc *core.Scheme) { sc.Buffers.CacheTLBInBuffer = false }),
+		s.psb("on", func(sc *core.Scheme) { sc.Buffers.CacheTLBInBuffer = true }),
 	}
+	s.rows(t, workloads("sis", "gs"), settings, func(r sweep, i int) []string {
+		skipped := func(j int) string { return stats.F1(float64(r.at(i, j).SB.TLBSkipped)) }
+		return []string{r.speedup(i, 0), skipped(0), r.speedup(i, 1), skipped(1)}
+	})
 	t.AddNote("paper §4.5: translations could be stored per stream buffer; a lookup is then needed only on page crossings")
 	return t
 }

@@ -47,7 +47,7 @@ func FuzzConfigValidate(f *testing.F) {
 				t.Fatalf("validated config panicked during build: %v\nconfig: %+v", r, cfg)
 			}
 		}()
-		build(workload.All()[0], core.PSBConfPriority, cfg)
+		build(workload.All()[0], cfg, cfg.Scheme(core.PSBConfPriority).Build)
 	})
 }
 

@@ -5,14 +5,14 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/sbuf"
 	"repro/internal/workload"
 )
 
 // Machine is one exact simulation split into build, advance and result
-// phases. RunChecked drives a Machine to completion in one Advance;
-// psbsim -progress advances one in chunks and reports progress between
-// them. A Machine advanced in any number of steps is bit-identical to
-// one advanced in a single step.
+// phases; psbsim -progress advances one in chunks and reports progress
+// between them. A Machine advanced in any number of steps is
+// bit-identical to RunChecked's single step.
 type Machine struct {
 	w    workload.Workload
 	v    core.Variant
@@ -35,7 +35,7 @@ func NewMachine(w workload.Workload, v core.Variant, cfg Config) (*Machine, erro
 		return nil, &ConfigError{Field: "SampleMode",
 			Err: fmt.Errorf("sampled simulation cannot run as a resumable Machine; use Run or RunChecked")}
 	}
-	m, err := build(w, v, cfg)
+	m, err := build(w, cfg, cfg.Scheme(v).Build)
 	if err != nil {
 		return nil, err
 	}
@@ -50,18 +50,24 @@ func NewMachine(w workload.Workload, v core.Variant, cfg Config) (*Machine, erro
 // simulated up to the abort. Like Run, RunChecked is safe for
 // concurrent use and deterministic for equal arguments.
 func RunChecked(ctx context.Context, w workload.Workload, v core.Variant, cfg Config) (Result, error) {
-	if cfg.SampleMode != SampleOff {
-		if err := validateJob(v, cfg); err != nil {
-			return Result{}, err
-		}
-		return runSampled(ctx, w, v, cfg)
+	if err := validateJob(v, cfg); err != nil {
+		return Result{}, err
 	}
-	m, err := NewMachine(w, v, cfg)
+	return run(ctx, w, v, cfg, cfg.Scheme(v).Build)
+}
+
+// run simulates w under a validated cfg with the prefetcher newPF
+// makes, reporting it as variant v.
+func run(ctx context.Context, w workload.Workload, v core.Variant, cfg Config, newPF func(sbuf.Fetcher) sbuf.Prefetcher) (Result, error) {
+	if cfg.SampleMode != SampleOff {
+		return runSampled(ctx, w, v, cfg, newPF)
+	}
+	m, err := build(w, cfg, newPF)
 	if err != nil {
 		return Result{}, err
 	}
-	_, err = m.Advance(ctx, 0)
-	return m.Result(), err
+	_, err = m.cpu.Advance(ctx, cfg.MaxInsts, 0)
+	return m.result(w, v, m.cpu.Stats()), err
 }
 
 // Advance runs the simulation until at least stopAt instructions have

@@ -89,18 +89,15 @@ func (c Config) SampleCheckpointDir() string {
 
 // rewarm readies m for one measurement interval: the hierarchy and
 // core return in place to the checkpoint's warm state, over src, and a
-// fresh scheme prefetcher is warmed by replaying the checkpoint's
+// fresh prefetcher from newPF is warmed by replaying the checkpoint's
 // recent train events — the same (pc, addr) stream the detailed commit
 // stage would have fed it. The result matches a machine built afresh
 // from the checkpoint, without reallocating the tag arrays and core.
-func (m *machine) rewarm(v core.Variant, cfg Config, src cpu.Source, st *cpu.FunctionalState) error {
+func (m *machine) rewarm(newPF func(sbuf.Fetcher) sbuf.Prefetcher, src cpu.Source, st *cpu.FunctionalState) error {
 	if err := m.hier.Rewarm(st.Mem); err != nil {
 		return &ConfigError{Field: "SampleMode", Err: err}
 	}
-	opts := cfg.Opts
-	opts.Buffers.BlockBytes = cfg.Mem.L1D.BlockBytes
-	opts.SFM.BlockShift = blockShift(cfg.Mem.L1D.BlockBytes)
-	m.pf = core.NewWithOptions(v, opts, m.hier)
+	m.pf = newPF(m.hier)
 	for _, e := range st.Train {
 		m.pf.Train(e.PC, e.Addr)
 	}
@@ -118,7 +115,7 @@ func (m *machine) rewarm(v core.Variant, cfg Config, src cpu.Source, st *cpu.Fun
 // SampleWarmup detailed prefix, and aggregates the measured windows
 // into a Result whose Sampled field carries the estimate. On error the
 // Result covers the intervals measured before the abort.
-func runSampled(ctx context.Context, w workload.Workload, v core.Variant, cfg Config) (Result, error) {
+func runSampled(ctx context.Context, w workload.Workload, v core.Variant, cfg Config, newPF func(sbuf.Fetcher) sbuf.Prefetcher) (Result, error) {
 	period, length, warmup := cfg.sampleSpec()
 	dir := cfg.SampleCheckpointDir()
 	rep, err := trace.Shared().Source(TraceKey(w, cfg), TraceNeed(cfg), dir,
@@ -192,7 +189,7 @@ func runSampled(ctx context.Context, w workload.Workload, v core.Variant, cfg Co
 			ckMisses++
 		}
 		ffInsts += ai.FunctionalInsts
-		if err := m.rewarm(v, cfg, rep.From(iv.ck), st); err != nil {
+		if err := m.rewarm(newPF, rep.From(iv.ck), st); err != nil {
 			runErr = err
 			break
 		}

@@ -117,27 +117,31 @@ type machine struct {
 	hist *predict.DeltaHistogram
 }
 
-// build constructs a fresh machine for one run. The only error source
-// is the trace cache (disk I/O); with TraceOff it never fails.
-func build(w workload.Workload, v core.Variant, cfg Config) (machine, error) {
+// Scheme resolves variant v under cfg (core.Resolve), its stream-buffer
+// blocks and SFM block shift following the L1D line.
+func (cfg Config) Scheme(v core.Variant) core.Scheme {
+	opts := cfg.Opts
+	opts.Buffers.BlockBytes = cfg.Mem.L1D.BlockBytes
+	opts.SFM.BlockShift = blockShift(cfg.Mem.L1D.BlockBytes)
+	return core.Resolve(v, opts)
+}
+
+// build constructs a fresh machine for one run, its prefetcher made by
+// newPF over the memory hierarchy. The only error source is the trace
+// cache (disk I/O); with TraceOff it never fails.
+func build(w workload.Workload, cfg Config, newPF func(sbuf.Fetcher) sbuf.Prefetcher) (machine, error) {
 	src, err := source(w, cfg)
 	if err != nil {
 		return machine{}, err
 	}
-	hier := mem.New(cfg.Mem)
-	// Keep the stream-buffer block size in sync with the L1D line.
-	opts := cfg.Opts
-	opts.Buffers.BlockBytes = cfg.Mem.L1D.BlockBytes
-	opts.SFM.BlockShift = blockShift(cfg.Mem.L1D.BlockBytes)
-	pf := core.NewWithOptions(v, opts, hier)
-
-	c := cpu.New(cfg.CPU, hier, pf, src)
-	var hist *predict.DeltaHistogram
+	m := machine{hier: mem.New(cfg.Mem)}
+	m.pf = newPF(m.hier)
+	m.cpu = cpu.New(cfg.CPU, m.hier, m.pf, src)
 	if cfg.CollectFig4 {
-		hist = predict.NewDeltaHistogram(1<<16, opts.SFM.BlockShift)
-		c.SetDeltaHistogram(hist)
+		m.hist = predict.NewDeltaHistogram(1<<16, blockShift(cfg.Mem.L1D.BlockBytes))
+		m.cpu.SetDeltaHistogram(m.hist)
 	}
-	return machine{cpu: c, hier: hier, pf: pf, hist: hist}, nil
+	return m, nil
 }
 
 // result assembles the Result of a finished (or aborted) run.
@@ -174,20 +178,19 @@ func Run(w workload.Workload, v core.Variant, cfg Config) Result {
 	return r
 }
 
-// RunWithPrefetcher simulates the workload with a caller-constructed
-// prefetcher (for predictor shootouts and custom engines). The build
-// function receives the memory system and returns the prefetcher; the
-// reported Variant is core.None since no named variant applies.
+// RunWithPrefetcher is Run with the prefetcher newPF makes over the
+// memory system (an edited core.Scheme's Build, or a wrapper around
+// one) in place of a variant's. It reports Variant core.None.
 func RunWithPrefetcher(w workload.Workload, cfg Config,
-	build func(fetch sbuf.Fetcher) sbuf.Prefetcher) Result {
-	src, err := source(w, cfg)
+	newPF func(fetch sbuf.Fetcher) sbuf.Prefetcher) Result {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	r, err := run(context.Background(), w, core.None, cfg, newPF)
 	if err != nil {
 		panic(err)
 	}
-	hier := mem.New(cfg.Mem)
-	m := machine{hier: hier, pf: build(hier)}
-	m.cpu = cpu.New(cfg.CPU, hier, m.pf, src)
-	return m.result(w, core.None, m.cpu.Run(cfg.MaxInsts))
+	return r
 }
 
 func blockShift(blockBytes int) uint {

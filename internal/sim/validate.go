@@ -27,8 +27,8 @@ func (e *ConfigError) Error() string {
 func (e *ConfigError) Unwrap() error { return e.Err }
 
 // Validate reports whether the configuration can build and run a
-// simulation without a geometry panic. It applies the same block-size
-// synchronization Run applies (stream-buffer blocks track the L1D
+// simulation without a geometry panic. It checks the prefetcher
+// options as Scheme resolves them (stream-buffer blocks track the L1D
 // line), so fields Run overrides are not a reason to reject a config.
 // Every error is a *ConfigError naming the offending component.
 func (cfg Config) Validate() error {
@@ -38,9 +38,7 @@ func (cfg Config) Validate() error {
 	if err := cfg.Mem.Validate(); err != nil {
 		return &ConfigError{Field: "Mem", Err: err}
 	}
-	opts := cfg.Opts
-	opts.Buffers.BlockBytes = cfg.Mem.L1D.BlockBytes
-	opts.SFM.BlockShift = blockShift(cfg.Mem.L1D.BlockBytes)
+	opts := cfg.Scheme(core.None) // variants only set valid policies
 	if err := opts.Buffers.Validate(); err != nil {
 		return &ConfigError{Field: "Opts.Buffers", Err: err}
 	}
