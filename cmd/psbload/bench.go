@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/results"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -421,7 +422,7 @@ func batchOf(r reply, verify bool) batchPost {
 			out.hashes = append(out.hashes, [sha256.Size]byte{})
 			continue
 		}
-		out.hashes = append(out.hashes, sha256.Sum256(serve.EncodeResult(*c.Result)))
+		out.hashes = append(out.hashes, sha256.Sum256(results.Encode(*c.Result)))
 	}
 	return out
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/results"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -105,7 +106,7 @@ func runChaos(o options) int {
 					fmt.Fprintf(o.stderr, "precompute %s/%s seed %d: %v\n", w.Name, v, s, err)
 					return 1
 				}
-				pool = append(pool, chaosCell{body: cellBody(w.Name, v, o.insts, s), expected: serve.EncodeResult(res)})
+				pool = append(pool, chaosCell{body: cellBody(w.Name, v, o.insts, s), expected: results.Encode(res)})
 			}
 		}
 	}

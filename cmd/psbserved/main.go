@@ -78,7 +78,7 @@ func main() {
 		workers      = flag.Int("workers", -1, "simulation concurrency: N workers, -1 = all cores")
 		queueCap     = flag.Int("queue", 0, "admission queue capacity (0 = 4*workers+64)")
 		cacheEntries = flag.Int("cache-entries", 0, "in-memory result cache entries (0 = 4096)")
-		cacheDir     = flag.String("cache-dir", "", "directory for the on-disk result tier (empty = memory only)")
+		cacheDir     = flag.String("cache-dir", "", "result store directory for the on-disk tier, shared with psbtables -cache-dir (empty = memory only)")
 		insts        = flag.Uint64("insts", 500_000, "default instruction budget (requests may override)")
 		seed         = flag.Int64("seed", 1, "default workload layout seed (requests may override)")
 		traceFlag    = flag.String("trace", "memory", "instruction stream source: off, memory, disk (see psbsim -trace)")

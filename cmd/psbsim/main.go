@@ -27,9 +27,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/results"
 	"repro/internal/runner"
 	"repro/internal/sample"
-	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -186,7 +186,7 @@ func main() {
 			continue
 		}
 		if *jsonOut {
-			os.Stdout.Write(serve.EncodeResult(c.Result))
+			os.Stdout.Write(results.Encode(c.Result))
 			continue
 		}
 		fmt.Println(c.Result.Summary())

@@ -13,19 +13,21 @@
 //	psbtables -all -parallel -1    # fan simulations across all cores
 //	psbtables -all -trace off      # re-run the functional VM per cell (pre-trace behavior)
 //	psbtables -all -trace-dir traces/   # persist .psbtrace recordings and reuse them next run
-//	psbtables -all -checkpoint run.jsonl          # journal completed cells
-//	psbtables -all -checkpoint run.jsonl -resume  # skip cells already journaled
-//	psbtables -all -job-timeout 2m                # watchdog per simulation
+//	psbtables -all -cache-dir results/  # store each finished cell; a re-run simulates only what is missing
+//	psbtables -all -job-timeout 2m      # watchdog per simulation
 //	psbtables -bench-json > bench.json  # time the harness legs, print their JSON
 //	psbtables -all -cpuprofile cpu.out -memprofile mem.out
 //
 // A cell of Table 2 or Figures 4-11 that panics, deadlocks or times
 // out fails alone: its table entries render as ERR, the rest of the
-// suite completes, and the failures are reported on stderr. -checkpoint,
-// -resume, -job-timeout and -retries apply to those cells only; the
-// ablation and extension tables run their cells directly, and a failed
-// cell there aborts the run. Exit status: 0 = clean, 1 = one or more
-// cells failed, 2 = flag misuse, 130 = interrupted.
+// suite completes, and the failures are reported on stderr. -cache-dir,
+// -job-timeout and -retries apply to those cells only; the ablation
+// and extension tables run their cells directly, and a failed cell
+// there aborts the run. -cache-dir names a result store
+// (internal/results): one <fingerprint>.psbc entry per finished cell,
+// the same entries psbserved -cache-dir reads and writes. Exit status:
+// 0 = clean, 1 = one or more cells failed, 2 = flag misuse, 130 =
+// interrupted.
 package main
 
 import (
@@ -34,6 +36,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
@@ -45,6 +48,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/experiments"
+	"repro/internal/results"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -66,110 +70,87 @@ func (l *intList) Set(s string) error {
 	return nil
 }
 
-// usageError prints the message plus usage and exits 2, the
-// flag-misuse status.
-func usageError(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
-}
-
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run parses args, regenerates the requested artifacts and returns the
+// exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("psbtables", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var figs intList
 	var tables intList
 	var (
-		all        = flag.Bool("all", false, "regenerate every table and figure")
-		ablations  = flag.Bool("ablations", false, "run the ablation studies")
-		extensions = flag.Bool("extensions", false, "run the extension studies (prior-work comparison, predictor shootout, loop unrolling, Markov order, per-buffer TLB)")
-		insts      = flag.Uint64("insts", 500_000, "instruction budget per run")
-		seed       = flag.Int64("seed", 1, "workload layout seed")
-		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		parallel   = flag.Int("parallel", 0, "concurrent simulations: 0 = serial, N = N workers, -1 = all cores")
-		checkpoint = flag.String("checkpoint", "", "journal completed cells to this JSONL file (Table 2 and Figures 4-11 only)")
-		resume     = flag.Bool("resume", false, "load cells already journaled in -checkpoint instead of re-running them (Table 2 and Figures 4-11 only)")
-		jobTimeout = flag.Duration("job-timeout", 0, "wall-clock budget per simulation attempt, 0 = unlimited (Table 2 and Figures 4-11 only)")
-		retries    = flag.Int("retries", 1, "re-runs allowed per cell after a panic or timeout (Table 2 and Figures 4-11 only)")
-		benchJSON  = flag.Bool("bench-json", false, "time RunMatrix serial vs parallel, live vs traced, and print the timings as JSON on stdout")
-		traceFlag  = flag.String("trace", "memory", "instruction stream source: off = live functional execution per cell, memory = record each workload once and replay (bit-identical), disk = memory plus .psbtrace persistence in -trace-dir")
-		traceDir   = flag.String("trace-dir", "", "directory for .psbtrace recordings (implies -trace disk)")
-		cycleMode  = flag.String("cycle-mode", "", "clock advancement: event = skip to the next event (default), accurate = tick every cycle (reference mode; tables and machine statistics match, only the skip telemetry differs)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		sample     = flag.Bool("sample", false, "sampled simulation for every cell: functional fast-forward between detailed measurement intervals; tables carry the IPC estimates")
-		samplePer  = flag.Uint64("sample-period", 0, "instructions between measurement intervals (0 = default)")
-		sampleLen  = flag.Uint64("sample-len", 0, "measured instructions per interval (0 = default)")
-		sampleWarm = flag.Uint64("sample-warmup", 0, "detailed-but-unmeasured warm-up instructions per interval (0 = default)")
-		sampleAcc  = flag.Bool("sample-accuracy", false, "differential accuracy gate: run the full matrix exact and sampled, print per-cell IPC errors, fail if any exceeds -sample-tolerance")
-		sampleTol  = flag.Float64("sample-tolerance", 3.0, "maximum per-cell relative IPC error percent -sample-accuracy accepts")
+		all        = fs.Bool("all", false, "regenerate every table and figure")
+		ablations  = fs.Bool("ablations", false, "run the ablation studies")
+		extensions = fs.Bool("extensions", false, "run the extension studies (prior-work comparison, predictor shootout, loop unrolling, Markov order, per-buffer TLB)")
+		insts      = fs.Uint64("insts", 500_000, "instruction budget per run")
+		seed       = fs.Int64("seed", 1, "workload layout seed")
+		csv        = fs.Bool("csv", false, "emit CSV instead of aligned text")
+		parallel   = fs.Int("parallel", 0, "concurrent simulations: 0 = serial, N = N workers, -1 = all cores")
+		cacheDir   = fs.String("cache-dir", "", "result store directory: serve cells already stored there and store each finished one, so a re-run resumes (Table 2 and Figures 4-11 only; psbserved -cache-dir reads the same entries)")
+		jobTimeout = fs.Duration("job-timeout", 0, "wall-clock budget per simulation attempt, 0 = unlimited (Table 2 and Figures 4-11 only)")
+		retries    = fs.Int("retries", 1, "re-runs allowed per cell after a panic or timeout (Table 2 and Figures 4-11 only)")
+		benchJSON  = fs.Bool("bench-json", false, "time RunMatrix serial vs parallel, live vs traced, and print the timings as JSON on stdout")
+		traceFlag  = fs.String("trace", "memory", "instruction stream source: off = live functional execution per cell, memory = record each workload once and replay (bit-identical), disk = memory plus .psbtrace persistence in -trace-dir")
+		traceDir   = fs.String("trace-dir", "", "directory for .psbtrace recordings (implies -trace disk)")
+		cycleMode  = fs.String("cycle-mode", "", "clock advancement: event = skip to the next event (default), accurate = tick every cycle (reference mode; tables and machine statistics match, only the skip telemetry differs)")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		sample     = fs.Bool("sample", false, "sampled simulation for every cell: functional fast-forward between detailed measurement intervals; tables carry the IPC estimates")
+		samplePer  = fs.Uint64("sample-period", 0, "instructions between measurement intervals (0 = default)")
+		sampleLen  = fs.Uint64("sample-len", 0, "measured instructions per interval (0 = default)")
+		sampleWarm = fs.Uint64("sample-warmup", 0, "detailed-but-unmeasured warm-up instructions per interval (0 = default)")
+		sampleAcc  = fs.Bool("sample-accuracy", false, "differential accuracy gate: run the full matrix exact and sampled, print per-cell IPC errors, fail if any exceeds -sample-tolerance")
+		sampleTol  = fs.Float64("sample-tolerance", 3.0, "maximum per-cell relative IPC error percent -sample-accuracy accepts")
 	)
-	flag.Var(&figs, "fig", "figure number to regenerate (repeatable: 4..11)")
-	flag.Var(&tables, "table", "table number to regenerate (repeatable: 2)")
-	flag.Parse()
+	fs.Var(&figs, "fig", "figure number to regenerate (repeatable: 4..11)")
+	fs.Var(&tables, "table", "table number to regenerate (repeatable: 2)")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	// usageError prints the message plus usage and returns 2, the
+	// flag-misuse status.
+	usageError := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, format+"\n", args...)
+		fs.Usage()
+		return 2
+	}
 
 	// Reject bad requests before simulating anything.
 	for _, f := range figs {
 		if f < 4 || f > 11 {
-			usageError("unknown figure %d: valid figures are 4..11", f)
+			return usageError("unknown figure %d: valid figures are 4..11", f)
 		}
 	}
 	for _, tn := range tables {
 		if tn != 2 {
-			usageError("unknown table %d: the only reproducible table is 2 (the paper's Table 1 is prose)", tn)
+			return usageError("unknown table %d: the only reproducible table is 2 (the paper's Table 1 is prose)", tn)
 		}
-	}
-	if *resume && *checkpoint == "" {
-		usageError("-resume needs -checkpoint to name the journal to resume from")
 	}
 	if *benchJSON && (*all || *ablations || *extensions || len(figs) > 0 || len(tables) > 0) {
-		usageError("-bench-json runs its own fixed matrix; drop -all/-fig/-table/-ablations/-extensions")
+		return usageError("-bench-json runs its own fixed matrix; drop -all/-fig/-table/-ablations/-extensions")
 	}
 	if *sampleAcc && (*all || *ablations || *extensions || *benchJSON || len(figs) > 0 || len(tables) > 0) {
-		usageError("-sample-accuracy runs its own exact-vs-sampled matrix; drop the other modes")
+		return usageError("-sample-accuracy runs its own exact-vs-sampled matrix; drop the other modes")
 	}
 	if *sample && (*benchJSON || *sampleAcc) {
-		usageError("-sample does not combine with -bench-json or -sample-accuracy (they run their own sampled legs)")
+		return usageError("-sample does not combine with -bench-json or -sample-accuracy (they run their own sampled legs)")
 	}
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}()
+	if *cacheDir != "" && (*benchJSON || *sampleAcc) {
+		return usageError("-cache-dir does not combine with -bench-json or -sample-accuracy (they time and compare fresh simulations)")
 	}
 
 	traceMode, err := sim.ParseTraceFlags(*traceFlag, *traceDir)
 	if err != nil {
-		usageError("%v", err)
+		return usageError("%v", err)
 	}
-
 	mode, err := cpu.ParseCycleMode(*cycleMode)
 	if err != nil {
-		usageError("%v", err)
+		return usageError("%v", err)
 	}
 
 	cfg := sim.Default()
@@ -181,7 +162,7 @@ func run() int {
 	cfg.CPU.CycleMode = mode
 	if *sample || *sampleAcc {
 		if traceMode == sim.TraceOff {
-			usageError("sampled simulation needs a replayable stream: use -trace memory or -trace disk")
+			return usageError("sampled simulation needs a replayable stream: use -trace memory or -trace disk")
 		}
 		cfg.SamplePeriod = *samplePer
 		cfg.SampleLen = *sampleLen
@@ -191,60 +172,82 @@ func run() int {
 		cfg.SampleMode = sim.SampleOn
 	}
 	if err := cfg.Validate(); err != nil {
-		usageError("invalid configuration: %v", err)
-	}
-
-	if *sampleAcc {
-		if err := sampleAccuracy(cfg, *sampleTol); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	}
-
-	if *benchJSON {
-		if err := benchRunner(cfg); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
+		return usageError("invalid configuration: %v", err)
 	}
 
 	if *all {
 		tables = intList{2}
 		figs = intList{4, 5, 6, 7, 8, 9, 10, 11}
 	}
-	if len(tables) == 0 && len(figs) == 0 && !*ablations && !*extensions {
-		usageError("nothing to do: pass -all, -table N, -fig N, -ablations, -extensions or -bench-json")
+	if len(tables) == 0 && len(figs) == 0 && !*ablations && !*extensions && !*benchJSON && !*sampleAcc {
+		return usageError("nothing to do: pass -all, -table N, -fig N, -ablations, -extensions or -bench-json")
+	}
+
+	opts := runner.Options{Timeout: *jobTimeout, Retries: *retries}
+	if *cacheDir != "" {
+		if err := os.MkdirAll(*cacheDir, 0o755); err != nil {
+			fmt.Fprintf(stderr, "cache-dir: %v\n", err)
+			return 1
+		}
+		opts.Store = results.New(*cacheDir)
+	}
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if *memProfile != "" {
+		defer func() {
+			f, err := os.Create(*memProfile)
+			if err != nil {
+				fmt.Fprintln(stderr, err)
+				return
+			}
+			defer f.Close()
+			runtime.GC()
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintln(stderr, err)
+			}
+		}()
+	}
+
+	if *sampleAcc {
+		if err := sampleAccuracy(cfg, *sampleTol, stdout, stderr); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		return 0
+	}
+	if *benchJSON {
+		if err := benchRunner(cfg, stdout, stderr); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		return 0
 	}
 
 	// SIGINT/SIGTERM cancel the run: in-flight simulations stop at
-	// their next context check, completed cells stay journaled, and
-	// the tables built so far render unfinished cells as ERR.
+	// their next context check, completed cells stay in the result
+	// store, and the tables built so far render unfinished cells as ERR.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	opts := runner.Options{Timeout: *jobTimeout, Retries: *retries}
-	if *checkpoint != "" {
-		cp, err := runner.OpenCheckpoint(*checkpoint, *resume)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
-			return 1
-		}
-		defer cp.Close()
-		if *resume && cp.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "resuming: %d cell(s) already journaled in %s\n", cp.Len(), *checkpoint)
-		}
-		opts.Checkpoint = cp
-	}
 	s := experiments.NewSession(ctx, cfg, opts)
 
 	emit := func(t *stats.Table) {
 		if *csv {
-			fmt.Println(t.Title)
-			fmt.Print(t.CSV())
+			fmt.Fprintln(stdout, t.Title)
+			fmt.Fprint(stdout, t.CSV())
 		} else {
-			fmt.Println(t.String())
+			fmt.Fprintln(stdout, t.String())
 		}
 	}
 
@@ -256,7 +259,7 @@ func run() int {
 	}
 	var m *experiments.Matrix
 	if needMatrix {
-		fmt.Fprintf(os.Stderr, "running %d benchmarks x %d schemes at %d instructions each (workers=%d, trace=%s)...\n",
+		fmt.Fprintf(stderr, "running %d benchmarks x %d schemes at %d instructions each (workers=%d, trace=%s)...\n",
 			len(workload.All()), len(experiments.Schemes()), cfg.MaxInsts,
 			runner.ForWorkers(cfg.Workers).Workers(), cfg.TraceMode)
 		m = s.Matrix()
@@ -303,12 +306,16 @@ func run() int {
 	}
 
 	if s.Cached() > 0 {
-		fmt.Fprintf(os.Stderr, "checkpoint satisfied %d cell(s); %d simulated\n", s.Cached(), s.Ran())
+		fmt.Fprintf(stderr, "cache-dir %s satisfied %d cell(s); %d simulated\n", *cacheDir, s.Cached(), s.Ran())
 	}
 	if report := s.FailureReport(); report != "" {
-		fmt.Fprint(os.Stderr, report)
+		fmt.Fprint(stderr, report)
 		if errors.Is(ctx.Err(), context.Canceled) {
-			fmt.Fprintln(os.Stderr, "interrupted: completed cells are journaled; re-run with -resume to continue")
+			if *cacheDir != "" {
+				fmt.Fprintf(stderr, "interrupted: completed cells are stored in %s; re-run with the same -cache-dir to continue\n", *cacheDir)
+			} else {
+				fmt.Fprintln(stderr, "interrupted: nothing was stored; pass -cache-dir DIR to keep completed cells")
+			}
 			return 130
 		}
 		return 1
@@ -330,7 +337,7 @@ func run() int {
 // also what makes the accurate-vs-event comparison apples-to-apples.
 // A failed cell in any leg fails the run: its timing would cover less
 // work than the other legs'.
-func benchRunner(cfg sim.Config) error {
+func benchRunner(cfg sim.Config, stdout, stderr io.Writer) error {
 	sims := len(workload.All()) * len(experiments.Schemes())
 
 	var failed int
@@ -438,7 +445,7 @@ func benchRunner(cfg sim.Config) error {
 	workers := runner.ForWorkers(-1).Workers()
 	degraded := workers == 1
 	if degraded {
-		fmt.Fprintf(os.Stderr,
+		fmt.Fprintf(stderr,
 			"warning: only 1 worker available (GOMAXPROCS=%d); parallel legs are degraded to serial and their speedups are meaningless\n",
 			runtime.GOMAXPROCS(0))
 	}
@@ -523,15 +530,15 @@ func benchRunner(cfg sim.Config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr,
+	fmt.Fprintf(stderr,
 		"bench-json: %d sims, serial %.2fs, parallel %.2fs (%d workers), traced serial %.2fs, traced parallel %.2fs, accurate %.2fs vs event %.2fs (%.2fx, %.0f%% cycles skipped)\n",
 		sims, serialSec, parSec, out.Workers, serialTracedSec, parTracedSec,
 		accurateSec, eventSec, out.SpeedupEvent, skipFrac*100)
-	fmt.Fprintf(os.Stderr,
+	fmt.Fprintf(stderr,
 		"sampled: %.2fs (%.2fx vs event), max IPC err %.2f%%, functional %.2fM insts/s (%.1fx vs serial event), checkpoints %d hit / %d miss\n",
 		sampledSec, out.SpeedupSampled, maxRelErr,
 		out.FuncInstsPerSec/1e6, out.SpeedupFunc, ckHits, ckMisses)
-	fmt.Println(string(b))
+	fmt.Fprintln(stdout, string(b))
 	return nil
 }
 
@@ -541,7 +548,7 @@ func benchRunner(cfg sim.Config) error {
 // against the exact run, and any relative error beyond tolPct fails
 // the command. The per-cell table goes to stdout so the CI artifact
 // shows exactly which cell drifted.
-func sampleAccuracy(cfg sim.Config, tolPct float64) error {
+func sampleAccuracy(cfg sim.Config, tolPct float64, stdout, stderr io.Writer) error {
 	exactCfg := cfg
 	exactCfg.SampleMode = sim.SampleOff
 	sampledCfg := cfg
@@ -550,7 +557,7 @@ func sampleAccuracy(cfg sim.Config, tolPct float64) error {
 		return err
 	}
 
-	fmt.Fprintf(os.Stderr, "sample-accuracy: %d benchmarks x %d schemes at %d insts, tolerance ±%.1f%%\n",
+	fmt.Fprintf(stderr, "sample-accuracy: %d benchmarks x %d schemes at %d insts, tolerance ±%.1f%%\n",
 		len(workload.All()), len(experiments.Schemes()), cfg.MaxInsts, tolPct)
 	start := time.Now()
 	exact := experiments.RunMatrix(exactCfg)
@@ -582,7 +589,7 @@ func sampleAccuracy(cfg sim.Config, tolPct float64) error {
 				status = "FAIL"
 				fails++
 			}
-			fmt.Printf("%-10s %-22s exact %.4f  sampled %.4f  err %5.2f%%  ci ±%5.2f%%  n=%-3d %s\n",
+			fmt.Fprintf(stdout, "%-10s %-22s exact %.4f  sampled %.4f  err %5.2f%%  ci ±%5.2f%%  n=%-3d %s\n",
 				w.Name, v, e.IPC(), est.IPC, rel, est.CIRelPct, est.Intervals, status)
 			if rel > worst {
 				worst = rel
@@ -590,7 +597,7 @@ func sampleAccuracy(cfg sim.Config, tolPct float64) error {
 			}
 		}
 	}
-	fmt.Fprintf(os.Stderr, "sample-accuracy: worst %.2f%% (%s); exact matrix %.1fs, sampled %.1fs (%.2fx)\n",
+	fmt.Fprintf(stderr, "sample-accuracy: worst %.2f%% (%s); exact matrix %.1fs, sampled %.1fs (%.2fx)\n",
 		worst, worstCell, exactSec, sampledSec, exactSec/sampledSec)
 	if fails > 0 {
 		return fmt.Errorf("sample-accuracy: %d cell(s) exceed ±%.1f%% relative IPC error", fails, tolPct)

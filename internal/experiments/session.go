@@ -11,8 +11,8 @@ import (
 )
 
 // Session drives the experiment suite through the checked runner:
-// per-cell panic recovery, wall-clock watchdogs with retry, and
-// optional checkpoint/resume. RunMatrix, Fig4, Fig10 and Fig11 are
+// per-cell panic recovery, wall-clock watchdogs with retry, and an
+// optional result store that a later session resumes from. RunMatrix, Fig4, Fig10 and Fig11 are
 // one-shot sessions with default options. A Session accumulates
 // failure and cache-hit accounting across every table it builds, so a
 // driver can render the whole suite and then report what (if anything)
@@ -34,7 +34,7 @@ func NewSession(ctx context.Context, cfg sim.Config, opts runner.Options) *Sessi
 }
 
 // oneShot is the session behind RunMatrix, Fig4, Fig10 and Fig11: no
-// cancellation, no timeout, one retry and no checkpoint.
+// cancellation, no timeout, one retry and no result store.
 func oneShot(cfg sim.Config) *Session {
 	return NewSession(context.Background(), cfg, runner.DefaultOptions())
 }
@@ -74,7 +74,7 @@ func (s *Session) Fig11() *stats.Table { return fig11With(s.Cfg, s.run) }
 // the batches were run.
 func (s *Session) Failures() []*runner.JobError { return s.failures }
 
-// Cached returns how many cells were satisfied from the checkpoint.
+// Cached returns how many cells were satisfied from the result store.
 func (s *Session) Cached() int { return s.cached }
 
 // Ran returns how many cells were actually simulated.

@@ -3,11 +3,11 @@ package experiments
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/results"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -82,16 +82,16 @@ func TestPartialMatrixRendersERR(t *testing.T) {
 	}
 }
 
-// TestSessionCheckpointResume interrupts nothing but splits the suite
-// across two sessions sharing a journal: the second session must serve
-// every cell from the checkpoint and render byte-identical tables.
-func TestSessionCheckpointResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+// TestSessionStoreResume interrupts nothing but splits the suite
+// across two sessions sharing a result store: the second session must
+// serve every cell from the store and render byte-identical tables.
+func TestSessionStoreResume(t *testing.T) {
+	dir := t.TempDir()
 	cfg := tinyConfig()
 	cfg.Workers = 4
 
-	render := func(cp *runner.Checkpoint) (string, *Session) {
-		s := NewSession(context.Background(), cfg, runner.Options{Retries: 1, Checkpoint: cp})
+	render := func(st *results.Store) (string, *Session) {
+		s := NewSession(context.Background(), cfg, runner.Options{Retries: 1, Store: st})
 		m := s.Matrix()
 		var b strings.Builder
 		b.WriteString(Table2(m).String())
@@ -101,12 +101,7 @@ func TestSessionCheckpointResume(t *testing.T) {
 		return b.String(), s
 	}
 
-	cp, err := runner.OpenCheckpoint(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, s1 := render(cp)
-	cp.Close()
+	first, s1 := render(results.New(dir))
 	if len(s1.Failures()) != 0 {
 		t.Fatalf("first session failed: %s", s1.FailureReport())
 	}
@@ -114,17 +109,12 @@ func TestSessionCheckpointResume(t *testing.T) {
 		t.Fatalf("first session cached=%d ran=%d, want 0/>0", s1.Cached(), s1.Ran())
 	}
 
-	cp2, err := runner.OpenCheckpoint(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp2.Close()
-	second, s2 := render(cp2)
+	second, s2 := render(results.New(dir))
 	if s2.Ran() != 0 {
 		t.Errorf("resumed session re-simulated %d cell(s), want 0", s2.Ran())
 	}
 	if s2.Cached() == 0 {
-		t.Error("resumed session served nothing from the checkpoint")
+		t.Error("resumed session served nothing from the store")
 	}
 	if first != second {
 		t.Error("resumed tables differ byte-for-byte from the original run")

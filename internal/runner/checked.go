@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/mem"
+	"repro/internal/results"
 	"repro/internal/sim"
 )
 
@@ -54,7 +55,7 @@ type CellResult struct {
 	// for cells that never ran because the run was canceled, the
 	// cancellation) otherwise.
 	Err *JobError
-	// Cached reports the result came from the checkpoint, not a run.
+	// Cached reports the result came from the result store, not a run.
 	Cached bool
 	// Attempts is the number of simulation attempts consumed.
 	Attempts int
@@ -74,10 +75,10 @@ type Options struct {
 	// failures — invalid configs, simulated deadlocks — are never
 	// retried. Negative means 0.
 	Retries int
-	// Checkpoint, when non-nil, supplies cached results for jobs
-	// already completed and records each newly completed cell as it
-	// finishes.
-	Checkpoint *Checkpoint
+	// Store, when non-nil, holds finished cells across runs:
+	// RunChecked serves a cell stored there instead of simulating it,
+	// and each cell that completes is saved to it.
+	Store *results.Store
 	// FaultHook, when non-nil, runs at the start of every simulation
 	// attempt, inside the attempt's panic recovery and wall-clock
 	// timeout. It is the fault-injection seam: a hook may sleep (a
@@ -89,7 +90,7 @@ type Options struct {
 }
 
 // DefaultOptions returns the checked path's defaults: no timeout, one
-// retry, no checkpoint.
+// retry, no result store.
 func DefaultOptions() Options { return Options{Retries: 1} }
 
 // Fingerprint returns the job's deterministic identity: a hash of the
@@ -99,8 +100,8 @@ func DefaultOptions() Options { return Options{Retries: 1} }
 // stream's provenance (live or replayed) nor how the clock advances
 // changes a result: event-driven skipping matches accurate ticking in
 // every table and machine statistic, and differs only in the skip
-// telemetry (CPU.SkippedCycles and CPU.Jumps). Checkpoint journals,
-// serve caches and peer fills are keyed by this.
+// telemetry (CPU.SkippedCycles and CPU.Jumps). Result stores, serve
+// caches and peer fills are keyed by this.
 func (j Job) Fingerprint() string {
 	var key fingerprintKey
 	key.Workload = j.Workload.Name
@@ -157,8 +158,9 @@ type fingerprintKey struct {
 // RunChecked executes every job with per-cell fault isolation and
 // returns one CellResult per job, in job order. A job that panics,
 // deadlocks, times out or carries an invalid configuration fails only
-// its own cell; the rest of the matrix completes. Completed cells are
-// looked up in and recorded to opts.Checkpoint when one is set.
+// its own cell; the rest of the matrix completes. When opts.Store is
+// set, each cell is looked up there before dispatch and saved there
+// when it completes.
 //
 // Execution flows through a transient Dispatcher — the same submit
 // path cmd/psbserved keeps alive across requests — so the batch CLI
@@ -166,18 +168,21 @@ type fingerprintKey struct {
 //
 // Cancelling ctx drains gracefully: queued jobs fail fast with ctx's
 // error, running simulations abort at their next context check,
-// already-recorded checkpoint lines stay flushed, and RunChecked
-// returns ctx's error with cells that never ran marked as failed by
-// that error. The only non-nil error RunChecked itself returns is
-// ctx's; per-cell failures live in the cells.
+// already-saved cells stay in the store, and RunChecked returns ctx's
+// error with cells that never ran marked as failed by that error. The
+// only non-nil error RunChecked itself returns is ctx's; per-cell
+// failures live in the cells.
 func (p *Pool) RunChecked(ctx context.Context, jobs []Job, opts Options) ([]CellResult, error) {
 	cells := make([]CellResult, len(jobs))
 	fps := make([]string, len(jobs))
 	pending := make([]int, 0, len(jobs))
 	for i, j := range jobs {
 		fps[i] = j.Fingerprint()
-		if opts.Checkpoint != nil {
-			if res, ok := opts.Checkpoint.Lookup(fps[i]); ok {
+		if opts.Store != nil {
+			// Any failed load is a miss: a missing entry simulates, and
+			// a corrupt one (quarantined by the store) is re-simulated
+			// and overwritten.
+			if res, err := opts.Store.Load(fps[i]); err == nil {
 				cells[i] = CellResult{Result: res, Cached: true}
 				continue
 			}

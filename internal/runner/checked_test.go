@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/results"
 	"repro/internal/sim"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -214,32 +216,22 @@ func matrixJobs(cfg sim.Config) []Job {
 	return jobs
 }
 
-// TestCheckpointResumeReproduces runs a matrix to completion with a
-// checkpoint, then re-runs with -resume semantics: every cell must be
-// served from the journal and the results must round-trip exactly.
-func TestCheckpointResumeReproduces(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+// TestStoreResumeReproduces runs a matrix to completion with a result
+// store, then re-runs it against the same directory: every cell must be
+// served from the store and the results must round-trip exactly.
+func TestStoreResumeReproduces(t *testing.T) {
+	dir := t.TempDir()
 	jobs := matrixJobs(smallCfg())
 
-	cp, err := OpenCheckpoint(path, false)
+	first, err := New(4).RunChecked(context.Background(), jobs, Options{Store: results.New(dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := New(4).RunChecked(context.Background(), jobs, Options{Checkpoint: cp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.Close()
 
-	cp2, err := OpenCheckpoint(path, true)
-	if err != nil {
-		t.Fatal(err)
+	if stored, _ := filepath.Glob(filepath.Join(dir, "*.psbc")); len(stored) != len(jobs) {
+		t.Fatalf("resumed store has %d cells, want %d", len(stored), len(jobs))
 	}
-	defer cp2.Close()
-	if cp2.Len() != len(jobs) {
-		t.Fatalf("resumed checkpoint has %d cells, want %d", cp2.Len(), len(jobs))
-	}
-	second, err := New(2).RunChecked(context.Background(), jobs, Options{Checkpoint: cp2})
+	second, err := New(2).RunChecked(context.Background(), jobs, Options{Store: results.New(dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,33 +245,23 @@ func TestCheckpointResumeReproduces(t *testing.T) {
 	}
 }
 
-// TestCheckpointPartialResume simulates a killed run: only a prefix of
-// the matrix is journaled, then a resumed full run must produce
-// results identical to an uninterrupted run — cached cells from the
-// journal, the rest simulated fresh.
-func TestCheckpointPartialResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+// TestStorePartialResume simulates a killed run: only a prefix of the
+// matrix is stored, then a resumed full run must produce results
+// identical to an uninterrupted run — cached cells from the store, the
+// rest simulated fresh.
+func TestStorePartialResume(t *testing.T) {
+	dir := t.TempDir()
 	jobs := matrixJobs(smallCfg())
 	uninterrupted, err := New(4).RunChecked(context.Background(), jobs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cp, err := OpenCheckpoint(path, false)
-	if err != nil {
+	if _, err := New(2).RunChecked(context.Background(), jobs[:4], Options{Store: results.New(dir)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(2).RunChecked(context.Background(), jobs[:4], Options{Checkpoint: cp}); err != nil {
-		t.Fatal(err)
-	}
-	cp.Close()
 
-	cp2, err := OpenCheckpoint(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp2.Close()
-	resumed, err := New(4).RunChecked(context.Background(), jobs, Options{Checkpoint: cp2})
+	resumed, err := New(4).RunChecked(context.Background(), jobs, Options{Store: results.New(dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,52 +276,57 @@ func TestCheckpointPartialResume(t *testing.T) {
 	}
 }
 
-// TestCheckpointTornTail: a journal whose writer died mid-line (and a
-// corrupt line after it) must load every intact record, drop the rest
-// and stay usable for appends.
-func TestCheckpointTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	jobs := matrixJobs(smallCfg())[:2]
-	cp, err := OpenCheckpoint(path, false)
+// TestStoreCorruptEntriesResimulated damages two stored cells, one
+// truncated as a torn write would leave it and one with a flipped bit.
+// Each must be treated as a miss, re-simulated and overwritten with
+// its original bytes; the rest of the batch must come back cached.
+func TestStoreCorruptEntriesResimulated(t *testing.T) {
+	dir := t.TempDir()
+	jobs := matrixJobs(smallCfg())[:4]
+	first, err := New(2).RunChecked(context.Background(), jobs, Options{Store: results.New(dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(1).RunChecked(context.Background(), jobs, Options{Checkpoint: cp}); err != nil {
-		t.Fatal(err)
-	}
-	cp.Close()
 
-	// Append a torn (newline-less) half record, as a kill mid-write
-	// would leave behind.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
+	st := results.New(dir)
+	damage := map[int]func([]byte) []byte{
+		0: func(b []byte) []byte { return b[:len(b)/2] },
+		1: func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b },
 	}
-	if _, err := f.WriteString(`{"fp":"deadbeef","result":{"Work`); err != nil {
-		t.Fatal(err)
+	want := make(map[int][]byte)
+	for i, corrupt := range damage {
+		path := st.Path(jobs[i].Fingerprint())
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = append([]byte(nil), b...)
+		if err := os.WriteFile(path, corrupt(b), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	f.Close()
 
-	cp2, err := OpenCheckpoint(path, true)
-	if err != nil {
-		t.Fatalf("resume over torn tail: %v", err)
-	}
-	if cp2.Len() != len(jobs) {
-		t.Fatalf("loaded %d cells, want %d (torn tail dropped)", cp2.Len(), len(jobs))
-	}
-	// The journal must accept new records cleanly after truncation.
-	extra := Job{Workload: workload.All()[2], Variant: core.None, Config: smallCfg()}
-	if _, err := New(1).RunChecked(context.Background(), []Job{extra}, Options{Checkpoint: cp2}); err != nil {
-		t.Fatal(err)
-	}
-	cp2.Close()
-
-	cp3, err := OpenCheckpoint(path, true)
+	second, err := New(2).RunChecked(context.Background(), jobs, Options{Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cp3.Close()
-	if cp3.Len() != len(jobs)+1 {
-		t.Fatalf("after append-over-torn-tail: %d cells, want %d", cp3.Len(), len(jobs)+1)
+	for i := range jobs {
+		_, damaged := damage[i]
+		if !second[i].OK() || second[i].Cached == damaged {
+			t.Errorf("cell %d: ok=%v cached=%v, want cached=%v", i, second[i].OK(), second[i].Cached, !damaged)
+		}
+		if !reflect.DeepEqual(first[i].Result, second[i].Result) {
+			t.Errorf("cell %d: result differs from the original run", i)
+		}
+	}
+	for i := range damage {
+		got, err := os.ReadFile(st.Path(jobs[i].Fingerprint()))
+		if err != nil || !bytes.Equal(got, want[i]) {
+			t.Errorf("cell %d: entry not overwritten with its original bytes (err %v)", i, err)
+		}
+	}
+	quarantined, _ := filepath.Glob(filepath.Join(dir, results.QuarantineDir, "*.psbc"))
+	if len(quarantined) != len(damage) {
+		t.Errorf("quarantined %d entries, want %d", len(quarantined), len(damage))
 	}
 }

@@ -273,23 +273,18 @@ func (d *Dispatcher) Close() {
 	d.wg.Wait()
 }
 
-// executeCell is the one checked execution path: checkpoint lookup,
-// runCell (panic recovery, retries, per-attempt timeout), checkpoint
-// record. Both the batch RunChecked path and the serving Dispatcher
-// end up here.
+// executeCell is the one checked execution path: runCell (panic
+// recovery, retries, per-attempt timeout), then a save to the result
+// store when one is set. Both the batch RunChecked path and the serving
+// Dispatcher end up here.
 func executeCell(ctx context.Context, j Job, fp string, opts Options) CellResult {
-	if opts.Checkpoint != nil {
-		if res, ok := opts.Checkpoint.Lookup(fp); ok {
-			return CellResult{Result: res, Cached: true}
-		}
-	}
 	cell := runCell(ctx, j, fp, opts)
-	if cell.OK() && opts.Checkpoint != nil {
-		if err := opts.Checkpoint.Record(fp, j, cell.Result); err != nil {
+	if cell.OK() && opts.Store != nil {
+		if err := opts.Store.Save(fp, cell.Result); err != nil {
 			cell.Err = &JobError{
 				Workload: j.Workload.Name, Variant: j.Variant,
 				Fingerprint: fp, Attempts: cell.Attempts,
-				Err: fmt.Errorf("checkpoint write: %w", err),
+				Err: fmt.Errorf("result store write: %w", err),
 			}
 		}
 	}

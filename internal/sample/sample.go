@@ -10,7 +10,7 @@
 // store is keyed like the trace cache — workload, seed, and a digest
 // of the warm-structure geometry — plus the interval-boundary position
 // within the stream, and persists checkpoints next to trace recordings
-// via the same write-to-temp-then-rename idiom.
+// through the same temp-and-rename writer (internal/atomicfile).
 package sample
 
 import (
@@ -18,6 +18,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -25,6 +26,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/atomicfile"
 	"repro/internal/cpu"
 	"repro/internal/mem"
 )
@@ -407,24 +409,13 @@ func (s *Store) load(k Key, pos uint64, dir string) (*cpu.FunctionalState, error
 // store persists a checkpoint via write-to-temp-then-rename, so a
 // crashed or concurrent writer never leaves a torn file behind.
 func (s *Store) store(k Key, dir string, st *cpu.FunctionalState) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("sample: %w", err)
-	}
 	name := k.filename(st.Pos)
-	tmp, err := os.CreateTemp(dir, name+".tmp*")
-	if err != nil {
-		return fmt.Errorf("sample: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	_, err = tmp.Write(Encode(k, st))
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
+	err := atomicfile.Write(filepath.Join(dir, name), func(w io.Writer) error {
+		_, err := w.Write(Encode(k, st))
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("sample: writing %s: %w", name, err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		return fmt.Errorf("sample: %w", err)
 	}
 	s.diskWrites.Add(1)
 	return nil

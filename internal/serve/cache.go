@@ -2,14 +2,16 @@ package serve
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/results"
 	"repro/internal/sim"
 )
 
@@ -20,53 +22,6 @@ const diskDemoteAfter = 3
 // defaultProbeInterval is how often a demoted disk tier is re-probed
 // for recovery.
 const defaultProbeInterval = 2 * time.Second
-
-// quarantineDir is the subdirectory (under the cache dir) that
-// corrupt entries are moved into for post-mortem inspection.
-const quarantineDir = "quarantine"
-
-// defaultQuarantineBudget caps the quarantine directory: sustained
-// disk-corrupt fault injection (or a genuinely rotting disk) must not
-// grow it without bound. Oldest entries are garbage-collected first —
-// recent corruption is the evidence worth keeping.
-const defaultQuarantineBudget = 64 << 20
-
-// diskIO abstracts the disk tier's two file operations so fault
-// injection can interpose; production uses osDisk, whose methods call
-// the os package directly.
-type diskIO interface {
-	// Read returns the file's bytes (os.IsNotExist errors mean a
-	// plain miss).
-	Read(path string) ([]byte, error)
-	// Write atomically replaces path with data (temp file + rename),
-	// creating parent directories as needed.
-	Write(path string, data []byte) error
-}
-
-// osDisk is the production diskIO.
-type osDisk struct{}
-
-func (osDisk) Read(path string) ([]byte, error) { return os.ReadFile(path) }
-
-func (osDisk) Write(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	_, werr := tmp.Write(data)
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return werr
-	}
-	return os.Rename(tmp.Name(), path)
-}
 
 // CacheStats is a snapshot of the result cache's traffic counters.
 type CacheStats struct {
@@ -111,32 +66,23 @@ type CacheHealth struct {
 
 // ResultCache memoizes simulation results across requests, keyed by
 // runner.Job.Fingerprint: an in-memory LRU bounded by entry count,
-// optionally backed by an on-disk store that survives restarts and
-// LRU eviction. A fingerprint is a pure function of the job (workload,
-// variant, machine configuration — see the fingerprint contract in
-// EXPERIMENTS.md), and sim.Result round-trips JSON losslessly, so a
-// cache-served result renders byte-identically to a fresh simulation.
-//
-// The disk tier is self-healing: every entry is checksummed on read; a
-// corrupt entry (torn write, bit flip, truncation) is quarantined and
-// treated as a miss, so the caller re-simulates and overwrites it.
-// Repeated I/O failures demote the tier to memory-only — requests keep
-// succeeding, /healthz reports degraded — and a periodic probe
-// restores it once the disk behaves again.
+// optionally backed by a results.Store directory that survives
+// restarts and LRU eviction, and that psbtables -cache-dir reads and
+// writes too. The store detects and quarantines corrupt entries; the
+// cache adds the serving policy on top: a quarantined entry is a miss
+// the caller re-simulates and overwrites, repeated I/O failures demote
+// the tier to memory-only — requests keep succeeding, /healthz reports
+// degraded — and a periodic probe restores it once the disk behaves
+// again.
 type ResultCache struct {
 	mu    sync.Mutex
 	cap   int
-	dir   string
-	disk  diskIO
-	ll    *list.List // front = most recently used
+	store *results.Store // nil without a disk tier
+	ll    *list.List     // front = most recently used
 	items map[string]*list.Element
 
 	events        *EventLogger
 	probeInterval time.Duration
-	// quarantineBudget bounds the quarantine directory in bytes; qgcMu
-	// serializes its oldest-first garbage collector.
-	quarantineBudget int64
-	qgcMu            sync.Mutex
 	// diskFailStreak counts consecutive disk I/O failures; at
 	// diskDemoteAfter the tier demotes. Any success resets it.
 	diskFailStreak atomic.Int64
@@ -155,25 +101,31 @@ type lruEntry struct {
 
 // NewResultCache returns a cache bounded to entries in-memory results
 // (entries <= 0 selects a generous default of 4096). dir, when
-// non-empty, enables the disk tier: results are persisted to
-// <dir>/<fingerprint>.psbc and reloaded on memory misses.
+// non-empty, enables the disk tier: results are persisted to dir's
+// results.Store and reloaded on memory misses.
 func NewResultCache(entries int, dir string) *ResultCache {
 	if entries <= 0 {
 		entries = 4096
 	}
-	return &ResultCache{
-		cap:              entries,
-		dir:              dir,
-		disk:             osDisk{},
-		ll:               list.New(),
-		items:            make(map[string]*list.Element),
-		probeInterval:    defaultProbeInterval,
-		quarantineBudget: defaultQuarantineBudget,
+	c := &ResultCache{
+		cap:           entries,
+		ll:            list.New(),
+		items:         make(map[string]*list.Element),
+		probeInterval: defaultProbeInterval,
 	}
+	if dir != "" {
+		c.store = results.New(dir)
+	}
+	return c
 }
 
-// withDisk replaces the disk layer (fault injection).
-func (c *ResultCache) withDisk(d diskIO) *ResultCache { c.disk = d; return c }
+// withDisk replaces the disk tier's file operations (fault injection).
+func (c *ResultCache) withDisk(d results.Disk) *ResultCache {
+	if c.store != nil {
+		c.store.Disk = d
+	}
+	return c
+}
 
 // withEvents attaches a structured event logger.
 func (c *ResultCache) withEvents(l *EventLogger) *ResultCache { c.events = l; return c }
@@ -190,8 +142,8 @@ func (c *ResultCache) withProbeInterval(d time.Duration) *ResultCache {
 // withQuarantineBudget overrides the quarantine directory's byte cap
 // (b <= 0 keeps the default).
 func (c *ResultCache) withQuarantineBudget(b int64) *ResultCache {
-	if b > 0 {
-		c.quarantineBudget = b
+	if b > 0 && c.store != nil {
+		c.store.QuarantineBudget = b
 	}
 	return c
 }
@@ -231,7 +183,7 @@ func (c *ResultCache) Health() CacheHealth {
 		Quarantined: c.quarantined.Load(),
 		DiskErrors:  c.diskErrors.Load(),
 	}
-	if c.dir != "" {
+	if c.store != nil {
 		if c.diskDown.Load() {
 			h.Disk = "degraded"
 		} else {
@@ -284,7 +236,7 @@ func (c *ResultCache) get(fp string, countMiss bool) (res sim.Result, tier strin
 func (c *ResultCache) Put(fp string, res sim.Result) {
 	c.insert(fp, res)
 	if c.diskUsable() {
-		if err := c.disk.Write(c.diskPath(fp), encodeDiskEntry(res)); err != nil {
+		if err := c.store.Save(fp, res); err != nil {
 			c.diskFailed("write", fp, err)
 		} else {
 			c.diskOK()
@@ -312,110 +264,45 @@ func (c *ResultCache) insert(fp string, res sim.Result) {
 	}
 }
 
-// diskPath is the fingerprint's on-disk location.
-func (c *ResultCache) diskPath(fp string) string {
-	return filepath.Join(c.dir, fp+".psbc")
-}
-
-// loadDisk reads and validates one persisted result. A corrupt entry
-// is quarantined and reported as a miss — the caller re-simulates and
-// the fresh Put overwrites it (self-healing). I/O errors count toward
-// demotion.
+// loadDisk reads one persisted result. A corrupt entry, which the
+// store has already quarantined, is reported as a miss — the caller
+// re-simulates and the fresh Put overwrites it (self-healing). I/O
+// errors count toward demotion.
 func (c *ResultCache) loadDisk(fp string) (sim.Result, bool) {
-	b, err := c.disk.Read(c.diskPath(fp))
-	if err != nil {
-		if !os.IsNotExist(err) {
-			c.diskFailed("read", fp, err)
-		}
-		return sim.Result{}, false
-	}
-	res, err := decodeDiskEntry(b)
-	if err != nil {
-		// The bytes arrived but fail validation: the entry is corrupt,
-		// not the disk. Quarantine it and heal by re-simulating.
+	res, err := c.store.Load(fp)
+	var corrupt *results.CorruptError
+	switch {
+	case err == nil:
 		c.diskOK()
-		c.quarantine(fp, len(b), err)
-		return sim.Result{}, false
+		return res, true
+	case errors.As(err, &corrupt):
+		// The bytes arrived but fail validation: the entry is corrupt,
+		// not the disk.
+		c.diskOK()
+		c.noteQuarantine(corrupt)
+	case !errors.Is(err, fs.ErrNotExist):
+		c.diskFailed("read", fp, err)
 	}
-	c.diskOK()
-	return res, true
+	return sim.Result{}, false
 }
 
-// quarantine moves a corrupt entry into the quarantine subdirectory
-// (best-effort; removed outright if the move fails) and logs a
-// structured event.
-func (c *ResultCache) quarantine(fp string, size int, cause error) {
+// noteQuarantine counts and logs one entry the store quarantined, and
+// what the quarantine's garbage collector removed after it.
+func (c *ResultCache) noteQuarantine(e *results.CorruptError) {
 	c.quarantined.Add(1)
-	src := c.diskPath(fp)
-	qdir := filepath.Join(c.dir, quarantineDir)
-	dst := filepath.Join(qdir, fp+".psbc")
-	err := os.MkdirAll(qdir, 0o755)
-	if err == nil {
-		err = os.Rename(src, dst)
-	}
-	if err != nil {
-		os.Remove(src)
-		dst = ""
-	}
 	c.events.Log("cache_quarantine", map[string]any{
-		"fingerprint": fp,
-		"bytes":       size,
-		"cause":       cause.Error(),
-		"moved_to":    dst,
+		"fingerprint": e.Fingerprint,
+		"bytes":       e.Size,
+		"cause":       e.Err.Error(),
+		"moved_to":    e.MovedTo,
 	})
-	c.gcQuarantine()
-}
-
-// gcQuarantine keeps the quarantine directory within its byte budget
-// by deleting the oldest entries first: sustained corruption (fault
-// injection, a rotting disk) keeps the freshest evidence and bounded
-// disk usage. Failures are best-effort — GC must never take the
-// serving path down with it.
-func (c *ResultCache) gcQuarantine() {
-	c.qgcMu.Lock()
-	defer c.qgcMu.Unlock()
-	qdir := filepath.Join(c.dir, quarantineDir)
-	entries, err := os.ReadDir(qdir)
-	if err != nil {
-		return
-	}
-	type qfile struct {
-		name string
-		size int64
-		mod  time.Time
-	}
-	var files []qfile
-	var total int64
-	for _, e := range entries {
-		info, err := e.Info()
-		if err != nil || !info.Mode().IsRegular() {
-			continue
-		}
-		files = append(files, qfile{e.Name(), info.Size(), info.ModTime()})
-		total += info.Size()
-	}
-	if total <= c.quarantineBudget {
-		return
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mod.Before(files[j].mod) })
-	var evicted, freed int64
-	for _, f := range files {
-		if total <= c.quarantineBudget {
-			break
-		}
-		if os.Remove(filepath.Join(qdir, f.name)) == nil {
-			total -= f.size
-			freed += f.size
-			evicted++
-			c.quarantineEvicted.Add(1)
-		}
-	}
-	if evicted > 0 {
+	if sw := e.Sweep; sw.Evicted > 0 {
+		c.quarantineEvicted.Add(uint64(sw.Evicted))
 		c.events.Log("cache_quarantine_gc", map[string]any{
-			"evicted":         evicted,
-			"freed_bytes":     freed,
-			"remaining_bytes": total,
-			"budget_bytes":    c.quarantineBudget,
+			"evicted":         sw.Evicted,
+			"freed_bytes":     sw.Freed,
+			"remaining_bytes": sw.Remaining,
+			"budget_bytes":    c.store.QuarantineBudget,
 		})
 	}
 }
@@ -427,7 +314,7 @@ func (c *ResultCache) QuarantineCount() uint64 { return c.quarantined.Load() }
 // probing a demoted tier for recovery when the probe interval has
 // elapsed.
 func (c *ResultCache) diskUsable() bool {
-	if c.dir == "" {
+	if c.store == nil {
 		return false
 	}
 	if !c.diskDown.Load() {
@@ -462,22 +349,22 @@ func (c *ResultCache) diskFailed(op, fp string, err error) {
 func (c *ResultCache) diskOK() { c.diskFailStreak.Store(0) }
 
 // maybeProbe attempts recovery of a demoted disk tier at most once per
-// probe interval: write a sentinel entry through the (possibly still
-// faulty) disk layer, read it back, and verify the bytes. Success
-// restores the tier.
+// probe interval: write a sentinel file through the store's (possibly
+// still faulty) disk layer, read it back, and verify the bytes.
+// Success restores the tier.
 func (c *ResultCache) maybeProbe() {
 	now := time.Now().UnixNano()
 	last := c.lastProbe.Load()
 	if now-last < c.probeInterval.Nanoseconds() || !c.lastProbe.CompareAndSwap(last, now) {
 		return
 	}
-	path := filepath.Join(c.dir, ".probe")
-	want := []byte(fmt.Sprintf("%s probe %d\n", entryMagic, now))
-	if err := c.disk.Write(path, want); err != nil {
+	path := filepath.Join(c.store.Dir, ".probe")
+	want := []byte(fmt.Sprintf("probe %d\n", now))
+	if err := c.store.Disk.Write(path, want); err != nil {
 		c.events.Log("cache_disk_probe", map[string]any{"ok": false, "cause": err.Error()})
 		return
 	}
-	got, err := c.disk.Read(path)
+	got, err := c.store.Disk.Read(path)
 	if err == nil && string(got) != string(want) {
 		err = fmt.Errorf("probe readback mismatch")
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/results"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -92,7 +93,7 @@ func TestResultCacheDiskRoundTrip(t *testing.T) {
 	if tier != "disk" {
 		t.Errorf("tier = %q, want disk", tier)
 	}
-	if !bytes.Equal(EncodeResult(got), EncodeResult(plain)) {
+	if !bytes.Equal(results.Encode(got), results.Encode(plain)) {
 		t.Errorf("disk round-trip changed the rendered result")
 	}
 
@@ -103,7 +104,7 @@ func TestResultCacheDiskRoundTrip(t *testing.T) {
 	if !ok || tier2 != "disk" {
 		t.Fatalf("hist: ok=%v tier=%q, want disk hit", ok, tier2)
 	}
-	if !bytes.Equal(EncodeResult(got2), EncodeResult(hist)) {
+	if !bytes.Equal(results.Encode(got2), results.Encode(hist)) {
 		t.Errorf("histogram result changed across the disk round-trip")
 	}
 
@@ -122,7 +123,7 @@ func TestResultCacheDiskRoundTrip(t *testing.T) {
 func TestResultCacheCorruptDiskEntry(t *testing.T) {
 	dir := t.TempDir()
 	c := NewResultCache(4, dir)
-	if err := os.WriteFile(c.diskPath("bad"), []byte("{not json"), 0o644); err != nil {
+	if err := os.WriteFile(c.store.Path("bad"), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := c.Get("bad"); ok {
@@ -133,19 +134,6 @@ func TestResultCacheCorruptDiskEntry(t *testing.T) {
 	}
 }
 
-// TestDiskEntryRoundTrip checks the checksummed frame decodes back to
-// the same canonical rendering it encoded.
-func TestDiskEntryRoundTrip(t *testing.T) {
-	res := tinyResult(t, core.PSBConfPriority, true)
-	got, err := decodeDiskEntry(encodeDiskEntry(res))
-	if err != nil {
-		t.Fatalf("decode(encode): %v", err)
-	}
-	if !bytes.Equal(EncodeResult(got), EncodeResult(res)) {
-		t.Errorf("entry round-trip changed the rendered result")
-	}
-}
-
 // TestResultCacheSelfHealsCorruption corrupts a persisted entry three
 // ways — truncation (a torn write), a single bit flip, and a
 // zero-length file — and checks each is quarantined on read, served as
@@ -153,7 +141,7 @@ func TestDiskEntryRoundTrip(t *testing.T) {
 // byte-identical to the original.
 func TestResultCacheSelfHealsCorruption(t *testing.T) {
 	res := tinyResult(t, core.None, false)
-	want := EncodeResult(res)
+	want := results.Encode(res)
 	damage := map[string]func([]byte) []byte{
 		"truncated":   func(b []byte) []byte { return b[:len(b)/2] },
 		"bit-flipped": func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b },
@@ -182,7 +170,7 @@ func TestResultCacheSelfHealsCorruption(t *testing.T) {
 			if n := c.QuarantineCount(); n != 1 {
 				t.Fatalf("quarantined = %d, want 1", n)
 			}
-			if _, err := os.Stat(filepath.Join(dir, quarantineDir, "fp.psbc")); err != nil {
+			if _, err := os.Stat(filepath.Join(dir, results.QuarantineDir, "fp.psbc")); err != nil {
 				t.Errorf("corrupt entry not moved to quarantine: %v", err)
 			}
 			if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -203,17 +191,17 @@ func TestResultCacheSelfHealsCorruption(t *testing.T) {
 			if !ok || tier != "disk" {
 				t.Fatalf("healed entry: ok=%v tier=%q, want disk hit", ok, tier)
 			}
-			if !bytes.Equal(EncodeResult(got), want) {
+			if !bytes.Equal(results.Encode(got), want) {
 				t.Errorf("healed entry differs from the original result")
 			}
 		})
 	}
 }
 
-// flakyDisk is a diskIO whose operations fail while `broken` is set.
+// flakyDisk is a results.Disk whose operations fail while `broken` is set.
 type flakyDisk struct {
 	broken *atomic.Bool
-	next   diskIO
+	next   results.Disk
 }
 
 func (f flakyDisk) Read(path string) ([]byte, error) {
@@ -241,7 +229,7 @@ func TestResultCacheDiskDegradeRecover(t *testing.T) {
 	var broken atomic.Bool
 	var events bytes.Buffer
 	c := NewResultCache(4, dir).
-		withDisk(flakyDisk{broken: &broken, next: osDisk{}}).
+		withDisk(flakyDisk{broken: &broken, next: results.OSDisk{}}).
 		withEvents(NewEventLogger(&events)).
 		withProbeInterval(time.Millisecond)
 	res := tinyResult(t, core.None, false)

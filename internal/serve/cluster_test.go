@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/results"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -178,7 +179,7 @@ func TestClusterPeerFill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
 	}
-	want := EncodeResult(direct)
+	want := results.Encode(direct)
 	for name, got := range map[string][]byte{"cold": cold, "hot": hot, "owner": own, "third": far} {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s response differs from direct sim.RunChecked rendering (fp %s)", name, fp)
@@ -252,7 +253,7 @@ func TestClusterOwnerDownDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
 	}
-	want := EncodeResult(direct)
+	want := results.Encode(direct)
 	for _, i := range []int{(owner + 1) % 3, (owner + 2) % 3} {
 		resp, got := postSim(t, tss[i], body)
 		if resp.StatusCode != http.StatusOK {

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/results"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -245,15 +246,6 @@ func schemeNames() string {
 	return joinNames(names)
 }
 
-// EncodeResult renders a simulation result as canonical JSON: the
-// exact bytes psbsim -json prints and the serving layer returns, so
-// cache-served, dedup-served and freshly simulated responses are
-// byte-identical and diffable across the CLI/server boundary.
-func EncodeResult(r sim.Result) []byte {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		// sim.Result is plain data; MarshalIndent cannot fail on it.
-		panic(err)
-	}
-	return append(b, '\n')
-}
+// EncodeResult is results.Encode, the canonical result bytes; the
+// result store owns that encoding.
+func EncodeResult(r sim.Result) []byte { return results.Encode(r) }

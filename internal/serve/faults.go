@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/results"
 )
 
 // FaultPlan describes deterministic fault injection for hardening runs
@@ -274,12 +276,13 @@ func (in *Injector) SimHook() func() {
 	}
 }
 
-// faultDisk wraps a diskIO with the plan's disk faults: delays, I/O
-// errors, and corrupted writes (the corruption lands on the real disk,
-// so the read path's checksum validation is exercised end to end).
+// faultDisk wraps the result store's results.Disk with the plan's disk
+// faults: delays, I/O errors, and corrupted writes (the corruption
+// lands on the real disk, so the store's checksum validation is
+// exercised end to end).
 type faultDisk struct {
 	in   *Injector
-	next diskIO
+	next results.Disk
 }
 
 func (f faultDisk) delay() {

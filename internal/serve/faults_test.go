@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/results"
 )
 
 // TestParseFaultPlan checks the spec syntax round-trips and rejects
@@ -137,10 +138,10 @@ func TestInjectorClearAndWindow(t *testing.T) {
 // bytes the entry decoder rejects — the property the self-healing cache
 // depends on.
 func TestCorruptBytesAlwaysDetected(t *testing.T) {
-	entry := encodeDiskEntry(tinyResult(t, core.None, false))
+	entry := results.EncodeEntry(tinyResult(t, core.None, false))
 	for r := uint64(0); r < 64; r++ {
 		damaged := corruptBytes(entry, r)
-		if _, err := decodeDiskEntry(damaged); !errors.Is(err, errCorruptEntry) {
+		if _, err := results.DecodeEntry(damaged); !errors.Is(err, results.ErrCorrupt) {
 			t.Errorf("r=%d: corruption (len %d -> %d) not detected: %v",
 				r, len(entry), len(damaged), err)
 		}
@@ -157,7 +158,7 @@ func TestFaultDiskPassThrough(t *testing.T) {
 	in := NewInjector(FaultPlan{Seed: 3, DiskFail: 1, DiskCorrupt: 1})
 	in.Clear()
 	dir := t.TempDir()
-	fd := faultDisk{in: in, next: osDisk{}}
+	fd := faultDisk{in: in, next: results.OSDisk{}}
 	if err := fd.Write(dir+"/x", []byte("payload")); err != nil {
 		t.Fatalf("cleared faultDisk write failed: %v", err)
 	}

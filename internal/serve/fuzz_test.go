@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/sim"
@@ -35,35 +34,5 @@ func FuzzDecodeJobRequest(f *testing.F) {
 			}
 		}
 		DecodeArtifactRequest(data)
-	})
-}
-
-// FuzzDecodeDiskEntry asserts the disk-cache entry decoder never
-// panics and never accepts damaged framing: whatever bytes a torn
-// write, bit rot, or an attacker with filesystem access leave behind,
-// the cache answers with a miss (and a quarantine), not a crash or a
-// wrong result. Entries that do decode must re-encode decodably —
-// the self-healing overwrite path depends on that.
-func FuzzDecodeDiskEntry(f *testing.F) {
-	valid := encodeDiskEntry(sim.Result{})
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])          // torn write
-	f.Add(append([]byte(nil), valid...)) // mutated below by the engine
-	f.Add([]byte(entryMagic))            // header only
-	f.Add([]byte(entryMagic + "0000"))   // short checksum
-	f.Add([]byte("{not an entry}"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		res, err := decodeDiskEntry(data)
-		if err != nil {
-			return
-		}
-		again, err := decodeDiskEntry(encodeDiskEntry(res))
-		if err != nil {
-			t.Fatalf("decoded entry did not re-encode decodably: %v", err)
-		}
-		if !bytes.Equal(EncodeResult(again), EncodeResult(res)) {
-			t.Fatalf("re-encoded entry decoded to a different result")
-		}
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/results"
 	"repro/internal/runner"
 	"repro/internal/sim"
 )
@@ -194,7 +195,7 @@ func (s *Server) sendPeerBatch(owner string, leaders []peerBatchItem, tenant str
 		}
 		pb := []byte(pc.Payload)
 		var res sim.Result
-		if json.Unmarshal(pb, &res) != nil || !bytes.Equal(EncodeResult(res), pb) {
+		if json.Unmarshal(pb, &res) != nil || !bytes.Equal(results.Encode(res), pb) {
 			// The cache contract survives the wire only if the peer's
 			// bytes are the canonical rendering: a non-canonical payload
 			// (version skew or corruption, not a fingerprint
@@ -314,5 +315,5 @@ func (s *Server) servePeerBatchCell(pj PeerBatchJob, tenant string) PeerBatchCel
 		return PeerBatchCell{Fingerprint: fp, Status: http.StatusUnprocessableEntity, Error: cell.Err.Error()}
 	}
 	s.peerServed.Add(1)
-	return PeerBatchCell{Fingerprint: fp, Tier: tier, Payload: string(EncodeResult(cell.Result))}
+	return PeerBatchCell{Fingerprint: fp, Tier: tier, Payload: string(results.Encode(cell.Result))}
 }

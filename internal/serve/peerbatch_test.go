@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/results"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -132,7 +133,7 @@ func TestClusterBatchDifferential(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("cell %d: /v1/sim status %d", i, resp.StatusCode)
 		}
-		if !bytes.Equal(EncodeResult(*br.Cells[i].Result), single) {
+		if !bytes.Equal(results.Encode(*br.Cells[i].Result), single) {
 			t.Errorf("cell %d: batch result bytes differ from /v1/sim", i)
 		}
 	}
@@ -347,7 +348,7 @@ func TestPeerFillCorruptPayload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
 	}
-	want := EncodeResult(direct)
+	want := results.Encode(direct)
 	if !bytes.Equal(got, want) {
 		t.Error("fallback response differs from the direct rendering")
 	}
@@ -356,7 +357,7 @@ func TestPeerFillCorruptPayload(t *testing.T) {
 		t.Errorf("counters: fallbacks=%d skew_rejects=%d fills=%d fill_ewma_us=%g, want 1/0/0/0",
 			pc.Fallbacks, pc.SkewRejects, pc.Fills, pc.FillP50Us)
 	}
-	if res, _, ok := s.cache.peek(job.Fingerprint()); !ok || !bytes.Equal(EncodeResult(res), want) {
+	if res, _, ok := s.cache.peek(job.Fingerprint()); !ok || !bytes.Equal(results.Encode(res), want) {
 		t.Error("cache does not hold the canonical bytes after the corrupt fill")
 	}
 }
@@ -399,7 +400,7 @@ func TestClusterWarmPush(t *testing.T) {
 		sent := srvs[owner].Stats().Peer.WarmPushSent
 		recv := srvs[succ].Stats().Peer.WarmPushReceived
 		if cached && sent > 0 && recv > 0 {
-			if !bytes.Equal(EncodeResult(res), canonical) {
+			if !bytes.Equal(results.Encode(res), canonical) {
 				t.Fatal("warm-pushed bytes differ from the owner's response")
 			}
 			break

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/results"
 )
 
 // TestQuarantineGCBudget floods the quarantine directory past its byte
@@ -26,7 +28,7 @@ func TestQuarantineGCBudget(t *testing.T) {
 	base := time.Now().Add(-4 * time.Hour)
 	for i := 0; i < 4; i++ {
 		fp := fmt.Sprintf("fp%d", i)
-		path := c.diskPath(fp)
+		path := c.store.Path(fp)
 		if err := os.WriteFile(path, garbage, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +49,7 @@ func TestQuarantineGCBudget(t *testing.T) {
 	if st.QuarantineEvicted != 2 {
 		t.Errorf("quarantine_evicted = %d, want 2 (oldest two past the budget)", st.QuarantineEvicted)
 	}
-	qdir := filepath.Join(dir, quarantineDir)
+	qdir := filepath.Join(dir, results.QuarantineDir)
 	entries, err := os.ReadDir(qdir)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +88,7 @@ func TestQuarantineGCBudget(t *testing.T) {
 func TestQuarantineGCUnderBudget(t *testing.T) {
 	dir := t.TempDir()
 	c := NewResultCache(4, dir) // default 64 MiB budget
-	if err := os.WriteFile(c.diskPath("fp"), []byte("not a cache entry"), 0o644); err != nil {
+	if err := os.WriteFile(c.store.Path("fp"), []byte("not a cache entry"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := c.Get("fp"); ok {
@@ -95,7 +97,7 @@ func TestQuarantineGCUnderBudget(t *testing.T) {
 	if st := c.Stats(); st.QuarantineEvicted != 0 {
 		t.Errorf("quarantine_evicted = %d, want 0 under budget", st.QuarantineEvicted)
 	}
-	if _, err := os.Stat(filepath.Join(dir, quarantineDir, "fp.psbc")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, results.QuarantineDir, "fp.psbc")); err != nil {
 		t.Errorf("quarantined entry missing: %v", err)
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/experiments"
+	"repro/internal/results"
 	"repro/internal/runner"
 	"repro/internal/sample"
 	"repro/internal/sim"
@@ -159,7 +160,7 @@ func New(cfg Config) *Server {
 		withProbeInterval(cfg.HealInterval).
 		withQuarantineBudget(cfg.QuarantineBudget)
 	if faults != nil {
-		cache.withDisk(faultDisk{in: faults, next: osDisk{}})
+		cache.withDisk(faultDisk{in: faults, next: results.OSDisk{}})
 		events.Log("faults_armed", map[string]any{"plan": cfg.Faults.String()})
 	}
 	s := &Server{
@@ -516,7 +517,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Psb-Cache", out.tier)
 	w.Header().Set("X-Psb-Fingerprint", jobs[0].Fingerprint())
 	w.Header().Set("X-Psb-Serve-Us", fmt.Sprintf("%d", time.Since(start).Microseconds()))
-	w.Write(EncodeResult(out.cell.Result))
+	w.Write(results.Encode(out.cell.Result))
 }
 
 // BatchCell is one cell's outcome in a batch response.

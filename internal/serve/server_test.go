@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/results"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/vm"
@@ -102,7 +103,7 @@ func TestServerDifferentialByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: direct run: %v", w.Name, v, err)
 			}
-			if !bytes.Equal(cold, EncodeResult(direct)) {
+			if !bytes.Equal(cold, results.Encode(direct)) {
 				t.Errorf("%s/%s: server response differs from direct sim.RunChecked rendering", w.Name, v)
 			}
 		}
@@ -134,10 +135,10 @@ func TestServerSingleflightDedup(t *testing.T) {
 		tier string
 		err  error
 	}
-	results := make(chan outcome, followers+1)
+	outcomes := make(chan outcome, followers+1)
 	run := func() {
 		c, tier, err := s.cell(job, AnonTenant)
-		results <- outcome{c, tier, err}
+		outcomes <- outcome{c, tier, err}
 	}
 	go run() // leader
 	<-started
@@ -154,12 +155,12 @@ func TestServerSingleflightDedup(t *testing.T) {
 	var tiers []string
 	var bodies [][]byte
 	for i := 0; i < followers+1; i++ {
-		o := <-results
+		o := <-outcomes
 		if o.err != nil || o.cell.Err != nil {
 			t.Fatalf("cell failed: %v / %v", o.err, o.cell.Err)
 		}
 		tiers = append(tiers, o.tier)
-		bodies = append(bodies, EncodeResult(o.cell.Result))
+		bodies = append(bodies, results.Encode(o.cell.Result))
 	}
 	if n := builds.Load(); n != 1 {
 		t.Errorf("builds = %d, want exactly 1 simulation", n)
@@ -354,7 +355,7 @@ func TestServerBatchDedupAndStats(t *testing.T) {
 	if br.Cells[0].Fingerprint != br.Cells[1].Fingerprint {
 		t.Fatalf("duplicate cells got different fingerprints")
 	}
-	if !bytes.Equal(EncodeResult(*br.Cells[0].Result), EncodeResult(*br.Cells[1].Result)) {
+	if !bytes.Equal(results.Encode(*br.Cells[0].Result), results.Encode(*br.Cells[1].Result)) {
 		t.Errorf("duplicate cells rendered differently")
 	}
 	st := s.Stats()

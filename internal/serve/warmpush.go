@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"sync/atomic"
 
+	"repro/internal/results"
 	"repro/internal/runner"
 	"repro/internal/sim"
 )
@@ -90,7 +91,7 @@ func (s *Server) maybeWarmPush(job runner.Job, fp string, res sim.Result) {
 	if !ok {
 		return
 	}
-	body, err := json.Marshal(WarmPushRequest{Req: req, Fingerprint: fp, Payload: string(EncodeResult(res))})
+	body, err := json.Marshal(WarmPushRequest{Req: req, Fingerprint: fp, Payload: string(results.Encode(res))})
 	if err != nil {
 		return
 	}
@@ -158,7 +159,7 @@ func (s *Server) handlePeerWarm(w http.ResponseWriter, r *http.Request) {
 	}
 	pb := []byte(req.Payload)
 	var res sim.Result
-	if json.Unmarshal(pb, &res) != nil || !bytes.Equal(EncodeResult(res), pb) {
+	if json.Unmarshal(pb, &res) != nil || !bytes.Equal(results.Encode(res), pb) {
 		s.warmRejected.Add(1)
 		s.events.Log("peer_corrupt", map[string]any{
 			"from": r.RemoteAddr, "fingerprint": fp, "cause": "non-canonical warm-push payload",

@@ -2,12 +2,14 @@ package trace
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 
+	"repro/internal/atomicfile"
 	"repro/internal/vm"
 )
 
@@ -368,26 +370,15 @@ func (c *Cache) load(k Key, dir string) (recording, bool, error) {
 // store persists a recording via write-to-temp-then-rename, so a
 // crashed or concurrent writer never leaves a torn file behind.
 func (c *Cache) store(k Key, dir string, rec *recording, complete bool) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, k.filename()+".tmp*")
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	err = writeFile(tmp, Header{
+	hdr := Header{
 		Workload: k.Workload, Seed: k.Seed, MaxInsts: k.MaxInsts,
 		Count: uint64(rec.n), Complete: complete,
-	}, rec.data)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
 	}
+	err := atomicfile.Write(filepath.Join(dir, k.filename()), func(w io.Writer) error {
+		return writeFile(w, hdr, rec.data)
+	})
 	if err != nil {
 		return fmt.Errorf("trace: writing %s: %w", k.filename(), err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, k.filename())); err != nil {
-		return fmt.Errorf("trace: %w", err)
 	}
 	c.diskWrites.Add(1)
 	return nil
