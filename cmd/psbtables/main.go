@@ -95,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		benchJSON  = fs.Bool("bench-json", false, "time RunMatrix serial vs parallel, live vs traced, and print the timings as JSON on stdout")
 		traceFlag  = fs.String("trace", "memory", "instruction stream source: off = live functional execution per cell, memory = record each workload once and replay (bit-identical), disk = memory plus .psbtrace persistence in -trace-dir")
 		traceDir   = fs.String("trace-dir", "", "directory for .psbtrace recordings (implies -trace disk)")
-		cycleMode  = fs.String("cycle-mode", "", "clock advancement: event = skip to the next event (default), accurate = tick every cycle (reference mode; tables and machine statistics match, only the skip telemetry differs)")
+		cycleMode  = fs.String("cycle-mode", "", "clock advancement: event = skip to the next event (default), accurate = tick every cycle (reference mode; tables and machine statistics match, only the skip telemetry differs; not with -cache-dir). PSB_CYCLE_MODE=accurate forces accurate mode on code that sets none and is for the test suite only")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		sample     = fs.Bool("sample", false, "sampled simulation for every cell: functional fast-forward between detailed measurement intervals; tables carry the IPC estimates")
@@ -151,6 +151,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	mode, err := cpu.ParseCycleMode(*cycleMode)
 	if err != nil {
 		return usageError("%v", err)
+	}
+	if mode == cpu.CycleModeAccurate && *cacheDir != "" {
+		return usageError("-cache-dir does not combine with -cycle-mode accurate: a stored cell's fingerprint leaves out the cycle mode, and accurate-mode result bytes carry zero skip telemetry (SkippedCycles, Jumps)")
 	}
 
 	cfg := sim.Default()

@@ -112,6 +112,7 @@ func TestFlagMisuse(t *testing.T) {
 		{"-all", "-resume"},
 		{"-bench-json", "-cache-dir", dir},
 		{"-sample-accuracy", "-cache-dir", dir},
+		{"-fig", "5", "-insts", "2000", "-cycle-mode", "accurate", "-cache-dir", dir},
 		{},
 	} {
 		if code, _, stderr := runPsbtables(t, args...); code != 2 {

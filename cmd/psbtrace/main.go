@@ -1,6 +1,6 @@
 // Command psbtrace characterizes a benchmark's miss stream: it obtains
-// the committed-path instruction trace (recording it via the shared
-// trace cache, or replaying a .psbtrace file recorded earlier), filters
+// the committed-path instruction trace (recording it through a trace
+// cache, or replaying a .psbtrace file recorded earlier), filters
 // the reference stream through a standalone L1 model, and reports the
 // properties that determine how prefetchable the program is — miss
 // rate, the block-delta mix (stride vs pointer), the Markov working
@@ -15,8 +15,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -28,14 +30,29 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, analyzes the requested benchmarks and returns the
+// exit status: 0 = clean, 1 = a recording failed, 2 = flag misuse
+// (an unknown benchmark included). Each run records into its own trace
+// cache, so only -trace-dir carries recordings from one run to the
+// next.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("psbtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		benchName = flag.String("bench", "health", "benchmark name, or 'all'")
-		insts     = flag.Uint64("insts", 500_000, "instructions to trace")
-		seed      = flag.Int64("seed", 1, "workload layout seed")
-		topN      = flag.Int("top", 8, "block deltas to list")
-		traceDir  = flag.String("trace-dir", "", "directory for .psbtrace recordings (shared with psbtables/psbsim)")
+		benchName = fs.String("bench", "health", "benchmark name, or 'all'")
+		insts     = fs.Uint64("insts", 500_000, "instructions to trace")
+		seed      = fs.Int64("seed", 1, "workload layout seed")
+		topN      = fs.Int("top", 8, "block deltas to list")
+		traceDir  = fs.String("trace-dir", "", "directory for .psbtrace recordings (shared with psbtables/psbsim)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	var benches []workload.Workload
 	if *benchName == "all" {
@@ -43,22 +60,25 @@ func main() {
 	} else {
 		w, err := workload.ByName(*benchName)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			fs.Usage()
+			return 2
 		}
 		benches = []workload.Workload{w}
 	}
+	var cache trace.Cache
 	for _, w := range benches {
-		if err := analyze(w, *insts, *seed, *topN, *traceDir); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := analyze(stdout, &cache, w, *insts, *seed, *topN, *traceDir); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
+	return 0
 }
 
-func analyze(w workload.Workload, insts uint64, seed int64, topN int, dir string) error {
+func analyze(out io.Writer, cache *trace.Cache, w workload.Workload, insts uint64, seed int64, topN int, dir string) error {
 	key := trace.Key{Workload: w.Name, Seed: seed, MaxInsts: insts}
-	replay, err := trace.Shared().Source(key, insts, dir,
+	replay, err := cache.Source(key, insts, dir,
 		func() *vm.Machine { return w.Build(seed) })
 	if err != nil {
 		return err
@@ -96,13 +116,13 @@ func analyze(w workload.Workload, insts uint64, seed int64, topN int, dir string
 		}
 	})
 
-	fmt.Printf("=== %s (%d instructions) ===\n", w.Name, insts)
-	fmt.Printf("loads %d (%.1f%%)  stores %d (%.1f%%)  L1 misses %d (%.1f%% of refs)\n",
+	fmt.Fprintf(out, "=== %s (%d instructions) ===\n", w.Name, insts)
+	fmt.Fprintf(out, "loads %d (%.1f%%)  stores %d (%.1f%%)  L1 misses %d (%.1f%% of refs)\n",
 		loads, pct(loads, insts), stores, pct(stores, insts),
 		misses, pct(misses, loads+stores))
-	fmt.Printf("miss working set: %d blocks (%.0f KB)  missing load PCs: %d\n",
+	fmt.Fprintf(out, "miss working set: %d blocks (%.0f KB)  missing load PCs: %d\n",
 		len(missBlocks), float64(len(missBlocks))*32/1024, len(missPCs))
-	fmt.Printf("Markov-oracle predictability: 8b %.1f%%  16b %.1f%%  full %.1f%%\n",
+	fmt.Fprintf(out, "Markov-oracle predictability: 8b %.1f%%  16b %.1f%%  full %.1f%%\n",
 		hist.PercentPredictable(8)*100, hist.PercentPredictable(16)*100,
 		hist.PercentPredictable(64)*100)
 
@@ -124,12 +144,12 @@ func analyze(w workload.Workload, insts uint64, seed int64, topN int, dir string
 		}
 		return sorted[i].delta < sorted[j].delta
 	})
-	fmt.Printf("top miss-stream block deltas:\n")
+	fmt.Fprintf(out, "top miss-stream block deltas:\n")
 	for i, e := range sorted {
 		if i >= topN {
 			break
 		}
-		fmt.Printf("  %+6d blocks: %5.1f%%\n", e.delta, pct(e.count, total))
+		fmt.Fprintf(out, "  %+6d blocks: %5.1f%%\n", e.delta, pct(e.count, total))
 	}
 	covered := uint64(0)
 	for i, e := range sorted {
@@ -138,7 +158,7 @@ func analyze(w workload.Workload, insts uint64, seed int64, topN int, dir string
 		}
 		covered += e.count
 	}
-	fmt.Printf("  (top %d deltas cover %.1f%% — higher means stride-friendlier)\n\n",
+	fmt.Fprintf(out, "  (top %d deltas cover %.1f%% — higher means stride-friendlier)\n\n",
 		topN, pct(covered, total))
 	return nil
 }

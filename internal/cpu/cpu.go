@@ -302,10 +302,12 @@ type CPU struct {
 	// left the ring first). minUnissuedStoreSeq is the sequence number
 	// of the oldest in-flight store that has not issued (noStoreSeq
 	// when all have), making DisNone's "any older store un-issued"
-	// gate one compare.
-	robConflict         []int32
-	robConflictSeq      []uint64
-	minUnissuedStoreSeq uint64
+	// gate one compare; minUnissuedStoreSlot is that store's ring slot,
+	// valid while minUnissuedStoreSeq is not noStoreSeq.
+	robConflict          []int32
+	robConflictSeq       []uint64
+	minUnissuedStoreSeq  uint64
+	minUnissuedStoreSlot int
 
 	// fetchQ is a fixed-capacity ring (head fqHead, length fqLen):
 	// the queue drains from the front every cycle, and a ring avoids
@@ -914,7 +916,7 @@ func (c *CPU) dispatch() bool {
 			c.storeCount++
 			c.countGrains(item.d.EffAddr, item.d.MemSize, 1)
 			if c.minUnissuedStoreSeq == noStoreSeq {
-				c.minUnissuedStoreSeq = c.seq
+				c.minUnissuedStoreSeq, c.minUnissuedStoreSlot = c.seq, sp
 			}
 		case isLoad:
 			c.robConflict[idx] = noDep32
@@ -1070,15 +1072,25 @@ func (c *CPU) loadConflict(idx int) int {
 	return int(s)
 }
 
-// rescanMinUnissued recomputes the oldest un-issued store watermark by
-// walking the age-ordered ring from its head; called only when the
-// current watermark store issues, so the cost amortizes to one ring
-// visit per store.
+// rescanMinUnissued recomputes the oldest un-issued store watermark
+// when the watermark store issues. Every store older than it had
+// already issued, so the walk starts just past its ring slot and stops
+// at the first un-issued store. The watermark only moves toward the
+// tail, so each store is visited at most once while it is in the ring.
 func (c *CPU) rescanMinUnissued() {
-	for i := 0; i < c.storeCount; i++ {
-		sp := (c.storeHead + i) % len(c.storeQ)
+	end := c.storeHead + c.storeCount // the slot past the youngest store
+	if end >= len(c.storeQ) {
+		end -= len(c.storeQ)
+	}
+	for sp := c.minUnissuedStoreSlot; ; {
+		if sp++; sp == len(c.storeQ) {
+			sp = 0
+		}
+		if sp == end {
+			break
+		}
 		if c.robFlags[c.storeQ[sp]]&fIssued == 0 {
-			c.minUnissuedStoreSeq = c.storeSeqQ[sp]
+			c.minUnissuedStoreSeq, c.minUnissuedStoreSlot = c.storeSeqQ[sp], sp
 			return
 		}
 	}

@@ -118,3 +118,44 @@ func TestDispatchConflictMatchesRingScan(t *testing.T) {
 			seed, loads, conflicts, spanning, c.stats.Stores)
 	}
 }
+
+// TestMinUnissuedMatchesRingScan checks the oldest un-issued store
+// watermark (minUnissuedStoreSeq and its ring slot) against a
+// brute-force scan of the store ring after every cycle, while stores
+// issue out of order and the ring wraps.
+func TestMinUnissuedMatchesRingScan(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		insts := conflictStream(20_000, seed)
+		c := New(DefaultConfig(), mem.New(mem.DefaultConfig()), sbuf.Null{}, &SliceSource{Insts: insts})
+		var rescans uint64
+		for c.stats.Committed < uint64(len(insts)) {
+			if c.cycle > 10_000_000 {
+				t.Fatalf("seed %d: no progress by cycle %d", seed, c.cycle)
+			}
+			before := c.minUnissuedStoreSeq
+			c.cycle++
+			c.commit()
+			c.issue()
+			c.dispatch()
+			c.fetch()
+			want, slot := uint64(noStoreSeq), -1
+			for i := 0; i < c.storeCount; i++ {
+				sp := (c.storeHead + i) % len(c.storeQ)
+				if c.robFlags[c.storeQ[sp]]&fIssued == 0 {
+					want, slot = c.storeSeqQ[sp], sp
+					break
+				}
+			}
+			if c.minUnissuedStoreSeq != want || (slot >= 0 && c.minUnissuedStoreSlot != slot) {
+				t.Fatalf("seed %d cycle %d: watermark seq %d slot %d, want seq %d slot %d",
+					seed, c.cycle, c.minUnissuedStoreSeq, c.minUnissuedStoreSlot, want, slot)
+			}
+			if before != noStoreSeq && before != want {
+				rescans++
+			}
+		}
+		if rescans == 0 {
+			t.Fatalf("seed %d: the watermark never moved past an issued store", seed)
+		}
+	}
+}

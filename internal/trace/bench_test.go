@@ -8,8 +8,12 @@ import (
 	"repro/internal/workload"
 )
 
-// benchStream records one real workload stream once per process.
-var benchStream []vm.DynInst
+// benchStream records one real workload stream once per process, and
+// benchProg is the program it is coded against.
+var (
+	benchStream []vm.DynInst
+	benchProg   *program
+)
 
 // recordBytes is the decoded size of one record, the unit SetBytes
 // reports throughput in.
@@ -18,7 +22,9 @@ const recordBytes = int64(unsafe.Sizeof(vm.DynInst{}))
 func stream(b *testing.B) []vm.DynInst {
 	b.Helper()
 	if benchStream == nil {
-		benchStream = record(b, workload.All()[0].Build(1), 100_000)
+		w := workload.All()[0]
+		benchProg = progOf(b, w.Build(1))
+		benchStream = record(b, w.Build(1), 100_000)
 	}
 	return benchStream
 }
@@ -27,12 +33,14 @@ func stream(b *testing.B) []vm.DynInst {
 // record bytes.
 func BenchmarkEncode(b *testing.B) {
 	insts := stream(b)
-	var rec recording
+	rec := recording{prog: benchProg}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rec = recording{data: rec.data[:0], marks: rec.marks[:0]}
+		rec = recording{prog: benchProg, data: rec.data[:0], marks: rec.marks[:0]}
 		for j := range insts {
-			rec.append(&insts[j])
+			if err := rec.append(&insts[j]); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	b.ReportMetric(float64(len(rec.data))/float64(len(insts)), "bytes/inst")
@@ -43,7 +51,7 @@ func BenchmarkEncode(b *testing.B) {
 // record and building the seek marks.
 func BenchmarkDecode(b *testing.B) {
 	insts := stream(b)
-	enc := encodeAll(b, Header{Workload: "bench"}, insts)
+	enc := encodeAll(b, Header{Workload: "bench"}, benchProg, insts)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(insts)) * recordBytes)
 	for i := 0; i < b.N; i++ {
@@ -58,7 +66,7 @@ func BenchmarkDecode(b *testing.B) {
 // instead of the interpreter.
 func BenchmarkReplay(b *testing.B) {
 	insts := stream(b)
-	_, rec, err := parse(encodeAll(b, Header{Workload: "bench"}, insts))
+	_, rec, err := parse(encodeAll(b, Header{Workload: "bench"}, benchProg, insts))
 	if err != nil {
 		b.Fatal(err)
 	}

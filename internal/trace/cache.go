@@ -71,6 +71,7 @@ const markBytes = uint64(unsafe.Sizeof(mark{}))
 // handed to a replay stays valid while the recorder extends the
 // original.
 type recording struct {
+	prog  *program // the text the records are coded against
 	data  []byte
 	marks []mark
 	n     int       // records in data
@@ -79,16 +80,25 @@ type recording struct {
 
 // size is the memory a recording holds.
 func (r *recording) size() uint64 {
-	return uint64(len(r.data)) + uint64(len(r.marks))*markBytes
+	return uint64(len(r.data)) + uint64(len(r.marks))*markBytes + r.prog.size()
 }
 
-// append encodes one stepped record onto the recording.
-func (r *recording) append(d *vm.DynInst) {
+// append encodes one stepped record onto the recording, or leaves the
+// recording as it was and returns the encoder's error.
+func (r *recording) append(d *vm.DynInst) error {
 	if r.n%markEvery == 0 {
 		r.marks = append(r.marks, mark{off: len(r.data), prev: r.end})
 	}
-	r.data = appendRecord(r.data, &r.end, d)
+	data, err := appendRecord(r.data, &r.end, r.prog, d)
+	if err != nil {
+		if r.n%markEvery == 0 {
+			r.marks = r.marks[:len(r.marks)-1]
+		}
+		return err
+	}
+	r.data = data
 	r.n++
+	return nil
 }
 
 // reserve makes room for records more records at reserveBytes each,
@@ -101,7 +111,7 @@ func (r *recording) reserve(records uint64) {
 
 // replay returns a Replay positioned at the recording's first record.
 func (r *recording) replay() *Replay {
-	return &Replay{cursor: cursor{data: r.data}, marks: r.marks, n: r.n}
+	return &Replay{cursor: cursor{data: r.data, prog: r.prog}, marks: r.marks, n: r.n}
 }
 
 // trimmed returns s, or a copy of just its elements when more than an
@@ -116,11 +126,12 @@ func trimmed[T any](s []T) []T {
 
 // parse validates a whole .psbtrace file — its header, every record,
 // and that the header's Count records end exactly at the end of the
-// file — and returns its recording, which aliases data's record bytes.
-// Count is checked against the bytes before anything is reserved from
-// it, so a hostile header claims no more memory than the file bounds.
+// file — and returns its recording, which aliases data's program text
+// and record bytes. Count is checked against the bytes before anything
+// is reserved from it, so a hostile header claims no more memory than
+// the file bounds.
 func parse(data []byte) (Header, recording, error) {
-	hdr, off, err := parseHeader(data)
+	hdr, prog, off, err := parseHeader(data)
 	if err != nil {
 		return hdr, recording{}, err
 	}
@@ -129,8 +140,8 @@ func parse(data []byte) (Header, recording, error) {
 		return hdr, recording{}, fmt.Errorf("%w: %d records cannot fit in %d bytes", ErrCorrupt, hdr.Count, len(body))
 	}
 	n := int(hdr.Count)
-	rec := recording{data: body, marks: make([]mark, 0, (n+markEvery-1)/markEvery), n: n}
-	cur := cursor{data: body}
+	rec := recording{prog: prog, data: body, marks: make([]mark, 0, (n+markEvery-1)/markEvery), n: n}
+	cur := cursor{data: body, prog: prog}
 	var batch [256]vm.DynInst
 	for i := 0; i < n; {
 		if i%markEvery == 0 {
@@ -178,14 +189,15 @@ func satisfies(n int, complete bool, need uint64) bool {
 // steps. Every benchmark recording fits under it (the largest needs
 // 2,000,176 records), so each takes one allocation; past the cap the
 // recording grows by append as it steps, so a huge requested budget
-// claims no more memory up front than this.
+// claims no more than maxReserve*reserveBytes (12 MiB) up front.
 const maxReserve = 1 << 22
 
 // reserveBytes is the room a recording reserves per record it expects.
-// The six benchmarks encode to 5.6–7.3 bytes per record, so their
-// recordings never outgrow the reservation; trimmed drops what a
-// recording leaves unused.
-const reserveBytes = 8
+// The six benchmarks encode to 1.34–2.70 bytes per record (format
+// version 2, at 500K and 2M instructions), so their recordings never
+// outgrow the reservation; trimmed drops what a recording leaves
+// unused.
+const reserveBytes = 3
 
 // Cache records each workload's dynamic instruction stream once and
 // hands out replays that share the recording's bytes. The zero value
@@ -311,11 +323,18 @@ func (c *Cache) record(e *entry, k Key, need uint64, dir string,
 	}
 
 	c.misses.Add(1)
+	prior, priorComplete := rec, complete
 	if m == nil {
 		// Either nothing recorded yet, or a short disk trace was
 		// discarded above; start a fresh recorder.
 		rec, complete = recording{}, false
 		m = build()
+		prog, err := programOf(m)
+		if err != nil {
+			rec, complete, m = prior, priorComplete, nil
+			return nil, fmt.Errorf("trace: recording %s: %w", k.filename(), err)
+		}
+		rec.prog = prog
 	}
 	// Reserve room for the need (up to maxReserve records) before
 	// stepping, so a fresh recording allocates once and an extension
@@ -333,7 +352,14 @@ func (c *Cache) record(e *entry, k Key, need uint64, dir string,
 			complete = true
 			break
 		}
-		rec.append(&d)
+		if err := rec.append(&d); err != nil {
+			// The stream has a record the codec cannot represent.
+			// Publish what the entry held before, without the
+			// machine, so a later request records afresh and fails
+			// the same way instead of replaying a lossy stream.
+			rec, complete, m = prior, priorComplete, nil
+			return nil, fmt.Errorf("trace: recording %s: %w", k.filename(), err)
+		}
 	}
 	c.recorded.Add(uint64(rec.n - start))
 	rec.data, rec.marks = trimmed(rec.data), trimmed(rec.marks)
@@ -375,7 +401,7 @@ func (c *Cache) store(k Key, dir string, rec *recording, complete bool) error {
 		Count: uint64(rec.n), Complete: complete,
 	}
 	err := atomicfile.Write(filepath.Join(dir, k.filename()), func(w io.Writer) error {
-		return writeFile(w, hdr, rec.data)
+		return writeFile(w, hdr, rec)
 	})
 	if err != nil {
 		return fmt.Errorf("trace: writing %s: %w", k.filename(), err)

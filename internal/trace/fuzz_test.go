@@ -3,29 +3,26 @@ package trace
 // FuzzDecoder checks the loader's arbitrary-input contract: any byte
 // string — truncated, bit-flipped, padded or adversarial — is either
 // rejected with ErrCorrupt or accepted as a recording that replays
-// cleanly. The seed corpus covers valid encodings, a truncation, a
-// copy with trailing bytes and a few corrupt headers, matching the
-// repository's fuzz conventions (see internal/sim/fuzz_test.go).
+// cleanly. The seed corpus covers valid version-2 encodings, a
+// truncation, a copy with trailing bytes, a few corrupt headers, a
+// version-1 file and a corrupt record, matching the repository's fuzz
+// conventions (see internal/sim/fuzz_test.go).
 
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
-
-	"repro/internal/vm"
 )
 
 func FuzzDecoder(f *testing.F) {
-	// A genuine encoding (synthetic stream touching every flag path).
-	insts := []vm.DynInst{
-		{PC: 0, NextPC: 4, Op: 1},
-		{PC: 4, NextPC: 8, Op: 2, Rd: 1, Rs1: 2, Rs2: 3},
-		{PC: 8, NextPC: 64, Op: 3, Taken: true},
-		{PC: 64, NextPC: 68, Op: 4, MemSize: 8, EffAddr: 0x7000},
-		{PC: 100, NextPC: 104, Op: 4, MemSize: 4, EffAddr: 0x10},
-	}
-	valid := encodeAll(f, Header{Workload: "fuzz", Seed: -3, MaxInsts: 5, Complete: true}, insts)
+	// A genuine encoding of a stream with every record kind (ALU, load,
+	// store, a branch both ways, JMP, JAL and JALR) and both flag bits:
+	// the first record's PC breaks from the zero delta context.
+	valid := encodeAll(f, Header{Workload: "fuzz", Seed: -3, MaxInsts: 5, Complete: true},
+		progOf(f, callLoop(3)), record(f, callLoop(3), 0))
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:len(Magic)+1])
@@ -40,7 +37,22 @@ func FuzzDecoder(f *testing.F) {
 	f.Add([]byte{})
 	// A stream past two marks, so seeking starts from one.
 	f.Add(encodeAll(f, Header{Workload: "loop", Seed: 1, MaxInsts: 2100},
-		record(f, countingLoop(1000), 2100)))
+		progOf(f, countingLoop(1000)), record(f, countingLoop(1000), 2100)))
+	// The retired version-1 format: rejected like any other magic.
+	v1, err := os.ReadFile(filepath.Join("testdata", "health-seed1-n2000.psbtrace"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+	// A taken bit on a record whose instruction (the first, an ALU op)
+	// cannot leave the fall-through path.
+	_, _, off, err := parseHeader(valid)
+	if err != nil {
+		f.Fatal(err)
+	}
+	taken := append([]byte(nil), valid...)
+	taken[off] |= flagTaken
+	f.Add(taken)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hdr, rec, err := parse(data)
@@ -58,7 +70,7 @@ func FuzzDecoder(f *testing.F) {
 		}
 		// An accepted file stores back to identical bytes.
 		var buf bytes.Buffer
-		if err := writeFile(&buf, hdr, rec.data); err != nil {
+		if err := writeFile(&buf, hdr, &rec); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf.Bytes(), data) {

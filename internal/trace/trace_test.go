@@ -54,7 +54,7 @@ func countingLoop(iters int64) *vm.Machine {
 
 // stridedLoop returns a machine whose loop loads at a 2^27-byte
 // stride: the load's address delta takes a five-byte varint, so the
-// loop encodes to about 7.3 bytes per record — inside the recorder's
+// loop encodes to about 2.7 bytes per record — inside the recorder's
 // reservation, but close enough to it that a recording keeps its slack.
 func stridedLoop(iters int64) *vm.Machine {
 	const base, stride = 0x7000, 1 << 27
@@ -70,17 +70,30 @@ func stridedLoop(iters int64) *vm.Machine {
 	return vm.New(b.MustBuild(), vm.NewGuestMem())
 }
 
-// encodeAll encodes a whole stream as a .psbtrace file through the
-// recorder's record encoder.
-func encodeAll(t testing.TB, hdr Header, insts []vm.DynInst) []byte {
+// progOf returns the program a fresh machine's records are coded
+// against.
+func progOf(t testing.TB, m *vm.Machine) *program {
 	t.Helper()
-	var rec recording
+	p, err := programOf(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// encodeAll encodes a whole stream of p's as a .psbtrace file through
+// the recorder's record encoder.
+func encodeAll(t testing.TB, hdr Header, p *program, insts []vm.DynInst) []byte {
+	t.Helper()
+	rec := recording{prog: p}
 	for i := range insts {
-		rec.append(&insts[i])
+		if err := rec.append(&insts[i]); err != nil {
+			t.Fatalf("encode: %v", err)
+		}
 	}
 	hdr.Count = uint64(len(insts))
 	var buf bytes.Buffer
-	if err := writeFile(&buf, hdr, rec.data); err != nil {
+	if err := writeFile(&buf, hdr, &rec); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	return buf.Bytes()
@@ -101,17 +114,23 @@ func fill(r *Replay, batch int) []vm.DynInst {
 
 // TestRoundTrip is the codec property test: for every workload's real
 // stream and for a synthetic halting program, encode → load must
-// reproduce the exact DynInst sequence and header.
+// reproduce the exact DynInst sequence, header and program text.
 func TestRoundTrip(t *testing.T) {
-	streams := map[string][]vm.DynInst{
-		"loop": record(t, countingLoop(50), 0),
+	type stream struct {
+		prog  *program
+		insts []vm.DynInst
+	}
+	streams := map[string]stream{
+		"loop": {progOf(t, countingLoop(50)), record(t, countingLoop(50), 0)},
+		"call": {progOf(t, callLoop(20)), record(t, callLoop(20), 0)},
 	}
 	for _, w := range workload.All() {
-		streams[w.Name] = record(t, w.Build(1), 2000)
+		streams[w.Name] = stream{progOf(t, w.Build(1)), record(t, w.Build(1), 2000)}
 	}
-	for name, insts := range streams {
+	for name, st := range streams {
+		insts := st.insts
 		hdr := Header{Workload: name, Seed: 1, MaxInsts: 2000, Complete: true}
-		enc := encodeAll(t, hdr, insts)
+		enc := encodeAll(t, hdr, st.prog, insts)
 		got, rec, err := parse(enc)
 		if err != nil {
 			t.Fatalf("%s: parse: %v", name, err)
@@ -119,6 +138,10 @@ func TestRoundTrip(t *testing.T) {
 		hdr.Count = uint64(len(insts))
 		if got != hdr {
 			t.Fatalf("%s: header round-trip: got %+v want %+v", name, got, hdr)
+		}
+		if rec.prog.base != st.prog.base || !bytes.Equal(rec.prog.text, st.prog.text) ||
+			!reflect.DeepEqual(rec.prog.table, st.prog.table) {
+			t.Fatalf("%s: program text did not round-trip", name)
 		}
 		r := rec.replay()
 		if out := fill(r, 256); !reflect.DeepEqual(out, insts) {
@@ -131,12 +154,38 @@ func TestRoundTrip(t *testing.T) {
 		if _, ok := r.Next(); ok {
 			t.Fatalf("%s: replay yields a record past the last one", name)
 		}
-		// 32 bytes raw per DynInst; the delta encoding should stay
-		// under 8 bytes/record even on the branchy pointer chasers.
-		if len(insts) > 0 && len(enc) > len(insts)*8 {
-			t.Errorf("%s: encoding is not compact: %d bytes for %d records", name, len(enc), len(insts))
+		// 32 bytes raw per DynInst; with the static fields in the
+		// program text, even a workload's start-up code, whose first
+		// addresses are far apart, stays under 4 bytes per record.
+		if len(insts) > 0 && len(rec.data) > len(insts)*4 {
+			t.Errorf("%s: encoding is not compact: %d bytes for %d records", name, len(rec.data), len(insts))
 		}
 	}
+}
+
+// callLoop returns a machine whose loop calls a function that stores
+// and returns through JALR, so its stream holds every record kind:
+// ALU, load, store, a branch both ways, JMP, JAL and JALR.
+func callLoop(iters int64) *vm.Machine {
+	b := asm.New()
+	fn := b.NewLabel("fn")
+	done := b.NewLabel("done")
+	b.Li(isa.R(2), 0)
+	b.Li(isa.R(3), iters)
+	b.Li(isa.R(4), 0x9000)
+	top := b.Here("top")
+	b.Call(fn)
+	b.Addi(isa.R(2), isa.R(2), 1)
+	b.Bge(isa.R(2), isa.R(3), done)
+	b.Jmp(top)
+	b.Bind(done)
+	b.Halt()
+	b.Bind(fn)
+	b.St(isa.R(2), isa.R(4), 0)
+	b.Ld(isa.R(5), isa.R(4), 8)
+	b.Addi(isa.R(4), isa.R(4), 64)
+	b.Ret()
+	return vm.New(b.MustBuild(), vm.NewGuestMem())
 }
 
 // TestDecoderTruncation feeds every proper prefix of a valid encoding
@@ -144,9 +193,9 @@ func TestRoundTrip(t *testing.T) {
 // with ErrCorrupt, never panic, and leave the decoder's cursor where
 // it was.
 func TestDecoderTruncation(t *testing.T) {
-	insts := record(t, countingLoop(10), 0)
-	enc := encodeAll(t, Header{Workload: "loop", Seed: 1, MaxInsts: 0, Complete: true}, insts)
-	_, body, err := parseHeaderBody(enc)
+	insts := record(t, callLoop(3), 0)
+	enc := encodeAll(t, Header{Workload: "call", Seed: 1, MaxInsts: 0, Complete: true}, progOf(t, callLoop(3)), insts)
+	_, p, body, err := parseHeaderBody(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +205,7 @@ func TestDecoderTruncation(t *testing.T) {
 		}
 	}
 	for cut := 0; cut < len(body); cut++ {
-		cur := cursor{data: body[:cut]}
+		cur := cursor{data: body[:cut], prog: p}
 		if err := cur.decode(make([]vm.DynInst, len(insts))); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("body cut=%d: decode: want ErrCorrupt, got %v", cut, err)
 		}
@@ -166,14 +215,75 @@ func TestDecoderTruncation(t *testing.T) {
 	}
 }
 
-// parseHeaderBody splits an encoded file into its header and record
-// bytes.
-func parseHeaderBody(enc []byte) (Header, []byte, error) {
-	hdr, off, err := parseHeader(enc)
+// parseHeaderBody splits an encoded file into its header, its program
+// and its record bytes.
+func parseHeaderBody(enc []byte) (Header, *program, []byte, error) {
+	hdr, p, off, err := parseHeader(enc)
 	if err != nil {
-		return hdr, nil, err
+		return hdr, nil, nil, err
 	}
-	return hdr, enc[off:], nil
+	return hdr, p, enc[off:], nil
+}
+
+// TestEncoderRefusesMismatch: a record the program's table would not
+// rebuild exactly is an error, never a silent loss, and the refused
+// record leaves the recording as it was.
+func TestEncoderRefusesMismatch(t *testing.T) {
+	insts := record(t, callLoop(2), 0)
+	p := progOf(t, callLoop(2))
+	alu, load, branch, ret := -1, -1, -1, -1
+	for i, d := range insts {
+		switch {
+		case d.Op == isa.ADDI && alu < 0:
+			alu = i
+		case d.Op == isa.LD && load < 0:
+			load = i
+		case d.Op.IsBranch() && branch < 0:
+			branch = i
+		case d.Op == isa.JALR && ret < 0:
+			ret = i
+		}
+	}
+	if alu < 0 || load < 0 || branch < 0 || ret < 0 {
+		t.Fatalf("stream lacks a record kind: alu %d load %d branch %d jalr %d", alu, load, branch, ret)
+	}
+	bad := map[string]func(d *vm.DynInst){
+		"pc below the text":   func(d *vm.DynInst) { d.PC = p.base - isa.InstBytes },
+		"pc past the text":    func(d *vm.DynInst) { d.PC = p.base + uint64(len(p.table))*isa.InstBytes },
+		"unaligned pc":        func(d *vm.DynInst) { d.PC++ },
+		"opcode":              func(d *vm.DynInst) { d.Op = isa.SUB },
+		"destination":         func(d *vm.DynInst) { d.Rd++ },
+		"source":              func(d *vm.DynInst) { d.Rs2 = isa.R(7) },
+		"taken ALU op":        func(d *vm.DynInst) { d.Taken = true },
+		"ALU next pc":         func(d *vm.DynInst) { d.NextPC += isa.InstBytes },
+		"ALU address":         func(d *vm.DynInst) { d.EffAddr = 0x40 },
+		"memory size":         func(d *vm.DynInst) { d.MemSize = 4 },
+		"branch target":       func(d *vm.DynInst) { d.Taken = !d.Taken },
+		"untaken jump":        func(d *vm.DynInst) { d.Taken = false },
+		"load without a size": func(d *vm.DynInst) { d.MemSize = 0 },
+	}
+	at := map[string]int{"memory size": load, "load without a size": load, "branch target": branch, "untaken jump": ret}
+	for name, mutate := range bad {
+		i, ok := at[name]
+		if !ok {
+			i = alu
+		}
+		rec := recording{prog: p}
+		for j := 0; j < i; j++ {
+			if err := rec.append(&insts[j]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := rec
+		d := insts[i]
+		mutate(&d)
+		if err := rec.append(&d); err == nil {
+			t.Errorf("%s: the encoder accepted %+v", name, d)
+		}
+		if rec.n != before.n || len(rec.data) != len(before.data) || len(rec.marks) != len(before.marks) || rec.end != before.end {
+			t.Errorf("%s: a refused record changed the recording", name)
+		}
+	}
 }
 
 // TestCacheSingleRecorder launches many goroutines racing for the same
@@ -299,16 +409,17 @@ func heapBytes(fn func()) uint64 {
 }
 
 // TestCacheRecordingReservesOnce pins the reservation rule. A fresh
-// recording reserves 8 bytes per needed record in one allocation, and
-// an extension reallocates once, by 8 bytes per new record.
-// The counting loop encodes to 5.75 bytes per record, so neither
+// recording reserves reserveBytes per needed record in one allocation,
+// and an extension reallocates once, by reserveBytes per new record.
+// The counting loop encodes to 1.25 bytes per record, so neither
 // outgrows its reservation, and each ends more than an eighth short of
 // it and is trimmed to one copy of its bytes. The heap total must be
-// the reservation plus that copy: growing by append, or reserving the
-// 32 bytes of a decoded record, allocates well past it. The guest
-// machine is built before measuring.
+// the reservation plus that copy, plus the program table the first
+// recording builds (a few hundred bytes): growing by append, or
+// reserving the 32 bytes of a decoded record, allocates well past it.
+// The guest machine is built before measuring.
 func TestCacheRecordingReservesOnce(t *testing.T) {
-	const first, second = 1 << 14, 3 << 14
+	const first, second = 1 << 18, 3 << 18
 	m := countingLoop(1 << 20)
 	build := func() *vm.Machine { return m }
 	var c Cache
@@ -333,7 +444,7 @@ func TestCacheRecordingReservesOnce(t *testing.T) {
 		if cap(rec.data) != len(rec.data) {
 			t.Fatalf("need %d: recording pins %d bytes of capacity for %d", need, cap(rec.data), len(rec.data))
 		}
-		want := held + (need-uint64(prevN))*8 + uint64(len(rec.data))
+		want := held + (need-uint64(prevN))*reserveBytes + uint64(len(rec.data))
 		if got < want || got > want+want/16 {
 			t.Errorf("need %d: allocated %d bytes, want one %d-byte reservation and one %d-byte trim",
 				need, got, want-uint64(len(rec.data)), len(rec.data))
@@ -346,22 +457,22 @@ func TestCacheRecordingReservesOnce(t *testing.T) {
 }
 
 // TestDecoderRejectsSeqFlag: bit 2 of a record's flags once flagged a
-// sequence-number gap. Records no longer carry a sequence number, so
-// the decoder treats the bit as corrupt input.
+// sequence-number gap. Records no longer carry a sequence number; in
+// format version 2 the bit marks a memory op, so on record 1, an ALU
+// op, the decoder treats it as corrupt input.
 func TestDecoderRejectsSeqFlag(t *testing.T) {
 	insts := record(t, countingLoop(2), 0)
-	enc := encodeAll(t, Header{Workload: "loop", Complete: true}, insts)
-	_, body, err := parseHeaderBody(enc)
+	enc := encodeAll(t, Header{Workload: "loop", Complete: true}, progOf(t, countingLoop(2)), insts)
+	_, p, body, err := parseHeaderBody(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := cursor{data: body}
+	cur := cursor{data: body, prog: p}
 	if err := cur.decode(make([]vm.DynInst, 1)); err != nil {
 		t.Fatal(err)
 	}
-	// Record 1 starts where the decoder stopped; its flags byte
-	// follows the opcode byte.
-	body[cur.off+1] |= 1 << 2
+	// Record 1 starts, with its flags byte, where the decoder stopped.
+	body[cur.off] |= 1 << 2
 	if _, _, err := parse(enc); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("flag bit 2: want ErrCorrupt, got %v", err)
 	}
@@ -403,12 +514,13 @@ func TestCacheDisk(t *testing.T) {
 		t.Fatal("disk round-trip changed the stream")
 	}
 	// Both caches hold the file's record bytes — its size less the
-	// header — plus one mark for the 100 records.
-	_, body, err := parseHeaderBody(file)
+	// header — plus one mark for the 100 records and the program: its
+	// text and table.
+	_, p, body, err := parseHeaderBody(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := uint64(len(body)) + markBytes
+	want := uint64(len(body)) + markBytes + uint64(len(p.text)) + uint64(len(p.table))*staticBytes
 	for i, c := range []*Cache{&c1, &c2} {
 		if got := c.Stats().Bytes; got != want {
 			t.Errorf("cache %d holds %d bytes, want %d", i+1, got, want)
@@ -504,14 +616,15 @@ func TestCacheDiskKeyMismatch(t *testing.T) {
 	}
 }
 
-// TestParentFixture pins the file format across versions: a trace the
-// earlier slice-backed recorder wrote (health, seed 1, 2,000
-// instructions) loads without re-recording, replays exactly a fresh
-// recording's records, and a fresh recording for the same key writes a
-// byte-identical file.
-func TestParentFixture(t *testing.T) {
-	const name = "health-seed1-n2000.psbtrace"
-	fixture, err := os.ReadFile(filepath.Join("testdata", name))
+// fixtureKey is the key of the committed .psbtrace fixtures: health,
+// seed 1, 2,000 instructions.
+var fixtureKey = Key{Workload: "health", Seed: 1, MaxInsts: 2000}
+
+// readFixture returns a committed fixture and the health workload that
+// recorded it.
+func readFixture(t *testing.T, path string) ([]byte, workload.Workload) {
+	t.Helper()
+	fixture, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,17 +632,26 @@ func TestParentFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := Key{Workload: "health", Seed: 1, MaxInsts: 2000}
-	if k.filename() != name {
-		t.Fatalf("key names its file %s, want %s", k.filename(), name)
+	if name := fixtureKey.filename(); filepath.Base(path) != name {
+		t.Fatalf("key names its file %s, want %s", name, filepath.Base(path))
 	}
+	return fixture, w
+}
+
+// TestParentFixture pins format version 2 across commits: the committed
+// recording (testdata/v2) loads without re-recording, replays exactly a
+// fresh recording's records, and a fresh recording for the same key
+// writes a byte-identical file.
+func TestParentFixture(t *testing.T) {
+	name := fixtureKey.filename()
+	fixture, w := readFixture(t, filepath.Join("testdata", "v2", name))
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, name), fixture, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	var loaded Cache
-	r, err := loaded.Source(k, 2000, dir, func() *vm.Machine {
+	r, err := loaded.Source(fixtureKey, 2000, dir, func() *vm.Machine {
 		t.Fatal("fixture on disk; must not re-record")
 		return nil
 	})
@@ -545,7 +667,7 @@ func TestParentFixture(t *testing.T) {
 
 	out := t.TempDir()
 	var fresh Cache
-	if _, err := fresh.Source(k, 2000, out, func() *vm.Machine { return w.Build(1) }); err != nil {
+	if _, err := fresh.Source(fixtureKey, 2000, out, func() *vm.Machine { return w.Build(1) }); err != nil {
 		t.Fatal(err)
 	}
 	written, err := os.ReadFile(filepath.Join(out, name))
@@ -554,6 +676,68 @@ func TestParentFixture(t *testing.T) {
 	}
 	if !bytes.Equal(written, fixture) {
 		t.Fatalf("fresh recording wrote %d bytes that differ from the %d-byte fixture", len(written), len(fixture))
+	}
+}
+
+// TestV1FixtureRejected: format version 1 is retired. The version-1
+// file the slice-backed recorder wrote for the fixture key (testdata)
+// is rejected with ErrCorrupt, and a cache that finds it in its trace
+// directory re-records the key — the same records a fresh recording
+// holds — and replaces the file with the version-2 fixture's bytes.
+func TestV1FixtureRejected(t *testing.T) {
+	name := fixtureKey.filename()
+	v1, w := readFixture(t, filepath.Join("testdata", name))
+	if string(v1[:len(Magic)]) != "PSBTRC01" {
+		t.Fatalf("testdata/%s is not a version-1 file", name)
+	}
+	if _, _, err := parse(v1); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("parse(v1 fixture): want ErrCorrupt, got %v", err)
+	}
+	v2, _ := readFixture(t, filepath.Join("testdata", "v2", name))
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var c Cache
+	r, err := c.Source(fixtureKey, 2000, dir, func() *vm.Machine { return w.Build(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.DiskLoads != 0 || st.Misses != 1 || st.DiskWrites != 1 {
+		t.Fatalf("v1 file on disk: want a re-record and a rewrite, got %+v", st)
+	}
+	if got, want := drain(r), record(t, w.Build(1), 2000); !reflect.DeepEqual(got, want) {
+		t.Fatalf("re-recording replays %d records that differ from a fresh recording of %d", len(got), len(want))
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, v2) {
+		t.Fatalf("the v1 file was not replaced by the v2 fixture's bytes (err %v)", err)
+	}
+}
+
+// TestRecordingBytesPerInst bounds what a recording holds per
+// instruction on each workload at 500K: its record bytes, seek marks
+// and program, as trace.Stats.Bytes counts them. Version 1 held
+// 5.6–7.3 bytes per instruction; with the static fields in the program
+// text, every workload stays under 3.
+func TestRecordingBytesPerInst(t *testing.T) {
+	const n, bound = 500_000, 3.0
+	for _, w := range workload.All() {
+		var c Cache
+		r, err := c.Source(Key{Workload: w.Name, Seed: 1, MaxInsts: n}, n, "",
+			func() *vm.Machine { return w.Build(1) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Len() != n {
+			t.Fatalf("%s: recorded %d instructions, want %d", w.Name, r.Len(), n)
+		}
+		perInst := float64(c.Stats().Bytes) / n
+		t.Logf("%s: %.2f bytes per instruction", w.Name, perInst)
+		if perInst > bound {
+			t.Errorf("%s: recording holds %.2f bytes per instruction, want at most %.1f", w.Name, perInst, bound)
+		}
 	}
 }
 
@@ -566,7 +750,7 @@ func TestReplaySeek(t *testing.T) {
 		t.Fatal(err)
 	}
 	insts := record(t, w.Build(1), 3*markEvery+100)
-	_, rec, err := parse(encodeAll(t, Header{Workload: "health"}, insts))
+	_, rec, err := parse(encodeAll(t, Header{Workload: "health"}, progOf(t, w.Build(1)), insts))
 	if err != nil {
 		t.Fatal(err)
 	}
