@@ -58,6 +58,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/* on the -pprof side listener's mux
 	"os"
@@ -67,40 +69,46 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/serve"
 	"repro/internal/sim"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, serves until SIGINT or SIGTERM has drained the
+// listener and returns the exit status. psbserved writes nothing to
+// stdout; its log lines go to stderr.
+func run(args []string, _, stderr io.Writer) int {
+	fs := flag.NewFlagSet("psbserved", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr         = flag.String("addr", ":8724", "listen address")
-		workers      = flag.Int("workers", -1, "simulation concurrency: N workers, -1 = all cores")
-		queueCap     = flag.Int("queue", 0, "admission queue capacity (0 = 4*workers+64)")
-		cacheEntries = flag.Int("cache-entries", 0, "in-memory result cache entries (0 = 4096)")
-		cacheDir     = flag.String("cache-dir", "", "result store directory for the on-disk tier, shared with psbtables -cache-dir (empty = memory only)")
-		insts        = flag.Uint64("insts", 500_000, "default instruction budget (requests may override)")
-		seed         = flag.Int64("seed", 1, "default workload layout seed (requests may override)")
-		traceFlag    = flag.String("trace", "memory", "instruction stream source: off, memory, disk (see psbsim -trace)")
-		traceDir     = flag.String("trace-dir", "", "directory for .psbtrace recordings (implies -trace disk)")
-		jobTimeout   = flag.Duration("job-timeout", 5*time.Minute, "wall-clock budget per simulation attempt (0 = unlimited)")
-		retries      = flag.Int("retries", 1, "re-runs allowed per cell after a panic or timeout")
-		drainWait    = flag.Duration("drain", 30*time.Second, "graceful shutdown budget before in-flight requests are cut")
-		tenantRate   = flag.Float64("tenant-rate", 0, "per-tenant token-bucket rate in cells/sec (0 = unlimited)")
-		tenantBurst  = flag.Float64("tenant-burst", 0, "per-tenant burst allowance in cells (0 = max(8, 2*rate))")
-		healEvery    = flag.Duration("heal-interval", 2*time.Second, "how often a demoted disk cache tier is re-probed for recovery")
-		logRequests  = flag.Bool("log-requests", false, "emit one JSON line per request to stderr (fingerprint, tenant, tier, latency, outcome)")
-		peers        = flag.String("peers", "", "comma-separated cluster membership (host:port, self included); empty = standalone")
-		advertise    = flag.String("advertise", "", "this node's address as it appears in -peers (required with -peers)")
-		replicas     = flag.Int("replicas", 0, "virtual nodes per member on the hash ring (0 = 128); every member must agree")
-		warmQueue    = flag.Int("warm-push-queue", 256, "successor warm-push queue depth (cluster mode; 0 disables)")
-		quarCap      = flag.Int64("quarantine-cap", 0, "byte budget for the disk-cache quarantine directory (0 = 64 MiB)")
-		faultSpec    = flag.String("faults", os.Getenv("PSB_FAULTS"),
+		addr         = fs.String("addr", ":8724", "listen address")
+		workers      = fs.Int("workers", -1, "simulation concurrency: N workers, -1 = all cores")
+		queueCap     = fs.Int("queue", 0, "admission queue capacity (0 = 4*workers+64)")
+		cacheEntries = fs.Int("cache-entries", 0, "in-memory result cache entries (0 = 4096)")
+		cacheDir     = fs.String("cache-dir", "", "result store directory for the on-disk tier, shared with psbtables -cache-dir (empty = memory only)")
+		drainWait    = fs.Duration("drain", 30*time.Second, "graceful shutdown budget before in-flight requests are cut")
+		tenantRate   = fs.Float64("tenant-rate", 0, "per-tenant token-bucket rate in cells/sec (0 = unlimited)")
+		tenantBurst  = fs.Float64("tenant-burst", 0, "per-tenant burst allowance in cells (0 = max(8, 2*rate))")
+		healEvery    = fs.Duration("heal-interval", 2*time.Second, "how often a demoted disk cache tier is re-probed for recovery")
+		logRequests  = fs.Bool("log-requests", false, "emit one JSON line per request to stderr (fingerprint, tenant, tier, latency, outcome)")
+		peers        = fs.String("peers", "", "comma-separated cluster membership (host:port, self included); empty = standalone")
+		advertise    = fs.String("advertise", "", "this node's address as it appears in -peers (required with -peers)")
+		replicas     = fs.Int("replicas", 0, "virtual nodes per member on the hash ring (0 = 128); every member must agree")
+		warmQueue    = fs.Int("warm-push-queue", 256, "successor warm-push queue depth (cluster mode; 0 disables)")
+		quarCap      = fs.Int64("quarantine-cap", 0, "byte budget for the disk-cache quarantine directory (0 = 64 MiB)")
+		faultSpec    = fs.String("faults", os.Getenv("PSB_FAULTS"),
 			"DANGEROUS: arm deterministic fault injection, e.g. 'seed=7,sim-panic=0.1,disk-corrupt=0.05,for=30s' (default from PSB_FAULTS)")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060); keep it off the public listener")
+		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060); keep it off the public listener")
+		// The base configuration requests override field by field.
+		shared = cli.BindServe(fs, 5*time.Minute)
 	)
 	weights := map[string]float64{}
-	flag.Func("tenant-weight", "fair-queue weight for one API key as key=weight (repeatable; default 1)", func(v string) error {
+	fs.Func("tenant-weight", "fair-queue weight for one API key as key=weight (repeatable; default 1)", func(v string) error {
 		key, val, ok := strings.Cut(v, "=")
 		if !ok || key == "" {
 			return fmt.Errorf("want key=weight, got %q", v)
@@ -112,26 +120,21 @@ func main() {
 		weights[key] = w
 		return nil
 	})
-	flag.Parse()
-
-	cfg := sim.Default()
-	cfg.MaxInsts = *insts
-	cfg.Seed = *seed
-	traceMode, err := sim.ParseTraceFlags(*traceFlag, *traceDir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
 	}
-	cfg.TraceMode = traceMode
-	cfg.TraceDir = *traceDir
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "invalid base configuration: %v\n", err)
-		os.Exit(2)
+
+	cfg, opts, err := shared.Config(sim.Default())
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	faults, err := serve.ParseFaultPlan(*faultSpec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	var cl *cluster.Cluster
@@ -142,14 +145,14 @@ func main() {
 			VNodes: *replicas,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 	}
 
-	var reqLog *os.File
+	var reqLog io.Writer
 	if *logRequests {
-		reqLog = os.Stderr
+		reqLog = stderr
 	}
 	s := serve.New(serve.Config{
 		Base:         cfg,
@@ -157,22 +160,28 @@ func main() {
 		QueueCap:     *queueCap,
 		CacheEntries: *cacheEntries,
 		CacheDir:     *cacheDir,
-		JobTimeout:   *jobTimeout,
-		Retries:      *retries,
+		JobTimeout:   opts.Timeout,
+		Retries:      opts.Retries,
 		Tenant: serve.TenantPolicy{
 			Rate:    *tenantRate,
 			Burst:   *tenantBurst,
 			Weights: weights,
 		},
 		Faults:           faults,
-		EventLog:         os.Stderr,
-		RequestLog:       logFile(reqLog),
+		EventLog:         stderr,
+		RequestLog:       reqLog,
 		HealInterval:     *healEvery,
 		QuarantineBudget: *quarCap,
 		Cluster:          cl,
 		WarmPushQueue:    warmPushConfig(*warmQueue),
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		s.Close()
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	httpSrv := &http.Server{Handler: s.Handler()}
 
 	if *pprofAddr != "" {
 		// A private mux: the default ServeMux is what net/http/pprof
@@ -180,53 +189,47 @@ func main() {
 		// else — the public API mux never exposes /debug/pprof/*.
 		pprofSrv := &http.Server{Addr: *pprofAddr, Handler: http.DefaultServeMux}
 		go func() {
-			fmt.Fprintf(os.Stderr, "psbserved: pprof on http://%s/debug/pprof/\n", *pprofAddr)
+			fmt.Fprintf(stderr, "psbserved: pprof on http://%s/debug/pprof/\n", *pprofAddr)
 			if err := pprofSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintf(os.Stderr, "psbserved: pprof listener: %v\n", err)
+				fmt.Fprintf(stderr, "psbserved: pprof listener: %v\n", err)
 			}
 		}()
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		fmt.Fprintln(os.Stderr, "psbserved: draining...")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
-		defer cancel()
-		httpSrv.Shutdown(shutdownCtx)
-	}()
-
 	if !faults.Zero() {
-		fmt.Fprintf(os.Stderr, "psbserved: FAULT INJECTION ARMED (%s) — do not run in production\n", faults)
+		fmt.Fprintf(stderr, "psbserved: FAULT INJECTION ARMED (%s) — do not run in production\n", faults)
 	}
-	fmt.Fprintf(os.Stderr, "psbserved: listening on %s (workers=%d queue=%d cache=%s)\n",
-		*addr, s.Stats().Queue.Workers, s.Stats().Queue.Capacity, cacheLabel(*cacheDir))
+	fmt.Fprintf(stderr, "psbserved: listening on %s (workers=%d queue=%d cache=%s)\n",
+		ln.Addr(), s.Stats().Queue.Workers, s.Stats().Queue.Capacity, cacheLabel(*cacheDir))
 	if cl != nil {
-		fmt.Fprintf(os.Stderr, "psbserved: cluster member %s of %v (%d vnodes)\n",
+		fmt.Fprintf(stderr, "psbserved: cluster member %s of %v (%d vnodes)\n",
 			cl.Self(), cl.Ring().Nodes(), cl.Ring().VNodes())
 	}
-	err = httpSrv.ListenAndServe()
-	// Shutdown finished or the listener failed; either way release the
-	// simulation workers before exiting.
+	served := make(chan error, 1)
+	go func() { served <- httpSrv.Serve(ln) }()
+	select {
+	case err := <-served:
+		// The listener failed before any signal.
+		s.Close()
+		fmt.Fprintln(stderr, err)
+		return 1
+	case <-ctx.Done():
+	}
+	// Stop accepting, let in-flight requests finish within the drain
+	// budget, then release the simulation workers.
+	fmt.Fprintln(stderr, "psbserved: draining...")
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
+	defer cancel()
+	err = httpSrv.Shutdown(shutdownCtx)
 	s.Close()
-	if err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if err != nil {
+		fmt.Fprintf(stderr, "psbserved: drain: %v\n", err)
+		return 1
 	}
-	fmt.Fprintln(os.Stderr, "psbserved: stopped")
-}
-
-// logFile converts a possibly-nil *os.File into the io.Writer the
-// serve config wants (a typed-nil *os.File inside a non-nil interface
-// would defeat the nil check).
-func logFile(f *os.File) interface {
-	Write([]byte) (int, error)
-} {
-	if f == nil {
-		return nil
-	}
-	return f
+	fmt.Fprintln(stderr, "psbserved: stopped")
+	return 0
 }
 
 // warmPushConfig maps the flag's "0 disables" convention onto the

@@ -46,6 +46,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/cpu"
 	"repro/internal/experiments"
 	"repro/internal/results"
@@ -85,25 +86,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		all        = fs.Bool("all", false, "regenerate every table and figure")
 		ablations  = fs.Bool("ablations", false, "run the ablation studies")
 		extensions = fs.Bool("extensions", false, "run the extension studies (prior-work comparison, predictor shootout, loop unrolling, Markov order, per-buffer TLB)")
-		insts      = fs.Uint64("insts", 500_000, "instruction budget per run")
-		seed       = fs.Int64("seed", 1, "workload layout seed")
 		csv        = fs.Bool("csv", false, "emit CSV instead of aligned text")
-		parallel   = fs.Int("parallel", 0, "concurrent simulations: 0 = serial, N = N workers, -1 = all cores")
 		cacheDir   = fs.String("cache-dir", "", "result store directory: serve cells already stored there and store each finished one, so a re-run resumes (Table 2 and Figures 4-11 only; psbserved -cache-dir reads the same entries)")
-		jobTimeout = fs.Duration("job-timeout", 0, "wall-clock budget per simulation attempt, 0 = unlimited (Table 2 and Figures 4-11 only)")
-		retries    = fs.Int("retries", 1, "re-runs allowed per cell after a panic or timeout (Table 2 and Figures 4-11 only)")
 		benchJSON  = fs.Bool("bench-json", false, "time RunMatrix serial vs parallel, live vs traced, and print the timings as JSON on stdout")
-		traceFlag  = fs.String("trace", "memory", "instruction stream source: off = live functional execution per cell, memory = record each workload once and replay (bit-identical), disk = memory plus .psbtrace persistence in -trace-dir")
-		traceDir   = fs.String("trace-dir", "", "directory for .psbtrace recordings (implies -trace disk)")
-		cycleMode  = fs.String("cycle-mode", "", "clock advancement: event = skip to the next event (default), accurate = tick every cycle (reference mode; tables and machine statistics match, only the skip telemetry differs; not with -cache-dir). PSB_CYCLE_MODE=accurate forces accurate mode on code that sets none and is for the test suite only")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		sample     = fs.Bool("sample", false, "sampled simulation for every cell: functional fast-forward between detailed measurement intervals; tables carry the IPC estimates")
-		samplePer  = fs.Uint64("sample-period", 0, "instructions between measurement intervals (0 = default)")
-		sampleLen  = fs.Uint64("sample-len", 0, "measured instructions per interval (0 = default)")
-		sampleWarm = fs.Uint64("sample-warmup", 0, "detailed-but-unmeasured warm-up instructions per interval (0 = default)")
 		sampleAcc  = fs.Bool("sample-accuracy", false, "differential accuracy gate: run the full matrix exact and sampled, print per-cell IPC errors, fail if any exceeds -sample-tolerance")
 		sampleTol  = fs.Float64("sample-tolerance", 3.0, "maximum per-cell relative IPC error percent -sample-accuracy accepts")
+		shared     = cli.Bind(fs)
 	)
 	fs.Var(&figs, "fig", "figure number to regenerate (repeatable: 4..11)")
 	fs.Var(&tables, "table", "table number to regenerate (repeatable: 2)")
@@ -137,45 +127,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *sampleAcc && (*all || *ablations || *extensions || *benchJSON || len(figs) > 0 || len(tables) > 0) {
 		return usageError("-sample-accuracy runs its own exact-vs-sampled matrix; drop the other modes")
 	}
-	if *sample && (*benchJSON || *sampleAcc) {
+	if shared.Sample && (*benchJSON || *sampleAcc) {
 		return usageError("-sample does not combine with -bench-json or -sample-accuracy (they run their own sampled legs)")
 	}
 	if *cacheDir != "" && (*benchJSON || *sampleAcc) {
 		return usageError("-cache-dir does not combine with -bench-json or -sample-accuracy (they time and compare fresh simulations)")
 	}
 
-	traceMode, err := sim.ParseTraceFlags(*traceFlag, *traceDir)
+	if *sampleAcc {
+		// The gate's sampled leg takes the sampling knobs.
+		shared.Sample = true
+	}
+	cfg, opts, err := shared.Config(sim.Default())
 	if err != nil {
 		return usageError("%v", err)
 	}
-	mode, err := cpu.ParseCycleMode(*cycleMode)
-	if err != nil {
-		return usageError("%v", err)
-	}
-	if mode == cpu.CycleModeAccurate && *cacheDir != "" {
+	if cfg.CPU.CycleMode == cpu.CycleModeAccurate && *cacheDir != "" {
 		return usageError("-cache-dir does not combine with -cycle-mode accurate: a stored cell's fingerprint leaves out the cycle mode, and accurate-mode result bytes carry zero skip telemetry (SkippedCycles, Jumps)")
-	}
-
-	cfg := sim.Default()
-	cfg.MaxInsts = *insts
-	cfg.Seed = *seed
-	cfg.Workers = *parallel
-	cfg.TraceMode = traceMode
-	cfg.TraceDir = *traceDir
-	cfg.CPU.CycleMode = mode
-	if *sample || *sampleAcc {
-		if traceMode == sim.TraceOff {
-			return usageError("sampled simulation needs a replayable stream: use -trace memory or -trace disk")
-		}
-		cfg.SamplePeriod = *samplePer
-		cfg.SampleLen = *sampleLen
-		cfg.SampleWarmup = *sampleWarm
-	}
-	if *sample {
-		cfg.SampleMode = sim.SampleOn
-	}
-	if err := cfg.Validate(); err != nil {
-		return usageError("invalid configuration: %v", err)
 	}
 
 	if *all {
@@ -186,7 +154,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usageError("nothing to do: pass -all, -table N, -fig N, -ablations, -extensions or -bench-json")
 	}
 
-	opts := runner.Options{Timeout: *jobTimeout, Retries: *retries}
 	if *cacheDir != "" {
 		if err := os.MkdirAll(*cacheDir, 0o755); err != nil {
 			fmt.Fprintf(stderr, "cache-dir: %v\n", err)
@@ -550,15 +517,11 @@ func benchRunner(cfg sim.Config, stdout, stderr io.Writer) error {
 // identical budgets, every cell's sampled IPC estimate is compared
 // against the exact run, and any relative error beyond tolPct fails
 // the command. The per-cell table goes to stdout so the CI artifact
-// shows exactly which cell drifted.
+// shows exactly which cell drifted. cfg is the sampled configuration;
+// the exact leg runs it with sampling off.
 func sampleAccuracy(cfg sim.Config, tolPct float64, stdout, stderr io.Writer) error {
 	exactCfg := cfg
 	exactCfg.SampleMode = sim.SampleOff
-	sampledCfg := cfg
-	sampledCfg.SampleMode = sim.SampleOn
-	if err := sampledCfg.Validate(); err != nil {
-		return err
-	}
 
 	fmt.Fprintf(stderr, "sample-accuracy: %d benchmarks x %d schemes at %d insts, tolerance ±%.1f%%\n",
 		len(workload.All()), len(experiments.Schemes()), cfg.MaxInsts, tolPct)
@@ -566,7 +529,7 @@ func sampleAccuracy(cfg sim.Config, tolPct float64, stdout, stderr io.Writer) er
 	exact := experiments.RunMatrix(exactCfg)
 	exactSec := time.Since(start).Seconds()
 	start = time.Now()
-	sampled := experiments.RunMatrix(sampledCfg)
+	sampled := experiments.RunMatrix(cfg)
 	sampledSec := time.Since(start).Seconds()
 	if n := exact.Failed() + sampled.Failed(); n > 0 {
 		return fmt.Errorf("sample-accuracy: %d cell(s) failed to simulate", n)

@@ -93,6 +93,17 @@ func Variants() []Variant {
 		NextLine, MarkovPrefetch, MinDeltaStride}
 }
 
+// VariantNames lists the String names of Variants, in order: the
+// valid values of a scheme flag or request field.
+func VariantNames() []string {
+	vs := Variants()
+	names := make([]string, len(vs))
+	for i, v := range vs {
+		names[i] = v.String()
+	}
+	return names
+}
+
 // PaperVariants lists the five prefetching schemes of Figures 5-9
 // (PC-stride and the four PSB policy combinations).
 func PaperVariants() []Variant {

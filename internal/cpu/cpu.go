@@ -629,7 +629,7 @@ func (c *CPU) RunChecked(ctx context.Context, maxInsts uint64) (Stats, error) {
 // instructions have committed (stopAt == 0 never pauses). It reports
 // whether the run finished — paused runs resume with another Advance
 // call and are bit-identical to an unpaused RunChecked, which is what
-// lets sim.Machine report progress between chunks. Watchdog and
+// lets sim report progress between chunks. Watchdog and
 // cancellation semantics match RunChecked.
 func (c *CPU) Advance(ctx context.Context, maxInsts, stopAt uint64) (bool, error) {
 	if !c.run.started {

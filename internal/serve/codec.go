@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -150,12 +151,6 @@ func (r JobRequest) config(base sim.Config) sim.Config {
 		cfg.SamplePeriod = r.SamplePeriod
 		cfg.SampleLen = r.SampleLen
 		cfg.SampleWarmup = r.SampleWarmup
-		if cfg.TraceMode == sim.TraceOff {
-			// Sampling needs a replayable stream; servers started
-			// without a trace cache still serve sampled cells from
-			// the in-memory one.
-			cfg.TraceMode = sim.TraceMemory
-		}
 	}
 	return cfg
 }
@@ -168,7 +163,7 @@ func (r JobRequest) config(base sim.Config) sim.Config {
 func (r JobRequest) Jobs(base sim.Config) ([]runner.Job, error) {
 	if r.Bench == "" {
 		return nil, fmt.Errorf("missing \"bench\" (valid benchmarks: %s, or \"all\")",
-			joinNames(workload.Names()))
+			strings.Join(workload.Names(), ", "))
 	}
 	var benches []workload.Workload
 	if r.Bench == "all" {
@@ -177,7 +172,7 @@ func (r JobRequest) Jobs(base sim.Config) ([]runner.Job, error) {
 		w, err := workload.ByName(r.Bench)
 		if err != nil {
 			return nil, fmt.Errorf("unknown benchmark %q (valid benchmarks: %s, or \"all\")",
-				r.Bench, joinNames(workload.Names()))
+				r.Bench, strings.Join(workload.Names(), ", "))
 		}
 		benches = []workload.Workload{w}
 	}
@@ -210,7 +205,7 @@ func (r JobRequest) schemes() ([]core.Variant, error) {
 	case r.Scheme != "":
 		names = []string{r.Scheme}
 	case len(names) == 0:
-		return nil, fmt.Errorf("missing \"scheme\" (valid schemes: %s, or \"all\")", schemeNames())
+		return nil, fmt.Errorf("missing \"scheme\" (valid schemes: %s, or \"all\")", strings.Join(core.VariantNames(), ", "))
 	}
 	var out []core.Variant
 	for _, name := range names {
@@ -220,30 +215,11 @@ func (r JobRequest) schemes() ([]core.Variant, error) {
 		}
 		v, err := core.VariantByName(name)
 		if err != nil {
-			return nil, fmt.Errorf("unknown scheme %q (valid schemes: %s, or \"all\")", name, schemeNames())
+			return nil, fmt.Errorf("unknown scheme %q (valid schemes: %s, or \"all\")", name, strings.Join(core.VariantNames(), ", "))
 		}
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func joinNames(names []string) string {
-	var b bytes.Buffer
-	for i, n := range names {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(n)
-	}
-	return b.String()
-}
-
-func schemeNames() string {
-	var names []string
-	for _, v := range core.Variants() {
-		names = append(names, v.String())
-	}
-	return joinNames(names)
 }
 
 // EncodeResult is results.Encode, the canonical result bytes; the

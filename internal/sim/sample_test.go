@@ -160,10 +160,12 @@ func TestSampledIntervalAllocations(t *testing.T) {
 func TestSampledValidation(t *testing.T) {
 	base := sampledConfig()
 
+	// A sampled run replays its stream from the trace cache whatever
+	// the trace mode says, so TraceOff is no reason to refuse it.
 	cfg := base
 	cfg.TraceMode = TraceOff
-	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "trace") {
-		t.Errorf("TraceOff accepted for sampling: %v", err)
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("TraceOff refused for sampling: %v", err)
 	}
 
 	cfg = base
@@ -180,9 +182,6 @@ func TestSampledValidation(t *testing.T) {
 		t.Error("unknown sample mode accepted")
 	}
 
-	if _, err := NewMachine(get(t, "health"), core.None, base); err == nil {
-		t.Error("NewMachine accepted a sampled config")
-	}
 }
 
 // TestExactResultJSONHasNoSampledKey: exact mode stays byte-identical

@@ -53,9 +53,10 @@ type Config struct {
 	// fast-forward between them, and an IPC estimate with confidence
 	// bounds in Result.Sampled. Sampling changes the statistics a run
 	// reports, so unlike Workers and TraceMode these four fields are
-	// result-affecting and participate in job fingerprints. Requires a
-	// trace mode other than TraceOff; zero parameter fields select the
-	// Default* constants in sample.go.
+	// result-affecting and participate in job fingerprints. A sampled
+	// run replays its stream from the trace cache whatever TraceMode
+	// says; zero parameter fields select the Default* constants in
+	// sample.go.
 	SampleMode   SampleMode
 	SamplePeriod uint64
 	SampleLen    uint64
@@ -158,6 +159,72 @@ func (m machine) result(w workload.Workload, v core.Variant, st cpu.Stats) Resul
 		MemBusUtil:  m.hier.MemBus.Utilization(st.Cycles),
 		TLBMissRate: m.hier.DTLB.MissRate(),
 		Hist:        m.hist,
+	}
+}
+
+// RunChecked is Run with errors as values: the configuration is
+// validated up front (returning a *ConfigError before any simulation
+// work), the cpu no-commit watchdog surfaces as a *cpu.DeadlockError
+// instead of a panic, and ctx cancellation or deadline aborts the run
+// with ctx's error. On error the Result still carries whatever was
+// simulated up to the abort. Like Run, RunChecked is safe for
+// concurrent use and deterministic for equal arguments.
+func RunChecked(ctx context.Context, w workload.Workload, v core.Variant, cfg Config) (Result, error) {
+	if err := validateJob(v, cfg); err != nil {
+		return Result{}, err
+	}
+	return run(ctx, w, v, cfg, cfg.Scheme(v).Build)
+}
+
+// run simulates w under a validated cfg with the prefetcher newPF
+// makes, reporting it as variant v.
+func run(ctx context.Context, w workload.Workload, v core.Variant, cfg Config, newPF func(sbuf.Fetcher) sbuf.Prefetcher) (Result, error) {
+	if cfg.SampleMode != SampleOff {
+		return runSampled(ctx, w, v, cfg, newPF)
+	}
+	m, err := build(w, cfg, newPF)
+	if err != nil {
+		return Result{}, err
+	}
+	err = m.advance(ctx, w, v, cfg.MaxInsts)
+	return m.result(w, v, m.cpu.Stats()), err
+}
+
+// ProgressFunc receives an exact run's progress: the workload and
+// variant of the cell and the instructions it has committed so far.
+// Calls come from every goroutine running a cell, so a ProgressFunc
+// must be safe for concurrent use.
+type ProgressFunc func(workload string, v core.Variant, committed uint64)
+
+type progressKey struct{}
+
+// progressChunk is how many instructions an exact run under a
+// WithProgress context commits between reports.
+const progressChunk = 10_000
+
+// WithProgress returns a context under which every exact run calls
+// report after each progressChunk instructions and once when it ends.
+// Reporting never changes a result: a run advanced in chunks is
+// bit-identical to one advanced in a single step. Sampled runs do not
+// report.
+func WithProgress(ctx context.Context, report ProgressFunc) context.Context {
+	return context.WithValue(ctx, progressKey{}, report)
+}
+
+// advance runs m's core to maxInsts committed instructions, in chunks
+// when ctx carries a progress reporter.
+func (m machine) advance(ctx context.Context, w workload.Workload, v core.Variant, maxInsts uint64) error {
+	report, _ := ctx.Value(progressKey{}).(ProgressFunc)
+	if report == nil {
+		_, err := m.cpu.Advance(ctx, maxInsts, 0)
+		return err
+	}
+	for {
+		done, err := m.cpu.Advance(ctx, maxInsts, m.cpu.Stats().Committed+progressChunk)
+		report(w.Name, v, m.cpu.Stats().Committed)
+		if done || err != nil {
+			return err
+		}
 	}
 }
 

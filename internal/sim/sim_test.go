@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/workload"
 )
 
@@ -150,6 +153,62 @@ func TestDeterminism(t *testing.T) {
 	}
 	if a.SB != b.SB {
 		t.Errorf("SB stats differ between identical runs:\n%+v\n%+v", a.SB, b.SB)
+	}
+}
+
+// TestProgressChunksMatchOneStep: a run under WithProgress advances in
+// chunks and reports its committed count after each, rising to the
+// final count, and its Result equals the single-step run's in both
+// cycle modes. Sampled runs do not report.
+func TestProgressChunksMatchOneStep(t *testing.T) {
+	for _, tc := range []struct {
+		bench string
+		v     core.Variant
+		mode  cpu.CycleMode
+	}{
+		{"health", core.PSBConfPriority, cpu.CycleModeEvent},
+		{"turb3d", core.PCStride, cpu.CycleModeEvent},
+		{"deltablue", core.PSBConfRR, cpu.CycleModeAccurate},
+	} {
+		cfg := testConfig()
+		cfg.CPU.CycleMode = tc.mode
+		w := get(t, tc.bench)
+		want, err := RunChecked(context.Background(), w, tc.v, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reports []uint64
+		ctx := WithProgress(context.Background(), func(name string, v core.Variant, committed uint64) {
+			if name != tc.bench || v != tc.v {
+				t.Errorf("report for %s/%s, want %s/%s", name, v, tc.bench, tc.v)
+			}
+			reports = append(reports, committed)
+		})
+		got, err := RunChecked(ctx, w, tc.v, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s/%s (%s): chunked result differs from the single-step run", tc.bench, tc.v, tc.mode)
+		}
+		if n := uint64(len(reports)); n < cfg.MaxInsts/progressChunk || reports[n-1] != want.CPU.Committed {
+			t.Errorf("%s/%s: %d reports ending at %v, want at least %d ending at %d",
+				tc.bench, tc.v, n, reports[len(reports)-1:], cfg.MaxInsts/progressChunk, want.CPU.Committed)
+		}
+		for i := 1; i < len(reports); i++ {
+			if reports[i] <= reports[i-1] {
+				t.Fatalf("%s/%s: reports %v do not rise", tc.bench, tc.v, reports)
+			}
+		}
+	}
+
+	calls := 0
+	ctx := WithProgress(context.Background(), func(string, core.Variant, uint64) { calls++ })
+	if _, err := RunChecked(ctx, get(t, "health"), core.None, sampledConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 0 {
+		t.Errorf("a sampled run reported progress %d times", calls)
 	}
 }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -54,27 +53,6 @@ func ParseTraceMode(s string) (TraceMode, error) {
 		return TraceDisk, nil
 	}
 	return TraceOff, fmt.Errorf("sim: unknown trace mode %q (want off, memory or disk)", s)
-}
-
-// ParseTraceFlags resolves the -trace and -trace-dir flag pair the
-// command-line tools share. A directory implies disk mode, so it
-// upgrades the default memory mode. Disk mode without a directory is
-// an error, and so is a directory with tracing off, which would
-// silently record nothing.
-func ParseTraceFlags(mode, dir string) (TraceMode, error) {
-	m, err := ParseTraceMode(mode)
-	if err != nil {
-		return TraceOff, err
-	}
-	switch {
-	case dir != "" && m == TraceMemory:
-		m = TraceDisk
-	case dir != "" && m == TraceOff:
-		return TraceOff, errors.New("-trace off records nothing, so -trace-dir would be ignored; drop one of the two")
-	case dir == "" && m == TraceDisk:
-		return TraceOff, errors.New("-trace disk needs -trace-dir to name the recording directory")
-	}
-	return m, nil
 }
 
 // TraceKey is the trace-cache identity of a run: the committed path

@@ -66,10 +66,6 @@ func (cfg Config) Validate() error {
 			return &ConfigError{Field: "SampleMode",
 				Err: fmt.Errorf("unknown sample mode %d (want off or on)", int(cfg.SampleMode))}
 		}
-		if cfg.TraceMode == TraceOff {
-			return &ConfigError{Field: "SampleMode",
-				Err: errors.New("sampled simulation needs a recorded stream; use trace mode memory or disk")}
-		}
 		period, length, warmup := cfg.sampleSpec()
 		if warmup+length > period {
 			return &ConfigError{Field: "SamplePeriod",
@@ -80,7 +76,7 @@ func (cfg Config) Validate() error {
 }
 
 // validateJob is Validate plus the variant check: every error RunChecked
-// and NewMachine report before any simulation work starts.
+// reports before any simulation work starts.
 func validateJob(v core.Variant, cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err

@@ -114,11 +114,11 @@ func (r *recording) replay() *Replay {
 	return &Replay{cursor: cursor{data: r.data, prog: r.prog}, marks: r.marks, n: r.n}
 }
 
-// trimmed returns s, or a copy of just its elements when more than an
-// eighth of its capacity is unused, so the cache never pins capacity
-// no replay can reach.
+// trimmed returns s, or a copy of just its elements when any of its
+// capacity is unused, so the cache never pins capacity no replay can
+// reach.
 func trimmed[T any](s []T) []T {
-	if cap(s)-len(s) > cap(s)/8 {
+	if cap(s) > len(s) {
 		return append(make([]T, 0, len(s)), s...)
 	}
 	return s
@@ -338,8 +338,7 @@ func (c *Cache) record(e *entry, k Key, need uint64, dir string,
 	}
 	// Reserve room for the need (up to maxReserve records) before
 	// stepping, so a fresh recording allocates once and an extension
-	// reallocates at most once — not at all when the slack it already
-	// has holds the new records, which then append in place.
+	// (of a recording trimmed to its length) reallocates once.
 	if want := min(need, maxReserve); want > uint64(rec.n) {
 		rec.reserve(want - uint64(rec.n))
 	}

@@ -412,8 +412,8 @@ func heapBytes(fn func()) uint64 {
 // recording reserves reserveBytes per needed record in one allocation,
 // and an extension reallocates once, by reserveBytes per new record.
 // The counting loop encodes to 1.25 bytes per record, so neither
-// outgrows its reservation, and each ends more than an eighth short of
-// it and is trimmed to one copy of its bytes. The heap total must be
+// outgrows its reservation, and each ends short of it and is trimmed to
+// one copy of its bytes. The heap total must be
 // the reservation plus that copy, plus the program table the first
 // recording builds (a few hundred bytes): growing by append, or
 // reserving the 32 bytes of a decoded record, allocates well past it.
@@ -741,6 +741,26 @@ func TestRecordingBytesPerInst(t *testing.T) {
 	}
 }
 
+// TestStatsBytesIsCapacity: Stats.Bytes counts the capacity each
+// 500K benchmark recording holds, and no recording keeps capacity past
+// its length, however close to its reservation it ends.
+func TestStatsBytesIsCapacity(t *testing.T) {
+	const n = 500_000
+	for _, w := range workload.All() {
+		var c Cache
+		k := Key{Workload: w.Name, Seed: 1, MaxInsts: n}
+		if _, err := c.Source(k, n, "", func() *vm.Machine { return w.Build(1) }); err != nil {
+			t.Fatal(err)
+		}
+		rec := c.entries[k].rec
+		held := uint64(cap(rec.data)) + uint64(cap(rec.marks))*markBytes + rec.prog.size()
+		if got := c.Stats().Bytes; got != held || cap(rec.data) != len(rec.data) || cap(rec.marks) != len(rec.marks) {
+			t.Errorf("%s: Stats.Bytes %d, recording holds %d (record bytes %d of %d capacity, marks %d of %d)",
+				w.Name, got, held, len(rec.data), cap(rec.data), len(rec.marks), cap(rec.marks))
+		}
+	}
+}
+
 // TestReplaySeek: From(k) followed by Fill in any batch size yields
 // exactly what Next yields from k, at positions on a mark, either side
 // of one, inside the first interval and at the end.
@@ -775,8 +795,8 @@ func TestReplaySeek(t *testing.T) {
 
 // TestCacheConcurrentExtension: replays taken before an extension stay
 // valid while it runs. Goroutines replay and seek the key's stream
-// while another goroutine extends it, first in place into the slack the
-// first recording kept and then by reallocating; every record anyone
+// while another goroutine extends it twice, each time reallocating
+// (the cache trims every recording to its length); every record anyone
 // decodes must match a straight-line recording.
 func TestCacheConcurrentExtension(t *testing.T) {
 	const first = 6000
@@ -792,11 +812,7 @@ func TestCacheConcurrentExtension(t *testing.T) {
 	e.mu.Lock()
 	rec0 := e.rec
 	e.mu.Unlock()
-	room := (cap(rec0.data) - len(rec0.data)) / reserveBytes
-	if room < 2 {
-		t.Fatalf("first recording kept room for %d more records; the in-place case needs some", room)
-	}
-	needs := []uint64{first + uint64(room)/2, 2 * first, 4 * first}
+	needs := []uint64{2 * first, 4 * first}
 
 	check := func(r *Replay, from uint64, batch int) {
 		got := fill(r.From(from), batch)
@@ -826,7 +842,7 @@ func TestCacheConcurrentExtension(t *testing.T) {
 			}
 		}(g)
 	}
-	for i, need := range needs {
+	for _, need := range needs {
 		r, err := c.Source(k, need, "", build)
 		if err != nil {
 			t.Fatal(err)
@@ -837,8 +853,8 @@ func TestCacheConcurrentExtension(t *testing.T) {
 		e.mu.Lock()
 		inPlace := unsafe.SliceData(e.rec.data) == unsafe.SliceData(rec0.data)
 		e.mu.Unlock()
-		if inPlace != (i == 0) {
-			t.Fatalf("extension to %d: appended in place = %v, want %v", need, inPlace, i == 0)
+		if inPlace {
+			t.Fatalf("extension to %d appended in place into the first recording's bytes", need)
 		}
 		check(r, 0, 256)
 	}
