@@ -22,8 +22,10 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/cli"
 	"repro/internal/mem"
 	"repro/internal/predict"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -35,22 +37,26 @@ func main() {
 
 // run parses args, analyzes the requested benchmarks and returns the
 // exit status: 0 = clean, 1 = a recording failed, 2 = flag misuse
-// (an unknown benchmark included). Each run records into its own trace
-// cache, so only -trace-dir carries recordings from one run to the
-// next.
+// (an unknown benchmark and a zero -insts included). Each run records
+// into its own trace cache, so only -trace-dir carries recordings from
+// one run to the next.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("psbtrace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		benchName = fs.String("bench", "health", "benchmark name, or 'all'")
-		insts     = fs.Uint64("insts", 500_000, "instructions to trace")
-		seed      = fs.Int64("seed", 1, "workload layout seed")
 		topN      = fs.Int("top", 8, "block deltas to list")
-		traceDir  = fs.String("trace-dir", "", "directory for .psbtrace recordings (shared with psbtables/psbsim)")
+		stream    = cli.BindStream(fs)
 	)
 	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
 		return 0
 	} else if err != nil {
+		return 2
+	}
+	cfg, _, err := stream.Config(sim.Default())
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		fs.Usage()
 		return 2
 	}
 
@@ -68,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var cache trace.Cache
 	for _, w := range benches {
-		if err := analyze(stdout, &cache, w, *insts, *seed, *topN, *traceDir); err != nil {
+		if err := analyze(stdout, &cache, w, cfg.MaxInsts, cfg.Seed, *topN, cfg.TraceDir); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}

@@ -100,17 +100,40 @@ func TestV1FileReplaced(t *testing.T) {
 	}
 }
 
-// TestFlagMisuse: an unknown benchmark or flag exits 2 and prints
-// nothing on stdout.
+// TestFlagMisuse: an unknown benchmark or flag, a zero budget (which
+// would trace to program completion, and no benchmark completes) and a
+// flag psbtrace does not take exit 2 and print nothing on stdout.
 func TestFlagMisuse(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bench", "nosuch", "-insts", "1000"},
 		{"-no-such-flag"},
+		{"-bench", "health", "-insts", "0"},
+		{"-insts", "0", "-trace-dir", "traces"},
+		{"-trace", "off"},
 	} {
 		code, stdout, stderr := runPsbtrace(t, args...)
 		if code != 2 || stdout != "" {
 			t.Errorf("psbtrace %s: exit %d with stdout %q, want 2 and none; stderr:\n%s",
 				strings.Join(args, " "), code, stdout, stderr)
+		}
+	}
+}
+
+// TestHelp: -h exits 0 and lists psbtrace's flags with their defaults.
+func TestHelp(t *testing.T) {
+	code, stdout, stderr := runPsbtrace(t, "-h")
+	if code != 0 || stdout != "" {
+		t.Fatalf("psbtrace -h: exit %d with stdout %q, want 0 and none", code, stdout)
+	}
+	for _, want := range []string{
+		"-bench string", `(default "health")`,
+		"-insts uint", "(default 500000)",
+		"-seed int", "(default 1)",
+		"-top int", "(default 8)",
+		"-trace-dir string",
+	} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("psbtrace -h lacks %q:\n%s", want, stderr)
 		}
 	}
 }

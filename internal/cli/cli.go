@@ -1,10 +1,11 @@
 // Package cli binds the command-line flags the simulator binaries
 // share and resolves them into a simulation configuration. psbsim and
-// psbtables take all twelve; psbserved takes six. Each flag's name,
-// default and help text is declared here once, and so are the rules
-// that combine them: -trace-dir implies disk tracing, the sampling
-// knobs count only under -sample, and a configuration that does not
-// validate is flag misuse.
+// psbtables take all twelve; psbserved takes six and psbtrace three.
+// Each flag's name, default and help text is declared here once, and
+// so are the rules that combine them: -trace-dir implies disk tracing,
+// the sampling knobs count only under -sample, and a configuration
+// that does not validate — a zero instruction budget, which no
+// benchmark completes, among them — is flag misuse.
 package cli
 
 import (
@@ -19,7 +20,9 @@ import (
 )
 
 // Flags holds the shared flags' values once their flag set has parsed.
-// Fields a binder did not declare keep their zero values.
+// Fields a binder did not declare keep their zero values, but for
+// Trace, which reads memory: the mode a binary without -trace records
+// in.
 type Flags struct {
 	Insts      uint64
 	Seed       int64
@@ -36,16 +39,24 @@ type Flags struct {
 	SampleWarmup uint64
 }
 
-// BindServe declares the six flags a server shares with the batch
-// tools: -insts, -seed, -trace, -trace-dir, -job-timeout (defaulting
-// to jobTimeout) and -retries.
-func BindServe(fs *flag.FlagSet, jobTimeout time.Duration) *Flags {
+// BindStream declares the three flags that name a workload's
+// instruction stream and where its recording is kept: -insts, -seed
+// and -trace-dir.
+func BindStream(fs *flag.FlagSet) *Flags {
 	def := sim.Default()
-	f := new(Flags)
-	fs.Uint64Var(&f.Insts, "insts", def.MaxInsts, "instruction budget per cell")
+	f := &Flags{Trace: sim.TraceMemory.String()}
+	fs.Uint64Var(&f.Insts, "insts", def.MaxInsts, "instruction budget: instructions each workload runs for")
 	fs.Int64Var(&f.Seed, "seed", def.Seed, "workload layout seed")
+	fs.StringVar(&f.TraceDir, "trace-dir", "", "directory for .psbtrace recordings, shared by every run and binary that names it (implies -trace disk)")
+	return f
+}
+
+// BindServe declares the six flags a server shares with the batch
+// tools: BindStream's three, -trace, -job-timeout (defaulting to
+// jobTimeout) and -retries.
+func BindServe(fs *flag.FlagSet, jobTimeout time.Duration) *Flags {
+	f := BindStream(fs)
 	fs.StringVar(&f.Trace, "trace", sim.TraceMemory.String(), "instruction stream source: off = live functional execution per cell, memory = record each workload once and replay (bit-identical), disk = memory plus .psbtrace persistence in -trace-dir")
-	fs.StringVar(&f.TraceDir, "trace-dir", "", "directory for .psbtrace recordings (implies -trace disk)")
 	fs.DurationVar(&f.JobTimeout, "job-timeout", jobTimeout, "wall-clock budget per simulation attempt (0 = unlimited)")
 	fs.IntVar(&f.Retries, "retries", runner.DefaultOptions().Retries, "re-runs allowed per cell after a panic or timeout")
 	return f

@@ -16,8 +16,8 @@ import (
 // configuration and runner options it resolves to, or its error: every
 // -trace / -trace-dir pairing, the cycle modes, the sampling knobs with
 // and without -sample, validation as flag misuse (of the binary's own
-// settings in base too), and psbserved's six flags with their 5-minute
-// -job-timeout default.
+// settings in base too), psbserved's six flags with their 5-minute
+// -job-timeout default, and psbtrace's three.
 func TestConfig(t *testing.T) {
 	def := sim.Default()
 	def.TraceMode = sim.TraceMemory
@@ -28,12 +28,12 @@ func TestConfig(t *testing.T) {
 		return c
 	}
 	for _, tc := range []struct {
-		args  []string
-		serve bool              // bind with BindServe(fs, 5*time.Minute) instead of Bind
-		base  func(*sim.Config) // the binary's own settings, applied to sim.Default()
-		err   string            // substring of the expected error; "" = accepted
-		cfg   sim.Config
-		opts  runner.Options
+		args []string
+		bind string            // "serve": BindServe(fs, 5*time.Minute); "stream": BindStream; "": Bind
+		base func(*sim.Config) // the binary's own settings, applied to sim.Default()
+		err  string            // substring of the expected error; "" = accepted
+		cfg  sim.Config
+		opts runner.Options
 	}{
 		{args: nil, cfg: def, opts: defOpts},
 		{args: []string{"-insts", "20000", "-seed", "7", "-parallel", "3", "-job-timeout", "2m", "-retries", "0"},
@@ -71,19 +71,31 @@ func TestConfig(t *testing.T) {
 			cfg: with(func(c *sim.Config) { c.MaxInsts, c.Mem.L1D.Ways = 1000, 8 }), opts: defOpts},
 		{args: nil, base: func(c *sim.Config) { c.Mem.L1D.Ways = 3 }, err: "Mem"},
 
-		{args: nil, serve: true, cfg: def, opts: runner.Options{Timeout: 5 * time.Minute, Retries: 1}},
-		{args: []string{"-insts", "60000", "-trace-dir", "traces", "-job-timeout", "0", "-retries", "2"}, serve: true,
+		{args: nil, bind: "serve", cfg: def, opts: runner.Options{Timeout: 5 * time.Minute, Retries: 1}},
+		{args: []string{"-insts", "60000", "-trace-dir", "traces", "-job-timeout", "0", "-retries", "2"}, bind: "serve",
 			cfg:  with(func(c *sim.Config) { c.MaxInsts, c.TraceMode, c.TraceDir = 60_000, sim.TraceDisk, "traces" }),
 			opts: runner.Options{Retries: 2}},
-		{args: []string{"-parallel", "2"}, serve: true, err: "not defined"},
-		{args: []string{"-sample"}, serve: true, err: "not defined"},
+		{args: []string{"-parallel", "2"}, bind: "serve", err: "not defined"},
+		{args: []string{"-sample"}, bind: "serve", err: "not defined"},
+
+		{args: nil, bind: "stream", cfg: def},
+		{args: []string{"-insts", "20000", "-seed", "2", "-trace-dir", "traces"}, bind: "stream",
+			cfg: with(func(c *sim.Config) { c.MaxInsts, c.Seed, c.TraceMode, c.TraceDir = 20_000, 2, sim.TraceDisk, "traces" })},
+		// A zero budget runs to program completion, which no benchmark
+		// reaches.
+		{args: []string{"-insts", "0"}, bind: "stream", err: "invalid configuration"},
+		{args: []string{"-trace", "off"}, bind: "stream", err: "not defined"},
+		{args: []string{"-retries", "2"}, bind: "stream", err: "not defined"},
 	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		var f *Flags
-		if tc.serve {
+		switch tc.bind {
+		case "serve":
 			f = BindServe(fs, 5*time.Minute)
-		} else {
+		case "stream":
+			f = BindStream(fs)
+		default:
 			f = Bind(fs)
 		}
 		base := sim.Default()

@@ -21,10 +21,10 @@ type Source interface {
 	Next() (vm.DynInst, bool)
 }
 
-// batchSource is optionally implemented by sources that decode their
-// records in batches (trace.Replay). The core then drains the source
-// through its own fixed buffer, one Fill call per srcBatch records,
-// instead of one interface call per instruction.
+// batchSource is optionally implemented by sources that produce their
+// records in batches (trace.Replay, MachineSource). The core then
+// drains the source through its own fixed buffer, one Fill call per
+// srcBatch records, instead of one interface call per instruction.
 type batchSource interface {
 	// Fill decodes the next records into dst and returns how many it
 	// decoded; 0 means the stream has ended.
@@ -53,16 +53,28 @@ func (s *SliceSource) Next() (vm.DynInst, bool) {
 	return d, true
 }
 
-// MachineSource adapts a vm.Machine to Source.
+// MachineSource adapts a vm.Machine to Source and to the batch path.
 type MachineSource struct{ M *vm.Machine }
 
 // Next implements Source.
 func (s MachineSource) Next() (vm.DynInst, bool) {
-	d, err := s.M.Step()
-	if err != nil {
+	var d vm.DynInst
+	if s.M.StepInto(&d) != nil {
 		return vm.DynInst{}, false
 	}
 	return d, true
+}
+
+// Fill steps the machine into dst and returns how many records it
+// wrote: len(dst), or fewer once the program has ended (HALT, the last
+// record, included) or faulted.
+func (s MachineSource) Fill(dst []vm.DynInst) int {
+	for i := range dst {
+		if s.M.StepInto(&dst[i]) != nil {
+			return i
+		}
+	}
+	return len(dst)
 }
 
 // Stats are the core's cumulative counters. Miss accounting follows
@@ -316,10 +328,11 @@ type CPU struct {
 	fqHead int
 	fqLen  int
 
-	// Batch supply: when src implements Fill (trace.Replay), fill is
-	// set and fetch drains srcBuf[srcPos:srcLen], refilling all of
-	// srcBuf when it runs dry. New allocates srcBuf and Reset keeps it.
-	// Otherwise the one-instruction pending lookahead is used.
+	// Batch supply: when src implements Fill (trace.Replay and
+	// MachineSource), fill is set and fetch drains
+	// srcBuf[srcPos:srcLen], refilling all of srcBuf when it runs dry.
+	// New allocates srcBuf and Reset keeps it. Otherwise the
+	// one-instruction pending lookahead is used.
 	fill           batchSource
 	srcBuf         []vm.DynInst
 	srcPos, srcLen int

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/asm"
@@ -342,6 +343,61 @@ func TestSliceSource(t *testing.T) {
 	s.Next()
 	if _, ok := s.Next(); ok {
 		t.Error("exhausted source returned ok")
+	}
+}
+
+// TestMachineSourceFill: the live source's batch path yields exactly
+// the records its Next path yields, in odd batch sizes, up to and
+// including HALT, and nothing past it.
+func TestMachineSourceFill(t *testing.T) {
+	build := func() *vm.Machine {
+		b := asm.New()
+		fn := b.NewLabel("fn")
+		b.Li(isa.R(1), 0x9000)
+		b.Li(isa.R(2), 300)
+		top := b.Here("top")
+		b.Call(fn)
+		b.Addi(isa.R(2), isa.R(2), -1)
+		b.Bne(isa.R(2), isa.R0, top)
+		b.Halt()
+		b.Bind(fn)
+		b.St(isa.R(2), isa.R(1), 0)
+		b.Ld(isa.R(3), isa.R(1), 8)
+		b.Addi(isa.R(1), isa.R(1), 16)
+		b.Ret()
+		return vm.New(b.MustBuild(), nil)
+	}
+	var want []vm.DynInst
+	for src := (MachineSource{M: build()}); ; {
+		d, ok := src.Next()
+		if !ok {
+			break
+		}
+		want = append(want, d)
+	}
+	if len(want) < 1000 || want[len(want)-1].Op != isa.HALT {
+		t.Fatalf("Next yielded %d records ending in %v, want a long stream ending in HALT", len(want), want[len(want)-1].Op)
+	}
+	for _, batch := range []int{1, 7, 255, 2 * len(want)} {
+		src := MachineSource{M: build()}
+		var got []vm.DynInst
+		buf := make([]vm.DynInst, batch)
+		for {
+			n := src.Fill(buf)
+			if n == 0 {
+				break
+			}
+			got = append(got, buf[:n]...)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("batch %d: Fill yielded %d records, Next %d", batch, len(got), len(want))
+		}
+		if n := src.Fill(buf); n != 0 {
+			t.Errorf("batch %d: Fill yielded %d records past HALT", batch, n)
+		}
+		if _, ok := src.Next(); ok {
+			t.Errorf("batch %d: Next yielded a record past HALT", batch)
+		}
 	}
 }
 

@@ -30,21 +30,37 @@ func stream(b *testing.B) []vm.DynInst {
 }
 
 // BenchmarkEncode measures the recorder's encoding of a stream to
-// record bytes.
+// sealed chunks.
 func BenchmarkEncode(b *testing.B) {
 	insts := stream(b)
-	rec := recording{prog: benchProg}
+	var rec recording
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rec = recording{prog: benchProg, data: rec.data[:0], marks: rec.marks[:0]}
-		for j := range insts {
-			if err := rec.append(&insts[j]); err != nil {
-				b.Fatal(err)
-			}
-		}
+		rec = recordAll(b, benchProg, insts)
 	}
-	b.ReportMetric(float64(len(rec.data))/float64(len(insts)), "bytes/inst")
+	data, _, _ := held(rec)
+	b.ReportMetric(float64(data)/float64(len(insts)), "bytes/inst")
 	b.SetBytes(int64(len(insts)) * recordBytes)
+}
+
+// BenchmarkRecord measures what a cache miss costs per instruction on
+// each workload: building the guest machine, stepping it and recording
+// 1M records into chunks.
+func BenchmarkRecord(b *testing.B) {
+	const n = 1_000_000
+	for _, w := range workload.All() {
+		b.Run(w.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var c Cache
+				if _, err := c.Source(Key{Workload: w.Name, Seed: 1, MaxInsts: n}, n, "",
+					func() *vm.Machine { return w.Build(1) }); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/inst")
+		})
+	}
 }
 
 // BenchmarkDecode measures loading a .psbtrace file: validating every

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -45,17 +46,18 @@ type Stats struct {
 	// the functional simulator on behalf of the cache — the work every
 	// hit avoided repeating.
 	RecordedInsts uint64
-	// Bytes is the memory the cache's recordings hold: their record
-	// bytes plus seek marks.
+	// Bytes is the memory the cache's recordings hold: the capacity of
+	// their chunks (record bytes and seek marks), the chunk headers and
+	// their programs.
 	Bytes uint64
 }
 
-// markEvery is the spacing, in records, of a recording's seek marks.
+// markEvery is the spacing, in records, of a chunk's seek marks.
 const markEvery = 1024
 
-// A mark lets a replay start decoding at record i*markEvery without
-// decoding the records before it: the byte offset of that record and
-// the delta context that decodes it.
+// A mark lets a replay start decoding at a chunk's record i*markEvery
+// without decoding the records before it: the offset of that record in
+// the chunk's bytes and the delta context that decodes it.
 type mark struct {
 	off  int
 	prev prevState
@@ -64,72 +66,124 @@ type mark struct {
 // markBytes is the memory one mark takes.
 const markBytes = uint64(unsafe.Sizeof(mark{}))
 
+// A chunk is a run of a recording's records: their bytes, and a seek
+// mark every markEvery records from its first, so marks[0] decodes the
+// chunk's first record, at byte 0.
+type chunk struct {
+	data  []byte
+	marks []mark
+	first int // index of the chunk's first record in the recording
+	n     int // records in the chunk
+}
+
+// chunkHeaderBytes is the memory one chunk's header takes.
+const chunkHeaderBytes = uint64(unsafe.Sizeof(chunk{}))
+
+// chunkBytes is the most a chunk holds. A chunk ends at a record
+// boundary: the recorder seals it once one more record might not fit,
+// so every chunk but a recording's last holds more than
+// chunkBytes-maxRecordBytes bytes. chunkBytes is a multiple of the
+// runtime's 8 KiB page, so a full chunk's allocation is its bytes.
+const chunkBytes = 64 << 10
+
 // A recording is one stream's records in their .psbtrace encoding —
-// exactly the bytes a file holds after its header — plus a seek mark
-// every markEvery records. A recording value is a snapshot: extending
-// it appends only past the lengths its earlier copies see, so a copy
+// exactly the bytes a file holds after its header — cut into chunks.
+// A recording value is a snapshot: extending it appends chunks past the
+// length its earlier copies see and never changes a chunk, so a copy
 // handed to a replay stays valid while the recorder extends the
 // original.
 type recording struct {
-	prog  *program // the text the records are coded against
-	data  []byte
-	marks []mark
-	n     int       // records in data
-	end   prevState // delta context after the last record
+	prog   *program // the text the records are coded against
+	chunks []chunk
+	n      int       // records in all chunks
+	end    prevState // delta context after the last record
 }
 
-// size is the memory a recording holds.
+// size is the memory a recording holds: its chunks' capacity, their
+// headers and its program.
 func (r *recording) size() uint64 {
-	return uint64(len(r.data)) + uint64(len(r.marks))*markBytes + r.prog.size()
-}
-
-// append encodes one stepped record onto the recording, or leaves the
-// recording as it was and returns the encoder's error.
-func (r *recording) append(d *vm.DynInst) error {
-	if r.n%markEvery == 0 {
-		r.marks = append(r.marks, mark{off: len(r.data), prev: r.end})
+	b := uint64(cap(r.chunks))*chunkHeaderBytes + r.prog.size()
+	for _, c := range r.chunks {
+		b += uint64(cap(c.data)) + uint64(cap(c.marks))*markBytes
 	}
-	data, err := appendRecord(r.data, &r.end, r.prog, d)
-	if err != nil {
-		if r.n%markEvery == 0 {
-			r.marks = r.marks[:len(r.marks)-1]
-		}
-		return err
-	}
-	r.data = data
-	r.n++
-	return nil
-}
-
-// reserve makes room for records more records at reserveBytes each,
-// reallocating at most once.
-func (r *recording) reserve(records uint64) {
-	if want := records * reserveBytes; uint64(cap(r.data)-len(r.data)) < want {
-		r.data = append(make([]byte, 0, uint64(len(r.data))+want), r.data...)
-	}
+	return b
 }
 
 // replay returns a Replay positioned at the recording's first record.
 func (r *recording) replay() *Replay {
-	return &Replay{cursor: cursor{data: r.data, prog: r.prog}, marks: r.marks, n: r.n}
+	p := &Replay{cursor: cursor{prog: r.prog}, chunks: r.chunks, n: r.n}
+	p.Seek(0)
+	return p
 }
 
-// trimmed returns s, or a copy of just its elements when any of its
-// capacity is unused, so the cache never pins capacity no replay can
-// reach.
-func trimmed[T any](s []T) []T {
-	if cap(s) > len(s) {
-		return append(make([]T, 0, len(s)), s...)
+// A recorder extends a recording. It encodes records into one open
+// chunk, reused from chunk to chunk, and seals it into the recording —
+// copied at its final size — once it is full and when the recorder
+// stops. So every chunk holds only its bytes, and a recorder holds at
+// most one chunk more than its recording.
+type recorder struct {
+	rec   recording
+	buf   []byte // the open chunk's record bytes
+	marks []mark // the open chunk's marks
+	first int    // index of the open chunk's first record
+}
+
+// newRecorder returns a recorder that extends rec.
+func newRecorder(rec recording) *recorder {
+	return &recorder{rec: rec, first: rec.n}
+}
+
+// append encodes one stepped record onto the recording, or leaves the
+// recording as it was and returns the encoder's error.
+func (w *recorder) append(d *vm.DynInst) error {
+	if w.buf == nil {
+		w.buf = make([]byte, 0, chunkBytes)
+		w.marks = make([]mark, 0, chunkBytes/minRecordBytes/markEvery)
 	}
-	return s
+	marked := (w.rec.n-w.first)%markEvery == 0
+	if marked {
+		w.marks = append(w.marks, mark{off: len(w.buf), prev: w.rec.end})
+	}
+	buf, err := appendRecord(w.buf, &w.rec.end, w.rec.prog, d)
+	if err != nil {
+		if marked {
+			w.marks = w.marks[:len(w.marks)-1]
+		}
+		return err
+	}
+	w.buf = buf
+	w.rec.n++
+	if len(w.buf) > chunkBytes-maxRecordBytes {
+		w.seal()
+	}
+	return nil
+}
+
+// seal appends the open chunk to the recording, copied at its final
+// size, and empties it.
+func (w *recorder) seal() {
+	if len(w.buf) == 0 {
+		return
+	}
+	c := chunk{data: make([]byte, len(w.buf)), marks: make([]mark, len(w.marks)), first: w.first, n: w.rec.n - w.first}
+	copy(c.data, w.buf)
+	copy(c.marks, w.marks)
+	w.rec.chunks = append(w.rec.chunks, c)
+	w.buf, w.marks, w.first = w.buf[:0], w.marks[:0], w.rec.n
+}
+
+// recording seals the open chunk and returns the recording.
+func (w *recorder) recording() recording {
+	w.seal()
+	return w.rec
 }
 
 // parse validates a whole .psbtrace file — its header, every record,
 // and that the header's Count records end exactly at the end of the
-// file — and returns its recording, which aliases data's program text
-// and record bytes. Count is checked against the bytes before anything
-// is reserved from it, so a hostile header claims no more memory than
-// the file bounds.
+// file — and returns its recording: one chunk that aliases data's
+// record bytes, and a program that aliases its text. Count is checked
+// against the bytes before anything is reserved from it, so a hostile
+// header claims no more memory than the file bounds.
 func parse(data []byte) (Header, recording, error) {
 	hdr, prog, off, err := parseHeader(data)
 	if err != nil {
@@ -140,12 +194,12 @@ func parse(data []byte) (Header, recording, error) {
 		return hdr, recording{}, fmt.Errorf("%w: %d records cannot fit in %d bytes", ErrCorrupt, hdr.Count, len(body))
 	}
 	n := int(hdr.Count)
-	rec := recording{prog: prog, data: body, marks: make([]mark, 0, (n+markEvery-1)/markEvery), n: n}
+	c := chunk{data: body[:len(body):len(body)], marks: make([]mark, 0, (n+markEvery-1)/markEvery), n: n}
 	cur := cursor{data: body, prog: prog}
 	var batch [256]vm.DynInst
 	for i := 0; i < n; {
 		if i%markEvery == 0 {
-			rec.marks = append(rec.marks, mark{off: cur.off, prev: cur.prev})
+			c.marks = append(c.marks, mark{off: cur.off, prev: cur.prev})
 		}
 		k := min(len(batch), n-i, markEvery-i%markEvery)
 		if err := cur.decode(batch[:k]); err != nil {
@@ -156,7 +210,10 @@ func parse(data []byte) (Header, recording, error) {
 	if cur.off != len(body) {
 		return hdr, recording{}, fmt.Errorf("%w: %d bytes after the last record", ErrCorrupt, len(body)-cur.off)
 	}
-	rec.end = cur.prev
+	rec := recording{prog: prog, n: n, end: cur.prev}
+	if n > 0 {
+		rec.chunks = []chunk{c}
+	}
 	return hdr, rec, nil
 }
 
@@ -184,20 +241,6 @@ func satisfies(n int, complete bool, need uint64) bool {
 	}
 	return need > 0 && uint64(n) >= need
 }
-
-// maxReserve caps the records a recording reserves room for before it
-// steps. Every benchmark recording fits under it (the largest needs
-// 2,000,176 records), so each takes one allocation; past the cap the
-// recording grows by append as it steps, so a huge requested budget
-// claims no more than maxReserve*reserveBytes (12 MiB) up front.
-const maxReserve = 1 << 22
-
-// reserveBytes is the room a recording reserves per record it expects.
-// The six benchmarks encode to 1.34–2.70 bytes per record (format
-// version 2, at 500K and 2M instructions), so their recordings never
-// outgrow the reservation; trimmed drops what a recording leaves
-// unused.
-const reserveBytes = 3
 
 // Cache records each workload's dynamic instruction stream once and
 // hands out replays that share the recording's bytes. The zero value
@@ -336,22 +379,16 @@ func (c *Cache) record(e *entry, k Key, need uint64, dir string,
 		}
 		rec.prog = prog
 	}
-	// Reserve room for the need (up to maxReserve records) before
-	// stepping, so a fresh recording allocates once and an extension
-	// (of a recording trimmed to its length) reallocates once.
-	if want := min(need, maxReserve); want > uint64(rec.n) {
-		rec.reserve(want - uint64(rec.n))
-	}
-	start := rec.n
-	for !complete && (need == 0 || uint64(rec.n) < need) {
-		d, serr := m.Step()
-		if serr != nil {
+	w := newRecorder(rec)
+	var d vm.DynInst
+	for !complete && (need == 0 || uint64(w.rec.n) < need) {
+		if m.StepInto(&d) != nil {
 			// HALT or a functional fault: the stream ends here for
 			// every consumer, exactly as a live source would end.
 			complete = true
 			break
 		}
-		if err := rec.append(&d); err != nil {
+		if err := w.append(&d); err != nil {
 			// The stream has a record the codec cannot represent.
 			// Publish what the entry held before, without the
 			// machine, so a later request records afresh and fails
@@ -360,8 +397,8 @@ func (c *Cache) record(e *entry, k Key, need uint64, dir string,
 			return nil, fmt.Errorf("trace: recording %s: %w", k.filename(), err)
 		}
 	}
-	c.recorded.Add(uint64(rec.n - start))
-	rec.data, rec.marks = trimmed(rec.data), trimmed(rec.marks)
+	c.recorded.Add(uint64(w.rec.n - rec.n))
+	rec = w.recording()
 	if complete {
 		m = nil // free the guest machine; the recording is final
 	}
@@ -409,17 +446,18 @@ func (c *Cache) store(k Key, dir string, rec *recording, complete bool) error {
 	return nil
 }
 
-// Replay is a cursor over a recording: it holds the shared record
-// bytes, a position and the delta context at that position, and
-// decodes records on demand. It structurally satisfies the timing
-// core's Source interface (Next) and batch path (Fill), and the
-// functional executor's seekable stream (Fill, Seek, Len), without
-// importing them. Constructing a replay copies a few words, never the
-// trace; a Replay is not safe for concurrent use, so each consumer
-// takes its own (From).
+// Replay is a cursor over a recording: it holds the shared chunks, a
+// position and the delta context at that position, and decodes records
+// on demand. It structurally satisfies the timing core's Source
+// interface (Next) and batch path (Fill), and the functional
+// executor's seekable stream (Fill, Seek, Len), without importing
+// them. Constructing a replay copies a few words, never the trace; a
+// Replay is not safe for concurrent use, so each consumer takes its
+// own (From).
 type Replay struct {
-	cursor
-	marks  []mark
+	cursor // in chunks[ci]
+	chunks []chunk
+	ci     int
 	n, pos int
 }
 
@@ -428,12 +466,24 @@ type Replay struct {
 // is exhausted).
 func (r *Replay) Fill(dst []vm.DynInst) int {
 	k := min(len(dst), r.n-r.pos)
-	if err := r.decode(dst[:k]); err != nil {
-		// Every recording was encoded in this process or validated in
-		// full when it was loaded, so this is a bug, not bad input.
-		panic(fmt.Sprintf("trace: decoding a validated recording: %v", err))
+	for i := 0; i < k; {
+		c := &r.chunks[r.ci]
+		if end := c.first + c.n; r.pos < end {
+			m := min(k-i, end-r.pos)
+			if err := r.decode(dst[i : i+m]); err != nil {
+				// Every recording was encoded in this process or
+				// validated in full when it was loaded, so this is a
+				// bug, not bad input.
+				panic(fmt.Sprintf("trace: decoding a validated recording: %v", err))
+			}
+			i += m
+			r.pos += m
+			continue
+		}
+		// The chunk is done; the delta context carries over.
+		r.ci++
+		r.data, r.off = r.chunks[r.ci].data, 0
 	}
-	r.pos += k
 	return k
 }
 
@@ -454,10 +504,16 @@ func (r *Replay) Len() int { return r.n }
 // decodes the records between.
 func (r *Replay) Seek(pos uint64) {
 	p := int(min(pos, uint64(r.n)))
-	r.off, r.prev, r.pos = 0, prevState{}, 0
-	if m := min(p/markEvery, len(r.marks)-1); m >= 0 {
-		r.off, r.prev, r.pos = r.marks[m].off, r.marks[m].prev, m*markEvery
+	r.ci, r.data, r.off, r.prev, r.pos = 0, nil, 0, prevState{}, 0
+	if len(r.chunks) == 0 {
+		return
 	}
+	// The chunk holding record p, or the last one when p is the end.
+	r.ci = min(sort.Search(len(r.chunks), func(i int) bool { return r.chunks[i].first+r.chunks[i].n > p }),
+		len(r.chunks)-1)
+	c := &r.chunks[r.ci]
+	m := min((p-c.first)/markEvery, len(c.marks)-1)
+	r.data, r.off, r.prev, r.pos = c.data, c.marks[m].off, c.marks[m].prev, c.first+m*markEvery
 	var skip [64]vm.DynInst
 	for r.pos < p {
 		r.Fill(skip[:min(len(skip), p-r.pos)])

@@ -86,10 +86,8 @@ type Header struct {
 
 // A static entry is what every execution of one instruction shares.
 type static struct {
-	// d is the instruction's record with the dynamic fields at their
-	// common values: PC, Op, Rd, Rs1, Rs2 and MemSize as the functional
-	// simulator emits them, NextPC the fall-through address, EffAddr 0
-	// and Taken false.
+	// d is the instruction's record template (vm.Template): the
+	// dynamic fields at their common values.
 	d vm.DynInst
 	// target is NextPC when the record's taken bit is set: the direct
 	// target of a branch, JMP or JAL, and the fall-through address of a
@@ -116,9 +114,9 @@ type program struct {
 const staticBytes = uint64(unsafe.Sizeof(static{}))
 
 // newProgram builds the per-PC table of the program whose text, in
-// isa.Marshal form, is loaded at base. The entries mirror how
-// vm.Machine.Step fills a record, and appendRecord checks every record
-// against them.
+// isa.Marshal form, is loaded at base. Each entry's record is the
+// vm.Template the interpreter starts that instruction's records from,
+// and appendRecord checks every record against it.
 func newProgram(base uint64, text []byte) (*program, error) {
 	instrs, err := isa.Unmarshal(text)
 	if err != nil {
@@ -127,10 +125,8 @@ func newProgram(base uint64, text []byte) (*program, error) {
 	p := &program{base: base, text: text, table: make([]static, len(instrs))}
 	for i, in := range instrs {
 		pc := base + uint64(i)*isa.InstBytes
-		rs1, rs2 := in.Srcs()
 		s := &p.table[i]
-		s.d = vm.DynInst{PC: pc, NextPC: pc + isa.InstBytes, Op: in.Op, Rd: in.Dst(), Rs1: rs1, Rs2: rs2,
-			MemSize: uint8(in.Op.MemBytes())}
+		s.d = vm.Template(pc, in)
 		s.target = pc + isa.InstBytes + uint64(int64(in.Imm))*isa.InstBytes
 		s.mask = ^byte(flagPC)
 		switch {
@@ -263,13 +259,17 @@ func appendRecord(b []byte, prev *prevState, p *program, d *vm.DynInst) ([]byte,
 }
 
 // writeFile writes a .psbtrace file: the header with the recording's
-// program, then the record bytes unchanged.
+// program, then the record bytes of each chunk in turn, unchanged.
 func writeFile(w io.Writer, hdr Header, rec *recording) error {
 	if _, err := w.Write(appendHeader(nil, hdr, rec.prog)); err != nil {
 		return err
 	}
-	_, err := w.Write(rec.data)
-	return err
+	for _, c := range rec.chunks {
+		if _, err := w.Write(c.data); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ErrCorrupt reports malformed encoded input: a bad header or program
@@ -287,6 +287,10 @@ const maxWorkloadName = 256
 // bytes of input therefore hold at most n/minRecordBytes records,
 // whatever the header's Count claims.
 const minRecordBytes = 1
+
+// maxRecordBytes is the longest encoded record: its flags byte and
+// three varints.
+const maxRecordBytes = 1 + 3*binary.MaxVarintLen64
 
 // parseHeader decodes the header at the start of data and returns it
 // with its program and the offset of the first record. The program's

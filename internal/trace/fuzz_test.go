@@ -64,9 +64,13 @@ func FuzzDecoder(f *testing.F) {
 		}
 		// The loader keeps the input's bytes and reserves marks only
 		// for the records those bytes can hold, whatever Count claims.
-		if rec.n > len(data)/minRecordBytes || cap(rec.marks) > rec.n/markEvery+1 || len(rec.data) > len(data) {
+		marks := 0
+		for _, c := range rec.chunks {
+			marks += cap(c.marks)
+		}
+		if body, _, _ := held(rec); rec.n > len(data)/minRecordBytes || marks > rec.n/markEvery+1 || body > len(data) {
 			t.Fatalf("%d input bytes: %d records, %d marks reserved, %d record bytes",
-				len(data), rec.n, cap(rec.marks), len(rec.data))
+				len(data), rec.n, marks, body)
 		}
 		// An accepted file stores back to identical bytes.
 		var buf bytes.Buffer

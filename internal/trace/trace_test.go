@@ -54,8 +54,8 @@ func countingLoop(iters int64) *vm.Machine {
 
 // stridedLoop returns a machine whose loop loads at a 2^27-byte
 // stride: the load's address delta takes a five-byte varint, so the
-// loop encodes to about 2.7 bytes per record — inside the recorder's
-// reservation, but close enough to it that a recording keeps its slack.
+// loop encodes to about 2.7 bytes per record and a chunk ends every
+// 25,000 records or so.
 func stridedLoop(iters int64) *vm.Machine {
 	const base, stride = 0x7000, 1 << 27
 	b := asm.New()
@@ -81,22 +81,41 @@ func progOf(t testing.TB, m *vm.Machine) *program {
 	return p
 }
 
-// encodeAll encodes a whole stream of p's as a .psbtrace file through
-// the recorder's record encoder.
-func encodeAll(t testing.TB, hdr Header, p *program, insts []vm.DynInst) []byte {
+// recordAll records a whole stream of p's through the recorder.
+func recordAll(t testing.TB, p *program, insts []vm.DynInst) recording {
 	t.Helper()
-	rec := recording{prog: p}
+	w := newRecorder(recording{prog: p})
 	for i := range insts {
-		if err := rec.append(&insts[i]); err != nil {
+		if err := w.append(&insts[i]); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
 	}
+	return w.recording()
+}
+
+// encodeAll encodes a whole stream of p's as a .psbtrace file through
+// the recorder.
+func encodeAll(t testing.TB, hdr Header, p *program, insts []vm.DynInst) []byte {
+	t.Helper()
+	rec := recordAll(t, p, insts)
 	hdr.Count = uint64(len(insts))
 	var buf bytes.Buffer
 	if err := writeFile(&buf, hdr, &rec); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// held returns the record bytes and the marks a recording's chunks
+// hold, and reports whether each chunk's capacity is its length.
+func held(rec recording) (data, marks int, exact bool) {
+	exact = true
+	for _, c := range rec.chunks {
+		data += len(c.data)
+		marks += len(c.marks)
+		exact = exact && cap(c.data) == len(c.data) && cap(c.marks) == len(c.marks)
+	}
+	return data, marks, exact
 }
 
 // fill drains a replay through Fill in batches of size batch.
@@ -147,9 +166,9 @@ func TestRoundTrip(t *testing.T) {
 		if out := fill(r, 256); !reflect.DeepEqual(out, insts) {
 			t.Fatalf("%s: decoded stream differs (%d vs %d records)", name, len(out), len(insts))
 		}
-		if want := (len(insts) + markEvery - 1) / markEvery; len(rec.marks) != want || cap(rec.marks) != want {
-			t.Errorf("%s: parse kept %d marks (capacity %d) for %d records, want %d",
-				name, len(rec.marks), cap(rec.marks), len(insts), want)
+		data, marks, exact := held(rec)
+		if want := (len(insts) + markEvery - 1) / markEvery; marks != want || !exact {
+			t.Errorf("%s: parse kept %d marks for %d records, want %d, each chunk at its length", name, marks, len(insts), want)
 		}
 		if _, ok := r.Next(); ok {
 			t.Fatalf("%s: replay yields a record past the last one", name)
@@ -157,8 +176,8 @@ func TestRoundTrip(t *testing.T) {
 		// 32 bytes raw per DynInst; with the static fields in the
 		// program text, even a workload's start-up code, whose first
 		// addresses are far apart, stays under 4 bytes per record.
-		if len(insts) > 0 && len(rec.data) > len(insts)*4 {
-			t.Errorf("%s: encoding is not compact: %d bytes for %d records", name, len(rec.data), len(insts))
+		if len(insts) > 0 && data > len(insts)*4 {
+			t.Errorf("%s: encoding is not compact: %d bytes for %d records", name, data, len(insts))
 		}
 	}
 }
@@ -268,19 +287,19 @@ func TestEncoderRefusesMismatch(t *testing.T) {
 		if !ok {
 			i = alu
 		}
-		rec := recording{prog: p}
+		w := newRecorder(recording{prog: p})
 		for j := 0; j < i; j++ {
-			if err := rec.append(&insts[j]); err != nil {
+			if err := w.append(&insts[j]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		before := rec
+		before := *w
 		d := insts[i]
 		mutate(&d)
-		if err := rec.append(&d); err == nil {
+		if err := w.append(&d); err == nil {
 			t.Errorf("%s: the encoder accepted %+v", name, d)
 		}
-		if rec.n != before.n || len(rec.data) != len(before.data) || len(rec.marks) != len(before.marks) || rec.end != before.end {
+		if w.rec.n != before.rec.n || len(w.buf) != len(before.buf) || len(w.marks) != len(before.marks) || w.rec.end != before.rec.end {
 			t.Errorf("%s: a refused record changed the recording", name)
 		}
 	}
@@ -386,10 +405,10 @@ func TestCacheComplete(t *testing.T) {
 	if r.Len() != len(want) {
 		t.Fatalf("want %d insts to halt, got %d", len(want), r.Len())
 	}
-	// The recorder reserved room for the whole need of 10,000 records;
-	// a recording that halted far short of it keeps only its own bytes.
-	if rec := c.entries[k].rec; cap(rec.data) != len(rec.data) {
-		t.Fatalf("halted recording pins %d bytes of capacity for %d", cap(rec.data), len(rec.data))
+	// A recording that halted far short of its need keeps only its
+	// own bytes.
+	if _, _, exact := held(c.entries[k].rec); !exact {
+		t.Fatal("halted recording pins capacity past its length")
 	}
 	if _, err := c.Source(k, 0, "", func() *vm.Machine {
 		t.Fatal("complete recording must satisfy need=0 without rebuilding")
@@ -408,31 +427,27 @@ func heapBytes(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestCacheRecordingReservesOnce pins the reservation rule. A fresh
-// recording reserves reserveBytes per needed record in one allocation,
-// and an extension reallocates once, by reserveBytes per new record.
-// The counting loop encodes to 1.25 bytes per record, so neither
-// outgrows its reservation, and each ends short of it and is trimmed to
-// one copy of its bytes. The heap total must be
-// the reservation plus that copy, plus the program table the first
-// recording builds (a few hundred bytes): growing by append, or
-// reserving the 32 bytes of a decoded record, allocates well past it.
-// The guest machine is built before measuring.
-func TestCacheRecordingReservesOnce(t *testing.T) {
-	const first, second = 1 << 18, 3 << 18
-	m := countingLoop(1 << 20)
+// TestCacheRecordingHoldsItsBytes pins what recording allocates. A
+// recording of more than 4M records, and then an extension of it, each
+// allocate the bytes the recording holds afterwards beyond what it
+// held before, plus at most the recorder's one open chunk and the
+// headers a growing chunk list leaves behind; and every chunk holds
+// exactly its bytes. Reserving room up front, or growing one buffer by
+// append, allocates megabytes past that. The counting loop encodes to
+// 1.25 bytes per record. The guest machine is built before measuring.
+func TestCacheRecordingHoldsItsBytes(t *testing.T) {
+	const first, second = 4<<20 + 1000, 5 << 20
+	m := countingLoop(1 << 21)
 	build := func() *vm.Machine { return m }
 	var c Cache
 	k := Key{Workload: "loop", Seed: 1, MaxInsts: first}
-
-	var held uint64 // bytes of the recording being extended
+	// The open chunk, and the size-class rounding of the last chunk
+	// (a page) and of each full one (its unused tail).
+	open := uint64(chunkBytes) + uint64(chunkBytes/markEvery)*markBytes + 8<<10
 	for _, need := range []uint64{first, second} {
+		before := c.Stats().Bytes
 		var r *Replay
 		var err error
-		prevN := 0
-		if e := c.entries[k]; e != nil {
-			prevN = e.rec.n
-		}
 		got := heapBytes(func() { r, err = c.Source(k, need, "", build) })
 		if err != nil {
 			t.Fatal(err)
@@ -441,15 +456,17 @@ func TestCacheRecordingReservesOnce(t *testing.T) {
 		if r.Len() != int(need) || rec.n != int(need) {
 			t.Fatalf("need %d: recorded %d records", need, r.Len())
 		}
-		if cap(rec.data) != len(rec.data) {
-			t.Fatalf("need %d: recording pins %d bytes of capacity for %d", need, cap(rec.data), len(rec.data))
+		data, _, exact := held(rec)
+		if !exact {
+			t.Fatalf("need %d: a chunk pins capacity past its length", need)
 		}
-		want := held + (need-uint64(prevN))*reserveBytes + uint64(len(rec.data))
-		if got < want || got > want+want/16 {
-			t.Errorf("need %d: allocated %d bytes, want one %d-byte reservation and one %d-byte trim",
-				need, got, want-uint64(len(rec.data)), len(rec.data))
+		grew := c.Stats().Bytes - before
+		slack := open + uint64(len(rec.chunks))*maxRecordBytes + uint64(cap(rec.chunks))*chunkHeaderBytes + 4<<10
+		if got < grew || got > grew+slack {
+			t.Errorf("need %d: allocated %d bytes, want the %d the recording grew by plus at most %d",
+				need, got, grew, slack)
 		}
-		held = uint64(len(rec.data))
+		t.Logf("need %d: %d record bytes in %d chunks; allocated %d bytes for %d held", need, data, len(rec.chunks), got, grew)
 	}
 	if st := c.Stats(); st.RecordedInsts != second || st.Misses != 2 {
 		t.Fatalf("want 2 recordings of %d insts in all, got %+v", second, st)
@@ -514,13 +531,13 @@ func TestCacheDisk(t *testing.T) {
 		t.Fatal("disk round-trip changed the stream")
 	}
 	// Both caches hold the file's record bytes — its size less the
-	// header — plus one mark for the 100 records and the program: its
-	// text and table.
+	// header — in one chunk, plus one mark for the 100 records and the
+	// program: its text and table.
 	_, p, body, err := parseHeaderBody(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := uint64(len(body)) + markBytes + uint64(len(p.text)) + uint64(len(p.table))*staticBytes
+	want := uint64(len(body)) + chunkHeaderBytes + markBytes + uint64(len(p.text)) + uint64(len(p.table))*staticBytes
 	for i, c := range []*Cache{&c1, &c2} {
 		if got := c.Stats().Bytes; got != want {
 			t.Errorf("cache %d holds %d bytes, want %d", i+1, got, want)
@@ -742,8 +759,8 @@ func TestRecordingBytesPerInst(t *testing.T) {
 }
 
 // TestStatsBytesIsCapacity: Stats.Bytes counts the capacity each
-// 500K benchmark recording holds, and no recording keeps capacity past
-// its length, however close to its reservation it ends.
+// 500K benchmark recording holds, and no chunk keeps capacity past its
+// length.
 func TestStatsBytesIsCapacity(t *testing.T) {
 	const n = 500_000
 	for _, w := range workload.All() {
@@ -753,53 +770,84 @@ func TestStatsBytesIsCapacity(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := c.entries[k].rec
-		held := uint64(cap(rec.data)) + uint64(cap(rec.marks))*markBytes + rec.prog.size()
-		if got := c.Stats().Bytes; got != held || cap(rec.data) != len(rec.data) || cap(rec.marks) != len(rec.marks) {
-			t.Errorf("%s: Stats.Bytes %d, recording holds %d (record bytes %d of %d capacity, marks %d of %d)",
-				w.Name, got, held, len(rec.data), cap(rec.data), len(rec.marks), cap(rec.marks))
+		capacity := uint64(cap(rec.chunks))*chunkHeaderBytes + rec.prog.size()
+		for _, ch := range rec.chunks {
+			capacity += uint64(cap(ch.data)) + uint64(cap(ch.marks))*markBytes
+		}
+		data, marks, exact := held(rec)
+		if got := c.Stats().Bytes; got != capacity || !exact {
+			t.Errorf("%s: Stats.Bytes %d, recording holds %d (%d record bytes and %d marks in %d chunks, each at its length: %v)",
+				w.Name, got, capacity, data, marks, len(rec.chunks), exact)
 		}
 	}
 }
 
 // TestReplaySeek: From(k) followed by Fill in any batch size yields
-// exactly what Next yields from k, at positions on a mark, either side
-// of one, inside the first interval and at the end.
+// exactly the recorded stream from k, as Next does from 0, at positions
+// on a mark, either side of one, inside the first interval, either side
+// of a chunk boundary and at the end; over a recording the recorder cut
+// into chunks, and over the one chunk a file loads as.
 func TestReplaySeek(t *testing.T) {
 	w, err := workload.ByName("health")
 	if err != nil {
 		t.Fatal(err)
 	}
-	insts := record(t, w.Build(1), 3*markEvery+100)
-	_, rec, err := parse(encodeAll(t, Header{Workload: "health"}, progOf(t, w.Build(1)), insts))
+	insts := record(t, w.Build(1), 100_000)
+	chunked := recordAll(t, progOf(t, w.Build(1)), insts)
+	if len(chunked.chunks) < 3 {
+		t.Fatalf("want a recording of several chunks, got %d", len(chunked.chunks))
+	}
+	var file bytes.Buffer
+	if err := writeFile(&file, Header{Workload: "health", Count: uint64(len(insts))}, &chunked); err != nil {
+		t.Fatal(err)
+	}
+	_, loaded, err := parse(file.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := uint64(len(insts))
-	for _, k := range []uint64{0, 1, markEvery - 1, markEvery, markEvery + 1,
-		2*markEvery - 1, 2 * markEvery, 2*markEvery + 1, 3 * markEvery, n - 1, n, n + 5} {
-		ref := rec.replay()
-		for i := uint64(0); i < k; i++ {
-			ref.Next()
+	at := []uint64{0, 1, markEvery - 1, markEvery, markEvery + 1,
+		2*markEvery - 1, 2 * markEvery, 2*markEvery + 1, 3 * markEvery, n - 1, n, n + 5}
+	for _, c := range chunked.chunks[1:] {
+		b := uint64(c.first)
+		at = append(at, b-markEvery-1, b-1, b, b+1, b+markEvery+1)
+	}
+	// Each seek is checked over the window of records after it, which
+	// crosses any chunk boundary within a mark interval of it.
+	const window = 3 * markEvery
+	for name, rec := range map[string]recording{"chunked": chunked, "loaded": loaded} {
+		if !slices.Equal(drain(rec.replay()), insts) {
+			t.Fatalf("%s: Next differs from the recorded stream", name)
 		}
-		want := drain(ref)
-		if k <= n && !slices.Equal(want, insts[k:]) {
-			t.Fatalf("k=%d: Next from k differs from the recorded stream", k)
-		}
-		for _, batch := range []int{1, 7, 256} {
-			if got := fill(rec.replay().From(k), batch); !reflect.DeepEqual(got, want) {
-				t.Fatalf("k=%d batch=%d: From+Fill gave %d records, Next %d", k, batch, len(got), len(want))
+		for _, k := range at {
+			want := insts[min(k, n):min(k+window, n)]
+			for _, batch := range []int{1, 7, 256} {
+				r := rec.replay().From(k)
+				got := make([]vm.DynInst, 0, len(want))
+				buf := make([]vm.DynInst, batch)
+				for len(got) < window {
+					m := r.Fill(buf[:min(batch, window-len(got))])
+					if m == 0 {
+						break
+					}
+					got = append(got, buf[:m]...)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s k=%d batch=%d: From+Fill gave %d records, want %d from the stream", name, k, batch, len(got), len(want))
+				}
 			}
 		}
 	}
 }
 
 // TestCacheConcurrentExtension: replays taken before an extension stay
-// valid while it runs. Goroutines replay and seek the key's stream
-// while another goroutine extends it twice, each time reallocating
-// (the cache trims every recording to its length); every record anyone
-// decodes must match a straight-line recording.
+// valid while it runs. Goroutines replay and seek the key's stream,
+// across chunk boundaries, while another goroutine extends it twice;
+// every record anyone decodes must match a straight-line recording,
+// and no extension may change a byte of the chunks the first recording
+// holds, which the extended recordings share.
 func TestCacheConcurrentExtension(t *testing.T) {
-	const first = 6000
+	const first = 30_000
 	build := func() *vm.Machine { return stridedLoop(1 << 20) }
 	want := record(t, build(), 4*first)
 	var c Cache
@@ -812,6 +860,13 @@ func TestCacheConcurrentExtension(t *testing.T) {
 	e.mu.Lock()
 	rec0 := e.rec
 	e.mu.Unlock()
+	if len(rec0.chunks) < 2 {
+		t.Fatalf("want a first recording of several chunks, got %d", len(rec0.chunks))
+	}
+	var bytes0 [][]byte
+	for _, ch := range rec0.chunks {
+		bytes0 = append(bytes0, slices.Clone(ch.data))
+	}
 	needs := []uint64{2 * first, 4 * first}
 
 	check := func(r *Replay, from uint64, batch int) {
@@ -832,7 +887,7 @@ func TestCacheConcurrentExtension(t *testing.T) {
 					return
 				default:
 				}
-				from := uint64((i*markEvery + g*331) % first)
+				from := uint64((i*7*markEvery + g*331) % first)
 				check(base, from, 1+g*85)
 				if r, err := c.Source(k, first, "", build); err != nil {
 					t.Error(err)
@@ -851,10 +906,12 @@ func TestCacheConcurrentExtension(t *testing.T) {
 			t.Fatalf("extension to %d recorded %d", need, r.Len())
 		}
 		e.mu.Lock()
-		inPlace := unsafe.SliceData(e.rec.data) == unsafe.SliceData(rec0.data)
+		rec := e.rec
 		e.mu.Unlock()
-		if inPlace {
-			t.Fatalf("extension to %d appended in place into the first recording's bytes", need)
+		for i, ch := range rec0.chunks {
+			if !bytes.Equal(ch.data, bytes0[i]) || unsafe.SliceData(rec.chunks[i].data) != unsafe.SliceData(ch.data) {
+				t.Fatalf("extension to %d changed or copied chunk %d of the first recording", need, i)
+			}
 		}
 		check(r, 0, 256)
 	}

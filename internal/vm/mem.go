@@ -11,14 +11,28 @@ const PageBytes = 4096
 
 // GuestMem is a sparse, page-granular guest physical/virtual memory.
 // Pages are allocated on first touch; reads of untouched memory return
-// zeros, matching a zero-filled address space.
+// zeros, matching a zero-filled address space, and allocate nothing.
+// Like the Machine that owns it, a GuestMem is not safe for concurrent
+// use: a read can fill its page cache.
 type GuestMem struct {
-	pages map[uint64][]byte
+	pages map[uint64]*page
+	// recent caches touched pages by page number, direct-mapped, so
+	// most accesses find their page without hashing into pages.
+	recent [recentPages]struct {
+		pn uint64
+		p  *page
+	}
 }
+
+type page [PageBytes]byte
+
+// recentPages is the number of entries in GuestMem.recent. It must be
+// a power of two.
+const recentPages = 256
 
 // NewGuestMem returns an empty guest memory.
 func NewGuestMem() *GuestMem {
-	return &GuestMem{pages: make(map[uint64][]byte)}
+	return &GuestMem{pages: make(map[uint64]*page)}
 }
 
 // Pages returns the number of touched pages.
@@ -27,19 +41,29 @@ func (m *GuestMem) Pages() int { return len(m.pages) }
 // Footprint returns the number of bytes of touched memory.
 func (m *GuestMem) Footprint() uint64 { return uint64(len(m.pages)) * PageBytes }
 
-func (m *GuestMem) page(addr uint64, create bool) []byte {
+// pageOf returns the page holding addr, allocating it when create is set;
+// otherwise an untouched page is nil.
+func (m *GuestMem) pageOf(addr uint64, create bool) *page {
 	pn := addr / PageBytes
-	p, ok := m.pages[pn]
-	if !ok && create {
-		p = make([]byte, PageBytes)
+	e := &m.recent[pn%recentPages]
+	if e.p != nil && e.pn == pn {
+		return e.p
+	}
+	p := m.pages[pn]
+	if p == nil {
+		if !create {
+			return nil
+		}
+		p = new(page)
 		m.pages[pn] = p
 	}
+	e.pn, e.p = pn, p
 	return p
 }
 
 // LoadByte returns the byte at addr.
 func (m *GuestMem) LoadByte(addr uint64) byte {
-	p := m.page(addr, false)
+	p := m.pageOf(addr, false)
 	if p == nil {
 		return 0
 	}
@@ -48,7 +72,7 @@ func (m *GuestMem) LoadByte(addr uint64) byte {
 
 // StoreByte stores b at addr.
 func (m *GuestMem) StoreByte(addr uint64, b byte) {
-	m.page(addr, true)[addr%PageBytes] = b
+	m.pageOf(addr, true)[addr%PageBytes] = b
 }
 
 // read copies n bytes starting at addr into buf, handling page splits.
@@ -67,9 +91,11 @@ func (m *GuestMem) write(addr uint64, buf []byte) {
 
 // Read32 returns the little-endian 32-bit value at addr.
 func (m *GuestMem) Read32(addr uint64) uint32 {
-	off := addr % PageBytes
-	if p := m.page(addr, false); p != nil && off+4 <= PageBytes {
-		return binary.LittleEndian.Uint32(p[off:])
+	if off := addr % PageBytes; off <= PageBytes-4 {
+		if p := m.pageOf(addr, false); p != nil {
+			return binary.LittleEndian.Uint32(p[off:])
+		}
+		return 0
 	}
 	var buf [4]byte
 	m.read(addr, buf[:])
@@ -78,9 +104,8 @@ func (m *GuestMem) Read32(addr uint64) uint32 {
 
 // Write32 stores a little-endian 32-bit value at addr.
 func (m *GuestMem) Write32(addr uint64, v uint32) {
-	off := addr % PageBytes
-	if p := m.page(addr, true); off+4 <= PageBytes {
-		binary.LittleEndian.PutUint32(p[off:], v)
+	if off := addr % PageBytes; off <= PageBytes-4 {
+		binary.LittleEndian.PutUint32(m.pageOf(addr, true)[off:], v)
 		return
 	}
 	var buf [4]byte
@@ -90,9 +115,11 @@ func (m *GuestMem) Write32(addr uint64, v uint32) {
 
 // Read64 returns the little-endian 64-bit value at addr.
 func (m *GuestMem) Read64(addr uint64) uint64 {
-	off := addr % PageBytes
-	if p := m.page(addr, false); p != nil && off+8 <= PageBytes {
-		return binary.LittleEndian.Uint64(p[off:])
+	if off := addr % PageBytes; off <= PageBytes-8 {
+		if p := m.pageOf(addr, false); p != nil {
+			return binary.LittleEndian.Uint64(p[off:])
+		}
+		return 0
 	}
 	var buf [8]byte
 	m.read(addr, buf[:])
@@ -101,9 +128,8 @@ func (m *GuestMem) Read64(addr uint64) uint64 {
 
 // Write64 stores a little-endian 64-bit value at addr.
 func (m *GuestMem) Write64(addr uint64, v uint64) {
-	off := addr % PageBytes
-	if p := m.page(addr, true); off+8 <= PageBytes {
-		binary.LittleEndian.PutUint64(p[off:], v)
+	if off := addr % PageBytes; off <= PageBytes-8 {
+		binary.LittleEndian.PutUint64(m.pageOf(addr, true)[off:], v)
 		return
 	}
 	var buf [8]byte

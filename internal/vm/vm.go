@@ -47,6 +47,31 @@ func (d *DynInst) IsCTI() bool { return d.Op.IsCTI() }
 // ErrHalted is returned by Step once the program has executed HALT.
 var ErrHalted = errors.New("vm: program halted")
 
+// Template returns the record every execution of in at pc starts
+// from: PC, Op, Rd, Rs1, Rs2 and MemSize as Step emits them, NextPC the
+// fall-through address, EffAddr 0 and Taken false. Step fills in the
+// rest: a memory op's address, and a taken control transfer's target.
+func Template(pc uint64, in isa.Instr) DynInst {
+	s1, s2 := in.Srcs()
+	return DynInst{
+		PC:      pc,
+		NextPC:  pc + isa.InstBytes,
+		Op:      in.Op,
+		Rd:      in.Dst(),
+		Rs1:     s1,
+		Rs2:     s2,
+		MemSize: uint8(in.Op.MemBytes()),
+	}
+}
+
+// A predecoded instruction: its record template and the operands the
+// opcode's dynamic work reads.
+type predecoded struct {
+	d            DynInst // Template of the instruction at its PC
+	rd, rs1, rs2 isa.Reg
+	imm          uint64 // the immediate, sign-extended
+}
+
 // Machine is the functional interpreter state.
 type Machine struct {
 	Mem      *GuestMem
@@ -56,6 +81,7 @@ type Machine struct {
 	TextBase uint64
 
 	prog   []isa.Instr
+	code   []predecoded // prog, predecoded at TextBase
 	seq    uint64
 	halted bool
 }
@@ -67,11 +93,20 @@ func New(prog []isa.Instr, mem *GuestMem) *Machine {
 	if mem == nil {
 		mem = NewGuestMem()
 	}
+	code := make([]predecoded, len(prog))
+	for i, in := range prog {
+		code[i] = predecoded{
+			d:  Template(DefaultTextBase+uint64(i)*isa.InstBytes, in),
+			rd: in.Rd, rs1: in.Rs1, rs2: in.Rs2,
+			imm: uint64(int64(in.Imm)),
+		}
+	}
 	return &Machine{
 		Mem:      mem,
 		PC:       DefaultTextBase,
 		TextBase: DefaultTextBase,
 		prog:     prog,
+		code:     code,
 	}
 }
 
@@ -115,114 +150,115 @@ func (m *Machine) writeFP(r isa.Reg, v float64) { m.FPReg[r-isa.NumIntRegs] = v 
 // Step executes one instruction and returns its DynInst record.
 // After HALT has executed, Step returns ErrHalted.
 func (m *Machine) Step() (DynInst, error) {
-	if m.halted {
-		return DynInst{}, ErrHalted
-	}
-	in, err := m.InstrAt(m.PC)
-	if err != nil {
+	var d DynInst
+	if err := m.StepInto(&d); err != nil {
 		return DynInst{}, err
 	}
+	return d, nil
+}
 
-	s1, s2 := in.Srcs()
-	d := DynInst{
-		PC:  m.PC,
-		Op:  in.Op,
-		Rd:  in.Dst(),
-		Rs1: s1,
-		Rs2: s2,
+// StepInto executes one instruction and writes its DynInst record to
+// *d, so a caller collecting records writes each in place. After HALT
+// has executed, StepInto returns ErrHalted. On an error the machine is
+// unchanged and *d holds no record.
+func (m *Machine) StepInto(d *DynInst) error {
+	if m.halted {
+		return ErrHalted
 	}
-	next := m.PC + isa.InstBytes
+	k := (m.PC - m.TextBase) / isa.InstBytes
+	if (m.PC-m.TextBase)%isa.InstBytes != 0 || k >= uint64(len(m.code)) {
+		_, err := m.InstrAt(m.PC)
+		return err
+	}
+	in := &m.code[k]
+	*d = in.d
 
-	switch in.Op {
+	switch in.d.Op {
 	case isa.NOP:
 	case isa.HALT:
 		m.halted = true
 
 	case isa.ADD:
-		m.writeInt(in.Rd, m.readInt(in.Rs1)+m.readInt(in.Rs2))
+		m.writeInt(in.rd, m.readInt(in.rs1)+m.readInt(in.rs2))
 	case isa.SUB:
-		m.writeInt(in.Rd, m.readInt(in.Rs1)-m.readInt(in.Rs2))
+		m.writeInt(in.rd, m.readInt(in.rs1)-m.readInt(in.rs2))
 	case isa.AND:
-		m.writeInt(in.Rd, m.readInt(in.Rs1)&m.readInt(in.Rs2))
+		m.writeInt(in.rd, m.readInt(in.rs1)&m.readInt(in.rs2))
 	case isa.OR:
-		m.writeInt(in.Rd, m.readInt(in.Rs1)|m.readInt(in.Rs2))
+		m.writeInt(in.rd, m.readInt(in.rs1)|m.readInt(in.rs2))
 	case isa.XOR:
-		m.writeInt(in.Rd, m.readInt(in.Rs1)^m.readInt(in.Rs2))
+		m.writeInt(in.rd, m.readInt(in.rs1)^m.readInt(in.rs2))
 	case isa.SHL:
-		m.writeInt(in.Rd, m.readInt(in.Rs1)<<(m.readInt(in.Rs2)&63))
+		m.writeInt(in.rd, m.readInt(in.rs1)<<(m.readInt(in.rs2)&63))
 	case isa.SHR:
-		m.writeInt(in.Rd, m.readInt(in.Rs1)>>(m.readInt(in.Rs2)&63))
+		m.writeInt(in.rd, m.readInt(in.rs1)>>(m.readInt(in.rs2)&63))
 	case isa.SLT:
-		m.writeInt(in.Rd, boolToU64(int64(m.readInt(in.Rs1)) < int64(m.readInt(in.Rs2))))
+		m.writeInt(in.rd, boolToU64(int64(m.readInt(in.rs1)) < int64(m.readInt(in.rs2))))
 
 	case isa.ADDI:
-		m.writeInt(in.Rd, m.readInt(in.Rs1)+uint64(int64(in.Imm)))
+		m.writeInt(in.rd, m.readInt(in.rs1)+in.imm)
 	case isa.ANDI:
-		m.writeInt(in.Rd, m.readInt(in.Rs1)&uint64(int64(in.Imm)))
+		m.writeInt(in.rd, m.readInt(in.rs1)&in.imm)
 	case isa.ORI:
-		m.writeInt(in.Rd, m.readInt(in.Rs1)|uint64(int64(in.Imm)))
+		m.writeInt(in.rd, m.readInt(in.rs1)|in.imm)
 	case isa.XORI:
-		m.writeInt(in.Rd, m.readInt(in.Rs1)^uint64(int64(in.Imm)))
+		m.writeInt(in.rd, m.readInt(in.rs1)^in.imm)
 	case isa.SHLI:
-		m.writeInt(in.Rd, m.readInt(in.Rs1)<<(uint32(in.Imm)&63))
+		m.writeInt(in.rd, m.readInt(in.rs1)<<(in.imm&63))
 	case isa.SHRI:
-		m.writeInt(in.Rd, m.readInt(in.Rs1)>>(uint32(in.Imm)&63))
+		m.writeInt(in.rd, m.readInt(in.rs1)>>(in.imm&63))
 	case isa.SLTI:
-		m.writeInt(in.Rd, boolToU64(int64(m.readInt(in.Rs1)) < int64(in.Imm)))
+		m.writeInt(in.rd, boolToU64(int64(m.readInt(in.rs1)) < int64(in.imm)))
 	case isa.LUI:
-		m.writeInt(in.Rd, uint64(int64(in.Imm)<<16))
+		m.writeInt(in.rd, in.imm<<16)
 
 	case isa.MUL:
-		m.writeInt(in.Rd, m.readInt(in.Rs1)*m.readInt(in.Rs2))
+		m.writeInt(in.rd, m.readInt(in.rs1)*m.readInt(in.rs2))
 	case isa.DIV:
-		a, b := int64(m.readInt(in.Rs1)), int64(m.readInt(in.Rs2))
+		a, b := int64(m.readInt(in.rs1)), int64(m.readInt(in.rs2))
 		if b == 0 {
-			m.writeInt(in.Rd, 0)
+			m.writeInt(in.rd, 0)
 		} else {
-			m.writeInt(in.Rd, uint64(a/b))
+			m.writeInt(in.rd, uint64(a/b))
 		}
 	case isa.REM:
-		a, b := int64(m.readInt(in.Rs1)), int64(m.readInt(in.Rs2))
+		a, b := int64(m.readInt(in.rs1)), int64(m.readInt(in.rs2))
 		if b == 0 {
-			m.writeInt(in.Rd, 0)
+			m.writeInt(in.rd, 0)
 		} else {
-			m.writeInt(in.Rd, uint64(a%b))
+			m.writeInt(in.rd, uint64(a%b))
 		}
 
-	case isa.LD, isa.LW, isa.LB, isa.FLD:
-		addr := m.readInt(in.Rs1) + uint64(int64(in.Imm))
-		d.EffAddr = addr
-		d.MemSize = uint8(in.Op.MemBytes())
-		switch in.Op {
-		case isa.LD:
-			m.writeInt(in.Rd, m.Mem.Read64(addr))
-		case isa.LW:
-			m.writeInt(in.Rd, uint64(m.Mem.Read32(addr)))
-		case isa.LB:
-			m.writeInt(in.Rd, uint64(m.Mem.LoadByte(addr)))
-		case isa.FLD:
-			m.writeFP(in.Rd, m.Mem.ReadFloat(addr))
-		}
+	case isa.LD:
+		d.EffAddr = m.readInt(in.rs1) + in.imm
+		m.writeInt(in.rd, m.Mem.Read64(d.EffAddr))
+	case isa.LW:
+		d.EffAddr = m.readInt(in.rs1) + in.imm
+		m.writeInt(in.rd, uint64(m.Mem.Read32(d.EffAddr)))
+	case isa.LB:
+		d.EffAddr = m.readInt(in.rs1) + in.imm
+		m.writeInt(in.rd, uint64(m.Mem.LoadByte(d.EffAddr)))
+	case isa.FLD:
+		d.EffAddr = m.readInt(in.rs1) + in.imm
+		m.writeFP(in.rd, m.Mem.ReadFloat(d.EffAddr))
 
-	case isa.ST, isa.SW, isa.SB, isa.FST:
-		addr := m.readInt(in.Rs1) + uint64(int64(in.Imm))
-		d.EffAddr = addr
-		d.MemSize = uint8(in.Op.MemBytes())
-		switch in.Op {
-		case isa.ST:
-			m.Mem.Write64(addr, m.readInt(in.Rs2))
-		case isa.SW:
-			m.Mem.Write32(addr, uint32(m.readInt(in.Rs2)))
-		case isa.SB:
-			m.Mem.StoreByte(addr, byte(m.readInt(in.Rs2)))
-		case isa.FST:
-			m.Mem.WriteFloat(addr, m.readFP(in.Rs2))
-		}
+	case isa.ST:
+		d.EffAddr = m.readInt(in.rs1) + in.imm
+		m.Mem.Write64(d.EffAddr, m.readInt(in.rs2))
+	case isa.SW:
+		d.EffAddr = m.readInt(in.rs1) + in.imm
+		m.Mem.Write32(d.EffAddr, uint32(m.readInt(in.rs2)))
+	case isa.SB:
+		d.EffAddr = m.readInt(in.rs1) + in.imm
+		m.Mem.StoreByte(d.EffAddr, byte(m.readInt(in.rs2)))
+	case isa.FST:
+		d.EffAddr = m.readInt(in.rs1) + in.imm
+		m.Mem.WriteFloat(d.EffAddr, m.readFP(in.rs2))
 
 	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE:
-		a, b := int64(m.readInt(in.Rs1)), int64(m.readInt(in.Rs2))
+		a, b := int64(m.readInt(in.rs1)), int64(m.readInt(in.rs2))
 		var take bool
-		switch in.Op {
+		switch in.d.Op {
 		case isa.BEQ:
 			take = a == b
 		case isa.BNE:
@@ -233,53 +269,53 @@ func (m *Machine) Step() (DynInst, error) {
 			take = a >= b
 		}
 		if take {
-			next = m.PC + isa.InstBytes + uint64(int64(in.Imm))*isa.InstBytes
+			d.NextPC += in.imm * isa.InstBytes
 			d.Taken = true
 		}
 
 	case isa.JMP:
-		next = m.PC + isa.InstBytes + uint64(int64(in.Imm))*isa.InstBytes
+		d.NextPC += in.imm * isa.InstBytes
 		d.Taken = true
 	case isa.JAL:
-		m.writeInt(in.Rd, m.PC+isa.InstBytes)
-		next = m.PC + isa.InstBytes + uint64(int64(in.Imm))*isa.InstBytes
+		m.writeInt(in.rd, d.NextPC)
+		d.NextPC += in.imm * isa.InstBytes
 		d.Taken = true
 	case isa.JALR:
-		target := m.readInt(in.Rs1)
-		m.writeInt(in.Rd, m.PC+isa.InstBytes)
-		next = target
+		target := m.readInt(in.rs1)
+		m.writeInt(in.rd, d.NextPC)
+		d.NextPC = target
 		d.Taken = true
 
 	case isa.FADD:
-		m.writeFP(in.Rd, m.readFP(in.Rs1)+m.readFP(in.Rs2))
+		m.writeFP(in.rd, m.readFP(in.rs1)+m.readFP(in.rs2))
 	case isa.FSUB:
-		m.writeFP(in.Rd, m.readFP(in.Rs1)-m.readFP(in.Rs2))
+		m.writeFP(in.rd, m.readFP(in.rs1)-m.readFP(in.rs2))
 	case isa.FMUL:
-		m.writeFP(in.Rd, m.readFP(in.Rs1)*m.readFP(in.Rs2))
+		m.writeFP(in.rd, m.readFP(in.rs1)*m.readFP(in.rs2))
 	case isa.FDIV:
-		m.writeFP(in.Rd, m.readFP(in.Rs1)/m.readFP(in.Rs2))
+		m.writeFP(in.rd, m.readFP(in.rs1)/m.readFP(in.rs2))
 	case isa.FITOF:
-		m.writeFP(in.Rd, float64(int64(m.readInt(in.Rs1))))
+		m.writeFP(in.rd, float64(int64(m.readInt(in.rs1))))
 	case isa.FFTOI:
-		m.writeInt(in.Rd, uint64(int64(m.readFP(in.Rs1))))
+		m.writeInt(in.rd, uint64(int64(m.readFP(in.rs1))))
 
 	default:
-		return DynInst{}, fmt.Errorf("vm: unimplemented opcode %v at PC %#x", in.Op, m.PC)
+		return fmt.Errorf("vm: unimplemented opcode %v at PC %#x", in.d.Op, m.PC)
 	}
 
-	d.NextPC = next
-	m.PC = next
+	m.PC = d.NextPC
 	m.seq++
-	return d, nil
+	return nil
 }
 
 // Run executes up to max instructions (0 means until HALT) and returns
-// the number executed. It is a convenience for functional tests; the
-// timing simulator calls Step directly.
+// the number executed. It is a convenience for functional tests and
+// examples; instruction sources step the machine through StepInto.
 func (m *Machine) Run(max uint64) (uint64, error) {
 	var n uint64
+	var d DynInst
 	for !m.halted && (max == 0 || n < max) {
-		if _, err := m.Step(); err != nil {
+		if err := m.StepInto(&d); err != nil {
 			return n, err
 		}
 		n++

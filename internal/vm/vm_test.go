@@ -298,6 +298,10 @@ func TestGuestMemZeroFill(t *testing.T) {
 	if m.Pages() != 0 {
 		t.Error("read should not allocate pages")
 	}
+	m.Write64(0x8000, 1)
+	if n := testing.AllocsPerRun(100, func() { m.Read64(0x123456 + recentPages*PageBytes) }); n != 0 {
+		t.Errorf("a read of untouched memory allocated %v times", n)
+	}
 }
 
 func TestGuestMemPageSplit(t *testing.T) {
@@ -319,10 +323,11 @@ func TestGuestMemRoundTripRandom(t *testing.T) {
 		addr uint64
 		val  uint64
 	}
-	// Non-overlapping 8-byte slots.
+	// Non-overlapping 8-byte slots on three pages that share one entry
+	// of the page cache, visited in turn.
 	var writes []wr
 	for i := 0; i < 200; i++ {
-		writes = append(writes, wr{uint64(i)*8 + 0x4000, r.Uint64()})
+		writes = append(writes, wr{uint64(i)*8 + 0x4000 + uint64(i%3)*recentPages*PageBytes, r.Uint64()})
 	}
 	for _, w := range writes {
 		m.Write64(w.addr, w.val)
