@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -14,17 +15,27 @@ import (
 // into a default-geometry executor or be refused with an error, and
 // must survive a re-encode unchanged. Each input is also decoded with
 // its checksum recomputed, so mutations reach the parser behind it.
+//
+// Every accepted state is also stored the ways the store can hold it,
+// as a root and, when it has the seed state's shape, as a delta against
+// the seed state, and read back through a cursor: the in-memory
+// encoding must be exact for states no executor produces. The seeds
+// include such states (see oddStates).
 func FuzzDecodeCheckpoint(f *testing.F) {
 	insts := healthStream(f, 5_000)
 	boot := bootFor(insts)
 	fn := boot()
 	fn.AdvanceTo(3_000)
-	st := fn.Snapshot()
+	seed := fn.Snapshot()
 	k := testKey()
-	data := Encode(k, st)
+	data := Encode(k, seed)
 	f.Add(data)
 	f.Add(data[:len(data)/2])
-	f.Add(validLineStampZero(f, k, st))
+	f.Add(validLineStampZero(f, k, seed))
+	for _, st := range oddStates(seed) {
+		f.Add(Encode(k, st))
+	}
+	seedCk := newCkpt(nil, nil, seed, 0)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, resum(data)} {
@@ -40,8 +51,65 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			if !reflect.DeepEqual(again, st) {
 				t.Fatal("re-encoded checkpoint decodes to a different state")
 			}
+
+			e := new(entry)
+			var c Cursor
+			c.seek(e, newCkpt(nil, nil, st, 0))
+			if !reflect.DeepEqual(&c.st, st) {
+				t.Fatal("state stored as a root reads back different")
+			}
+			if sameShape(seed, st) {
+				c.seek(e, newCkpt(seedCk, seed, st, uint64(len(st.Train))))
+				if !reflect.DeepEqual(&c.st, st) {
+					t.Fatal("state stored as a delta against the seed state reads back different")
+				}
+			}
 		}
 	})
+}
+
+// oddStates returns variants of st, a snapshot, that no executor
+// produces but Decode accepts: stamps above the clock and 2^63 below
+// it, stamp-0 lines that carry tags, all-ones tags, stamps, clocks, PCs
+// and addresses, tags changed to 0, and empty and full train rings.
+func oddStates(st *cpu.FunctionalState) []*cpu.FunctionalState {
+	clone := func() *cpu.FunctionalState {
+		c, err := Decode(Encode(testKey(), st), testKey())
+		if err != nil {
+			panic(err)
+		}
+		return c
+	}
+	odd := clone()
+	for i := range odd.Mem.L2.Lines {
+		l := &odd.Mem.L2.Lines[i]
+		switch i % 5 {
+		case 0:
+			l.LastUse = odd.Mem.L2.Clock + uint64(i) + 1 // above the clock
+		case 1:
+			l.Tag, l.LastUse = uint64(i)<<6, 0 // invalid, with a tag
+		case 2:
+			l.Tag, l.LastUse = math.MaxUint64, math.MaxUint64
+		case 3:
+			l.Tag, l.LastUse = 0, odd.Mem.L2.Clock^1<<63 // the longest age
+		}
+	}
+	odd.Mem.L1D.Clock = math.MaxUint64
+	for i := range odd.Train {
+		if i%2 == 0 {
+			odd.Train[i] = cpu.TrainEvent{PC: math.MaxUint64, Addr: math.MaxUint64}
+		}
+	}
+
+	empty := clone()
+	empty.Train = empty.Train[:0]
+
+	full := clone()
+	full.Train = make([]cpu.TrainEvent, cpu.TrainRingCap)
+	for i := range full.Train {
+		full.Train[i] = cpu.TrainEvent{PC: uint64(i) << 60, Addr: math.MaxUint64 - uint64(i)*4}
+	}
+	return []*cpu.FunctionalState{odd, empty, full}
 }
 
 // FuzzCheckpointChain drives the store with a request sequence decoded
@@ -108,14 +176,13 @@ func FuzzCheckpointChain(f *testing.F) {
 }
 
 // checkChains verifies every delta chain in s: each checkpoint's base
-// is earlier, and it sits depth deltas, at most maxDepth, past a whole
-// checkpoint.
+// is earlier, and it sits depth deltas, at most maxDepth, past a root.
 func checkChains(t *testing.T, s *Store) {
 	t.Helper()
 	for k, e := range s.entries {
 		for _, ck := range e.ckpts {
 			n := 0
-			for x := ck; x.whole == nil; x = x.base {
+			for x := ck; x.base != nil; x = x.base {
 				if x.base.pos >= x.pos {
 					t.Fatalf("%s: checkpoint at %d has base at %d", k.Workload, x.pos, x.base.pos)
 				}

@@ -80,10 +80,9 @@ type Stats struct {
 	// functional fast-forward on behalf of the store — the work every
 	// hit avoided repeating.
 	FunctionalInsts uint64
-	// Bytes is the memory the store holds: its whole checkpoints and
-	// deltas, each key's generator scratch states and the cursors
-	// finished runs released. Executors and miss profiles are not
-	// counted.
+	// Bytes is the memory the store holds: its checkpoints, each
+	// key's generator (its live executor and materialized state) and
+	// miss profiles, and the cursors finished runs released.
 	Bytes uint64
 }
 
@@ -107,6 +106,18 @@ type entry struct {
 
 	profMu   sync.Mutex
 	profiles map[uint64][]uint32 // miss profile by covered length
+}
+
+// genBytes is the memory e's generator holds: its materialized state
+// and, while one is live, its executor, which holds as much again plus
+// its batch buffer once it has matched a checkpoint. The caller holds
+// e.gen.
+func (e *entry) genBytes() uint64 {
+	n := stateBytes(&e.last.st)
+	if e.f != nil {
+		n += n + batchBytes
+	}
+	return n
 }
 
 // after returns the index of the first checkpoint past pos. The
@@ -137,10 +148,10 @@ func (e *entry) lookup(pos uint64) *ckpt {
 // state of the checkpoint it last reached. Store.At moves it to the
 // requested checkpoint, applying only the deltas in between when the
 // target descends from the checkpoint it holds (one delta per interval
-// in a sampled run's ascending walk) and rebuilding from the target's
-// nearest whole checkpoint otherwise. A cursor belongs to one run at a
-// time. The zero value is ready to use; Store.Cursor reuses the
-// buffers of cursors earlier runs released.
+// in a sampled run's ascending walk) and otherwise zeroing the state
+// and applying the target's chain from its root. A cursor belongs to
+// one run at a time. The zero value is ready to use; Store.Cursor
+// reuses the buffers of cursors earlier runs released.
 type Cursor struct {
 	e  *entry
 	ck *ckpt
@@ -152,18 +163,15 @@ func (c *Cursor) seek(e *entry, ck *ckpt) {
 	if c.e != e {
 		c.e, c.ck = e, nil
 	}
-	switch {
-	case ck == c.ck:
+	if ck == c.ck {
 		return
-	case ck.whole != nil:
-		if c.st.Train == nil {
-			c.st.Train = make([]cpu.TrainEvent, 0, cpu.TrainRingCap) // room for a full ring
-		}
-		copyState(&c.st, ck.whole)
-	default:
-		c.seek(e, ck.base)
-		ck.d.apply(&c.st)
 	}
+	if ck.base == nil {
+		ck.d.reset(&c.st)
+	} else {
+		c.seek(e, ck.base)
+	}
+	ck.d.apply(&c.st)
 	c.ck = ck
 }
 
@@ -268,7 +276,8 @@ type AtInfo struct {
 // checkpoint) rather than replaying from zero, and concurrent misses
 // on one key wait for a single generator. A generated checkpoint is
 // stored as a delta against the checkpoint the executor last matched;
-// a loaded one as a delta against c's checkpoint when that is earlier.
+// a loaded one as a delta against c's checkpoint when that is earlier,
+// and as a root otherwise.
 // The returned state belongs to c: it is read-only and stays valid
 // until c's next At.
 func (s *Store) At(c *Cursor, k Key, pos uint64, dir string, boot func() *cpu.Functional) (*cpu.FunctionalState, AtInfo, error) {
@@ -308,8 +317,8 @@ func (s *Store) At(c *Cursor, k Key, pos uint64, dir string, boot func() *cpu.Fu
 	}
 
 	s.misses.Add(1)
-	held := stateBytes(&e.last.st)
-	defer func() { s.bytes.Add(stateBytes(&e.last.st) - held) }() // wraps to a subtraction when it shrank
+	held := e.genBytes()
+	defer func() { s.bytes.Add(e.genBytes() - held) }() // wraps to a subtraction when it shrank
 	if e.f == nil {
 		e.f, e.last.ck = boot(), nil
 	}
@@ -386,6 +395,7 @@ func (s *Store) Profile(k Key, n uint64, boot func() *cpu.Functional) ([]uint32,
 		e.profiles = make(map[uint64][]uint32)
 	}
 	e.profiles[n] = p
+	s.bytes.Add(4 * uint64(cap(p)))
 	return p, advanced, nil
 }
 

@@ -7,11 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/cpu"
 	"repro/internal/mem"
+	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -276,39 +278,87 @@ func TestStoreDiskPersistence(t *testing.T) {
 	}
 }
 
-// TestStoreBytes pins the store's memory accounting and what deltas
-// save: at 200K on health, each generated checkpoint after the first
-// adds less than a quarter of a whole state to Stats.Bytes, and a
-// released cursor counts until a later run takes it back.
+// heldBytes sums what s holds, entry by entry: the checkpoints, each
+// generator's state and live executor, the released cursors and the
+// miss profiles.
+func heldBytes(s *Store) uint64 {
+	var n uint64
+	for _, e := range s.entries {
+		n += e.genBytes()
+		for _, ck := range e.ckpts {
+			n += ck.size
+		}
+		for _, c := range e.idle {
+			n += stateBytes(&c.st)
+		}
+		for _, p := range e.profiles {
+			n += 4 * uint64(cap(p))
+		}
+	}
+	return n
+}
+
+// TestStoreBytes pins the store's memory accounting and what the
+// compact encoding saves. At 200K on health the first checkpoint, a
+// root, adds under an eighth of a whole state beyond the generator's
+// own state and executor, and each later checkpoint adds under a
+// tenth. Stats.Bytes counts the live executor at about what booting
+// one allocates, and the miss profile, and a released cursor counts
+// until a later run takes it back.
 func TestStoreBytes(t *testing.T) {
 	insts := healthStream(t, 200_000)
 	var s Store
 	k := testKey()
 	boot := bootFor(insts)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f := boot()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(f)
+
 	cur := s.Cursor(k)
 	st, _, err := s.At(cur, k, 20_000, "", boot)
 	if err != nil {
 		t.Fatal(err)
 	}
 	whole := stateBytes(st)
-	if got := s.Stats().Bytes; got < whole {
-		t.Fatalf("first checkpoint: store holds %d bytes, less than one whole state (%d)", got, whole)
+	e := s.entry(k)
+	gen := e.genBytes()
+	if alloc, eb := after.TotalAlloc-before.TotalAlloc, gen-stateBytes(&e.last.st); eb > alloc || eb < alloc*9/10 {
+		t.Errorf("the live executor counts %d bytes, want within 10%% below the %d bytes booting one allocates", eb, alloc)
+	}
+	if got := s.Stats().Bytes; got < gen || got-gen >= whole/8 {
+		t.Errorf("first checkpoint: store holds %d bytes, %d beyond the generator's, want under %d (an eighth of a whole state)",
+			got, got-gen, whole/8)
 	}
 	for pos := uint64(40_000); pos < 200_000; pos += 20_000 {
 		held := s.Stats().Bytes
 		if _, _, err := s.At(cur, k, pos, "", boot); err != nil {
 			t.Fatal(err)
 		}
-		if added := s.Stats().Bytes - held; added == 0 || added >= whole/4 {
-			t.Errorf("checkpoint at %d added %d bytes, want 0 < added < %d (a quarter of a whole state)",
-				pos, added, whole/4)
+		if added := s.Stats().Bytes - held; added == 0 || added >= whole/10 {
+			t.Errorf("checkpoint at %d added %d bytes, want 0 < added < %d (a tenth of a whole state)",
+				pos, added, whole/10)
 		}
 	}
 
 	held := s.Stats().Bytes
+	p, _, err := s.Profile(k, 200_000, boot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Stats().Bytes-held, 4*uint64(cap(p)); got != want {
+		t.Errorf("a miss profile added %d bytes, want its %d", got, want)
+	}
+
+	held = s.Stats().Bytes
 	s.Release(cur)
 	if got, want := s.Stats().Bytes-held, stateBytes(&cur.st); got != want {
 		t.Errorf("releasing a cursor added %d bytes, want its %d", got, want)
+	}
+	if got := heldBytes(&s); s.Stats().Bytes != got {
+		t.Errorf("Stats.Bytes = %d, want the %d bytes the store holds", s.Stats().Bytes, got)
 	}
 	if again := s.Cursor(k); again != cur || s.Stats().Bytes != held {
 		t.Errorf("a later run got a new cursor or left %d bytes counted, want the released one and %d",
@@ -359,22 +409,14 @@ func TestStoreConcurrentCursors(t *testing.T) {
 	}
 	wg.Wait()
 
-	e := s.entry(k)
-	held := stateBytes(&e.last.st)
-	for _, ck := range e.ckpts {
-		held += ck.size
-	}
-	for _, c := range e.idle {
-		held += stateBytes(&c.st)
-	}
-	if got := s.Stats().Bytes; got != held {
+	if got, held := s.Stats().Bytes, heldBytes(&s); got != held {
 		t.Errorf("Stats.Bytes = %d, want the %d bytes the store holds", got, held)
 	}
 }
 
 // TestStoreDepthBound walks one chain past the depth bound: every
-// maxDepth+1st checkpoint is stored whole, so no checkpoint sits more
-// than maxDepth deltas from a whole one.
+// maxDepth+1st checkpoint is a root, so no checkpoint sits more than
+// maxDepth deltas past a root.
 func TestStoreDepthBound(t *testing.T) {
 	insts := healthStream(t, 5_000)
 	var s Store
@@ -387,15 +429,15 @@ func TestStoreDepthBound(t *testing.T) {
 		}
 	}
 	for i, ck := range s.entry(k).ckpts {
-		if want := i % (maxDepth + 1); ck.depth != want || (ck.whole != nil) != (want == 0) {
-			t.Errorf("checkpoint %d: depth %d (whole %v), want %d", i, ck.depth, ck.whole != nil, want)
+		if want := i % (maxDepth + 1); ck.depth != want || (ck.base == nil) != (want == 0) {
+			t.Errorf("checkpoint %d: depth %d (root %v), want %d", i, ck.depth, ck.base == nil, want)
 		}
 	}
 }
 
 // TestStoreLoadsMisshapenFile: a checksummed file for the right key
 // whose arrays have the wrong length cannot become a delta against the
-// reading cursor's checkpoint. It is stored whole and returned as
+// reading cursor's checkpoint. It becomes a root and is returned as
 // decoded, so the caller's restore reports the mismatch.
 func TestStoreLoadsMisshapenFile(t *testing.T) {
 	insts := healthStream(t, 3_000)
@@ -428,7 +470,7 @@ func TestStoreLoadsMisshapenFile(t *testing.T) {
 	if !reflect.DeepEqual(st, bad) {
 		t.Error("misshapen checkpoint not returned as decoded")
 	}
-	if ck := load.entry(k).ckpts[1]; ck.whole == nil {
+	if ck := load.entry(k).ckpts[1]; ck.base != nil {
 		t.Error("misshapen checkpoint stored as a delta")
 	}
 }
@@ -508,4 +550,50 @@ func TestGeometryDigestDistinguishes(t *testing.T) {
 	if GeometryDigest(mem.DefaultConfig(), gc) == base {
 		t.Error("gshare change did not change the digest")
 	}
+}
+
+// BenchmarkCursorWalk walks one cursor through the ascending
+// checkpoints of a 2M-instruction health run at the default 20K
+// sampling period, as each later scheme's sampled run does once the
+// store holds them: a root, then one delta per seek. It reports the
+// time per seek and the bytes stored per checkpoint.
+func BenchmarkCursorWalk(b *testing.B) {
+	const n, period = 2_000_000, 20_000
+	w, err := workload.ByName("health")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := new(trace.Cache).Source(trace.Key{Workload: w.Name, Seed: 1, MaxInsts: n}, n, "",
+		func() *vm.Machine { return w.Build(1) })
+	if err != nil {
+		b.Fatal(err)
+	}
+	boot := func() *cpu.Functional {
+		return cpu.NewFunctionalStream(mem.DefaultConfig(), cpu.DefaultGshareConfig(), rep.From(0))
+	}
+	var s Store
+	k := testKey()
+	var pos []uint64
+	for p := uint64(0); p < n; p += period {
+		if _, _, err := s.At(new(Cursor), k, p, "", boot); err != nil {
+			b.Fatal(err)
+		}
+		pos = append(pos, p)
+	}
+	var stored uint64
+	for _, ck := range s.entry(k).ckpts {
+		stored += ck.size
+	}
+
+	c := s.Cursor(k)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range pos {
+			if _, _, err := s.At(c, k, p, "", boot); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pos)), "ns/seek")
+	b.ReportMetric(float64(stored)/float64(len(pos)), "B/ckpt")
 }

@@ -87,7 +87,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "psb_queue_finished_total %d\n", st.Queue.Finished)
 	mf("psb_trace_bytes", "gauge", "Bytes the process's instruction-stream recordings hold: record bytes plus seek marks.")
 	fmt.Fprintf(&b, "psb_trace_bytes %d\n", st.Trace.Bytes)
-	mf("psb_checkpoint_bytes", "gauge", "Bytes the process's sampling checkpoint store holds: whole checkpoints, deltas, generator states and released cursors.")
+	mf("psb_checkpoint_bytes", "gauge", "Bytes the process's sampling checkpoint store holds: checkpoints, generators (live executors and their states), miss profiles and released cursors.")
 	fmt.Fprintf(&b, "psb_checkpoint_bytes %d\n", st.Checkpoints.Bytes)
 
 	if len(st.Tenants) > 0 {

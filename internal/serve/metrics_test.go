@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/sample"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -82,7 +83,10 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestMetricsCheckpointBytes serves one sampled cell and checks the
 // checkpoint store's bytes appear both as the psb_checkpoint_bytes
-// gauge and in the checkpoints section of /v1/stats.
+// gauge and in the checkpoints section of /v1/stats, and that they
+// cover the cell's key: its generator's live executor and materialized
+// state, the cursor the finished run released (each at least the tag
+// arrays and a full train ring) and its miss profile.
 func TestMetricsCheckpointBytes(t *testing.T) {
 	base := tinyCfg()
 	base.MaxInsts = 60_000
@@ -94,6 +98,13 @@ func TestMetricsCheckpointBytes(t *testing.T) {
 
 	// The node is idle, so both read what the store holds now.
 	held := sample.Shared().Stats().Bytes
+	mc := base.Mem
+	lines := mc.L1D.Sets()*mc.L1D.Ways + mc.L1I.Sets()*mc.L1I.Ways + mc.L2.Sets()*mc.L2.Ways
+	state := uint64(16 * (lines + cpu.TrainRingCap))
+	if profile := 4 * (base.MaxInsts >> sample.ProfileShift); held < 3*state+profile {
+		t.Errorf("store holds %d bytes, want at least %d: an executor, a generator state and a cursor of %d bytes each, and a %d-byte profile",
+			held, 3*state+profile, state, profile)
+	}
 	text := scrape(t, ts.URL)
 	if want := fmt.Sprintf("psb_checkpoint_bytes %d\n", held); held == 0 || !strings.Contains(text, want) {
 		t.Errorf("scrape missing %q\n%s", want, text)
