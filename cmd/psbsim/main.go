@@ -38,6 +38,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sample"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -162,6 +163,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			printDetail(stdout, c.Result)
 		}
 	}
+	if st := trace.Shared().Stats(); *verbose && !*jsonOut && st.Bytes > 0 {
+		fmt.Fprintln(stdout, traceLine(st))
+	}
 	if *verbose && cfg.SampleMode != sim.SampleOff && !*jsonOut {
 		st := sample.Shared().Stats()
 		fmt.Fprintf(stdout, "checkpoint store: %.1f MiB held, %d hits / %d misses\n",
@@ -216,6 +220,17 @@ func (p *progressLine) report(w string, v core.Variant, committed uint64) {
 	}
 	fmt.Fprintf(p.w, "psbsim: %d/%d insts (%.1f%%)  %.2fM insts/s  ETA %s\n",
 		sum, p.total, 100*float64(sum)/float64(p.total), rate/1e6, eta)
+}
+
+// traceLine describes the recordings the trace cache holds: their
+// bytes, the instructions recorded into them and, when none was loaded
+// from a trace directory, the bytes each of those instructions takes.
+func traceLine(st trace.Stats) string {
+	line := fmt.Sprintf("trace cache: %.1f MiB held, %d instructions recorded", float64(st.Bytes)/(1<<20), st.RecordedInsts)
+	if st.RecordedInsts > 0 && st.DiskLoads == 0 {
+		line += fmt.Sprintf(", %.2f bytes/instruction", float64(st.Bytes)/float64(st.RecordedInsts))
+	}
+	return line + fmt.Sprintf(", %d hits / %d misses", st.Hits, st.Misses)
 }
 
 func printDetail(stdout io.Writer, r sim.Result) {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/results"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -81,6 +84,49 @@ func TestSampleTraceOff(t *testing.T) {
 	replayed := mustRun(t, base...)
 	if live := mustRun(t, append(base, "-trace", "off")...); live != replayed {
 		t.Errorf("-sample -trace off printed\n%s\nwant\n%s", live, replayed)
+	}
+}
+
+// TestVerboseReportsRecordings: -v prints one line on the recordings
+// the process-wide trace cache holds, beside the per-cell detail, for
+// an exact and a sampled run, and the line reads the cache's counters
+// as they stand after the run.
+func TestVerboseReportsRecordings(t *testing.T) {
+	line := regexp.MustCompile(`(?m)^trace cache: ([0-9.]+) MiB held, ([0-9]+) instructions recorded, ` +
+		`([0-9.]+) bytes/instruction, ([0-9]+) hits / ([0-9]+) misses$`)
+	base := []string{"-bench", "deltablue", "-scheme", "ConfAlloc-Priority", "-insts", "30000", "-v"}
+	for _, extra := range [][]string{nil, {"-sample"}} {
+		before := trace.Shared().Stats()
+		out := mustRun(t, append(base, extra...)...)
+		after := trace.Shared().Stats()
+		m := line.FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("psbsim %s printed no trace cache line:\n%s", strings.Join(extra, " "), out)
+		}
+		var v [5]float64
+		for i := range v {
+			var err error
+			if v[i], err = strconv.ParseFloat(m[i+1], 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+		recorded, perInst, hits, misses := uint64(v[1]), v[2], uint64(v[3]), uint64(v[4])
+		for _, c := range []struct {
+			name        string
+			got, lo, hi uint64
+		}{
+			{"instructions recorded", recorded, before.RecordedInsts, after.RecordedInsts},
+			{"hits", hits, before.Hits, after.Hits},
+			{"misses", misses, before.Misses, after.Misses},
+		} {
+			if c.got < c.lo || c.got > c.hi {
+				t.Errorf("psbsim %s: %s %d, want within the cache's %d before the run and %d after",
+					strings.Join(extra, " "), c.name, c.got, c.lo, c.hi)
+			}
+		}
+		if hits+misses <= before.Hits+before.Misses || recorded == 0 || perInst <= 0 {
+			t.Errorf("psbsim %s: the run left no trace in %q", strings.Join(extra, " "), m[0])
+		}
 	}
 }
 

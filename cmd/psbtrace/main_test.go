@@ -68,35 +68,42 @@ func TestTraceDirMatchesLive(t *testing.T) {
 	}
 }
 
-// TestV1FileReplaced: a version-1 recording left in the trace
-// directory is rejected, re-recorded and replaced by a version-2 file,
+// TestV1FileReplaced: a recording in a retired format version (1, or
+// 2, which spent a flags byte on every record) left in the trace
+// directory is rejected, re-recorded and replaced by a version-3 file,
 // and the report equals a live run's.
 func TestV1FileReplaced(t *testing.T) {
 	const name = "health-seed1-n2000.psbtrace"
-	v1, err := os.ReadFile(filepath.Join("..", "..", "internal", "trace", "testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(v1, []byte("PSBTRC01")) {
-		t.Fatalf("%s is not a version-1 recording", name)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	args := []string{"-bench", "health", "-insts", "2000", "-seed", "1"}
 	live := mustRun(t, args...)
-	if got := mustRun(t, append(args, "-trace-dir", dir)...); got != live {
-		t.Fatalf("report over a v1 file differs from a live run's:\n%s\nwant:\n%s", got, live)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(got, []byte("PSBTRC02")) {
-		t.Fatalf("the v1 file was not replaced by a version-2 recording (starts %q)", got[:8])
+	fixtures := filepath.Join("..", "..", "internal", "trace", "testdata")
+	for version, path := range map[string]string{
+		"PSBTRC01": filepath.Join(fixtures, name),
+		"PSBTRC02": filepath.Join(fixtures, "v2", name),
+	} {
+		old, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(old, []byte(version)) {
+			t.Fatalf("%s does not start with %s", path, version)
+		}
+		dir := t.TempDir()
+		file := filepath.Join(dir, name)
+		if err := os.WriteFile(file, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		if got := mustRun(t, append(args, "-trace-dir", dir)...); got != live {
+			t.Fatalf("report over a %s file differs from a live run's:\n%s\nwant:\n%s", version, got, live)
+		}
+		got, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(got, []byte("PSBTRC03")) {
+			t.Fatalf("the %s file was not replaced by a version-3 recording (starts %q)", version, got[:8])
+		}
 	}
 }
 

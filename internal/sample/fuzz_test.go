@@ -20,7 +20,10 @@ import (
 // as a root and, when it has the seed state's shape, as a delta against
 // the seed state, and read back through a cursor: the in-memory
 // encoding must be exact for states no executor produces. The seeds
-// include such states (see oddStates).
+// include such states (see oddStates), and two whose deltas against
+// the seed state take each way of coding changed indices: one line of
+// the L2 changed, coded as one gap, and every element of every array
+// changed, coded as bitmaps.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	insts := healthStream(f, 5_000)
 	boot := bootFor(insts)
@@ -32,7 +35,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(data)
 	f.Add(data[:len(data)/2])
 	f.Add(validLineStampZero(f, k, seed))
-	for _, st := range oddStates(seed) {
+	for _, st := range append(oddStates(seed), changedStates(seed)...) {
 		f.Add(Encode(k, st))
 	}
 	seedCk := newCkpt(nil, nil, seed, 0)
@@ -110,6 +113,40 @@ func oddStates(st *cpu.FunctionalState) []*cpu.FunctionalState {
 		full.Train[i] = cpu.TrainEvent{PC: uint64(i) << 60, Addr: math.MaxUint64 - uint64(i)*4}
 	}
 	return []*cpu.FunctionalState{odd, empty, full}
+}
+
+// changedStates returns two variants of st, a snapshot: one with a
+// single L2 line changed, and one with every tag line, DTLB slot,
+// gshare counter and BTB entry changed.
+func changedStates(st *cpu.FunctionalState) []*cpu.FunctionalState {
+	clone := func() *cpu.FunctionalState {
+		c, err := Decode(Encode(testKey(), st), testKey())
+		if err != nil {
+			panic(err)
+		}
+		return c
+	}
+	one := clone()
+	l := &one.Mem.L2.Lines[len(one.Mem.L2.Lines)/2+3]
+	l.Tag, l.LastUse = l.Tag+1, one.Mem.L2.Clock
+
+	all := clone()
+	for _, c := range []*mem.CacheState{&all.Mem.L1D, &all.Mem.L1I, &all.Mem.L2} {
+		for i := range c.Lines {
+			c.Lines[i] = mem.CacheLineState{Tag: c.Lines[i].Tag ^ 1, LastUse: c.Clock - uint64(i%3)}
+		}
+	}
+	tlb := &all.Mem.DTLB
+	for i := range tlb.Pages {
+		tlb.Pages[i], tlb.LastUse[i] = tlb.Pages[i]+1, tlb.LastUse[i]+1
+	}
+	for i := range all.BP.Counters {
+		all.BP.Counters[i] ^= 1
+	}
+	for i := range all.BP.BTB {
+		all.BP.BTB[i].Target++
+	}
+	return []*cpu.FunctionalState{one, all}
 }
 
 // FuzzCheckpointChain drives the store with a request sequence decoded
