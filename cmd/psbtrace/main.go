@@ -99,28 +99,46 @@ func analyze(out io.Writer, cache *trace.Cache, w workload.Workload, insts uint6
 	var lastMissBlk uint64
 	haveLast := false
 
-	trace.FilterL1(trace.Limit(replay, insts), l1, func(d vm.DynInst, miss bool) {
-		if d.IsLoad() {
-			loads++
-		} else {
-			stores++
+	// Drain the replay in batches, capped at the budget: a recording
+	// the simulator left in a trace directory runs past it by the
+	// core's in-flight margin. Every memory reference probes a
+	// standalone L1 and, on a miss, is inserted (fetch on miss): the
+	// stream that reaches a prefetcher in the timing model, minus
+	// timing.
+	var batch [256]vm.DynInst
+	for left := insts; left > 0; {
+		n := replay.Fill(batch[:min(left, uint64(len(batch)))])
+		if n == 0 {
+			break
 		}
-		if !miss {
-			return
-		}
-		misses++
-		blk := d.EffAddr >> 5
-		missBlocks[blk] = struct{}{}
-		if d.IsLoad() {
-			missPCs[d.PC] = struct{}{}
-			hist.Observe(d.EffAddr)
-			if haveLast {
-				deltas[int64(blk)-int64(lastMissBlk)]++
+		left -= uint64(n)
+		for _, d := range batch[:n] {
+			if !d.Op.IsMem() {
+				continue
 			}
-			lastMissBlk = blk
-			haveLast = true
+			if d.IsLoad() {
+				loads++
+			} else {
+				stores++
+			}
+			if l1.Access(d.EffAddr) {
+				continue
+			}
+			l1.Insert(d.EffAddr)
+			misses++
+			blk := d.EffAddr >> 5
+			missBlocks[blk] = struct{}{}
+			if d.IsLoad() {
+				missPCs[d.PC] = struct{}{}
+				hist.Observe(d.EffAddr)
+				if haveLast {
+					deltas[int64(blk)-int64(lastMissBlk)]++
+				}
+				lastMissBlk = blk
+				haveLast = true
+			}
 		}
-	})
+	}
 
 	fmt.Fprintf(out, "=== %s (%d instructions) ===\n", w.Name, insts)
 	fmt.Fprintf(out, "loads %d (%.1f%%)  stores %d (%.1f%%)  L1 misses %d (%.1f%% of refs)\n",

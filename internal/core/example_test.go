@@ -14,7 +14,6 @@ type exampleFetch struct{}
 
 func (exampleFetch) Prefetch(cycle, addr uint64) (uint64, bool) { return cycle + 10, true }
 func (exampleFetch) BusFreeAt(cycle uint64) bool                { return true }
-func (exampleFetch) L1Resident(addr uint64) bool                { return false }
 
 // Build the paper's best configuration and walk one prefetch through
 // it by hand.

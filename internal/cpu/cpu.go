@@ -13,21 +13,13 @@ import (
 	"repro/internal/vm"
 )
 
-// Source supplies the committed-path dynamic instruction stream
-// (normally a vm.Machine adapter; tests use synthetic slices).
+// Source supplies the committed-path dynamic instruction stream in
+// batches: the live MachineSource, a trace.Replay, or a SliceSource.
+// The core drains it through its own fixed buffer, one Fill call per
+// srcBatch records.
 type Source interface {
-	// Next returns the next dynamic instruction, or ok == false when
-	// the program has halted.
-	Next() (vm.DynInst, bool)
-}
-
-// batchSource is optionally implemented by sources that produce their
-// records in batches (trace.Replay, MachineSource). The core then
-// drains the source through its own fixed buffer, one Fill call per
-// srcBatch records, instead of one interface call per instruction.
-type batchSource interface {
-	// Fill decodes the next records into dst and returns how many it
-	// decoded; 0 means the stream has ended.
+	// Fill writes the next records into dst and returns how many it
+	// wrote; 0 means the stream has ended.
 	Fill(dst []vm.DynInst) int
 }
 
@@ -35,35 +27,29 @@ type batchSource interface {
 // of records, which stays in the L1 data cache while fetch drains it.
 const srcBatch = 256
 
-// SliceSource serves instructions from a slice (testing convenience).
-// It deliberately implements only Next, keeping the generic source
-// path exercised by the tests.
+// SliceSource serves instructions from a slice. It is a Stream, so it
+// feeds both the core (in tests) and the functional executor
+// (NewFunctional).
 type SliceSource struct {
 	Insts []vm.DynInst
 	pos   int
 }
 
-// Next implements Source.
-func (s *SliceSource) Next() (vm.DynInst, bool) {
-	if s.pos >= len(s.Insts) {
-		return vm.DynInst{}, false
-	}
-	d := s.Insts[s.pos]
-	s.pos++
-	return d, true
+// Fill implements Source.
+func (s *SliceSource) Fill(dst []vm.DynInst) int {
+	n := copy(dst, s.Insts[s.pos:])
+	s.pos += n
+	return n
 }
 
-// MachineSource adapts a vm.Machine to Source and to the batch path.
+// Seek repositions the source pos records in (clamped to its length).
+func (s *SliceSource) Seek(pos uint64) { s.pos = int(min(pos, uint64(len(s.Insts)))) }
+
+// Len returns the number of records in the slice.
+func (s *SliceSource) Len() int { return len(s.Insts) }
+
+// MachineSource adapts a vm.Machine to Source.
 type MachineSource struct{ M *vm.Machine }
-
-// Next implements Source.
-func (s MachineSource) Next() (vm.DynInst, bool) {
-	var d vm.DynInst
-	if s.M.StepInto(&d) != nil {
-		return vm.DynInst{}, false
-	}
-	return d, true
-}
 
 // Fill steps the machine into dst and returns how many records it
 // wrote: len(dst), or fewer once the program has ended (HALT, the last
@@ -328,18 +314,13 @@ type CPU struct {
 	fqHead int
 	fqLen  int
 
-	// Batch supply: when src implements Fill (trace.Replay and
-	// MachineSource), fill is set and fetch drains
-	// srcBuf[srcPos:srcLen], refilling all of srcBuf when it runs dry.
-	// New allocates srcBuf and Reset keeps it. Otherwise the
-	// one-instruction pending lookahead is used.
-	fill           batchSource
+	// Batch supply: fetch drains srcBuf[srcPos:srcLen], refilling all
+	// of srcBuf from src when it runs dry. New allocates srcBuf and
+	// Reset keeps it.
 	srcBuf         []vm.DynInst
 	srcPos, srcLen int
 	fetched        int // records consumed from src
 
-	pending      vm.DynInst // one-instruction lookahead into src
-	hasPending   bool
 	srcDone      bool
 	fetchResume  uint64 // no fetch before this cycle
 	fetchBlocked bool   // waiting on a mispredicted CTI to issue
@@ -472,7 +453,6 @@ func (c *CPU) Reset(pf sbuf.Prefetcher, src Source) {
 		regKnown: ^uint64(0),
 	}
 	c.rt, _ = pf.(rangeTicker)
-	c.fill, _ = src.(batchSource)
 	for i := range c.lastWriter {
 		c.lastWriter[i] = noDep
 	}
@@ -659,7 +639,7 @@ func (c *CPU) Advance(ctx context.Context, maxInsts, stopAt uint64) (bool, error
 		if c.stats.Committed >= maxInsts && maxInsts > 0 {
 			return true, nil
 		}
-		if c.srcDone && !c.hasPending && c.robCount == 0 && c.fqLen == 0 {
+		if c.srcDone && c.robCount == 0 && c.fqLen == 0 {
 			return true, nil
 		}
 		if stopAt > 0 && c.stats.Committed >= stopAt {
@@ -786,45 +766,25 @@ func (c *CPU) fetch() bool {
 }
 
 // peek returns a pointer to the next dynamic instruction without
-// consuming it. The pointer is valid until the next consume call; it
-// points into either the batch buffer or the one-record lookahead.
+// consuming it. The pointer points into the batch buffer and is valid
+// until the next consume call.
 func (c *CPU) peek() (*vm.DynInst, bool) {
-	if c.fill != nil {
-		if c.srcPos == c.srcLen {
-			if c.srcDone {
-				return nil, false
-			}
-			c.srcPos, c.srcLen = 0, c.fill.Fill(c.srcBuf)
-			if c.srcLen == 0 {
-				c.srcDone = true
-				return nil, false
-			}
+	if c.srcPos == c.srcLen {
+		if c.srcDone {
+			return nil, false
 		}
-		return &c.srcBuf[c.srcPos], true
+		c.srcPos, c.srcLen = 0, c.src.Fill(c.srcBuf)
+		if c.srcLen == 0 {
+			c.srcDone = true
+			return nil, false
+		}
 	}
-	if c.hasPending {
-		return &c.pending, true
-	}
-	if c.srcDone {
-		return nil, false
-	}
-	d, ok := c.src.Next()
-	if !ok {
-		c.srcDone = true
-		return nil, false
-	}
-	c.pending = d
-	c.hasPending = true
-	return &c.pending, true
+	return &c.srcBuf[c.srcPos], true
 }
 
 func (c *CPU) consume() {
 	c.fetched++
-	if c.fill != nil {
-		c.srcPos++
-		return
-	}
-	c.hasPending = false
+	c.srcPos++
 }
 
 // dispatch moves instructions from the fetch queue into the reorder

@@ -335,19 +335,25 @@ func TestLoadStoreCounts(t *testing.T) {
 }
 
 func TestSliceSource(t *testing.T) {
-	s := &SliceSource{Insts: []vm.DynInst{{PC: 0x1000}, {PC: 0x1004}}}
-	d, ok := s.Next()
-	if !ok || d.PC != 0x1000 {
-		t.Fatal("first Next wrong")
+	s := &SliceSource{Insts: []vm.DynInst{{PC: 0x1000}, {PC: 0x1004}, {PC: 0x1008}}}
+	buf := make([]vm.DynInst, 2)
+	if n := s.Fill(buf); n != 2 || buf[0].PC != 0x1000 || buf[1].PC != 0x1004 {
+		t.Fatalf("first Fill gave %d records %v", n, buf[:n])
 	}
-	s.Next()
-	if _, ok := s.Next(); ok {
-		t.Error("exhausted source returned ok")
+	if n := s.Fill(buf); n != 1 || buf[0].PC != 0x1008 {
+		t.Fatalf("second Fill gave %d records %v", n, buf[:n])
+	}
+	if n := s.Fill(buf); n != 0 {
+		t.Errorf("exhausted source filled %d records", n)
+	}
+	s.Seek(1)
+	if n := s.Fill(buf[:1]); n != 1 || buf[0].PC != 0x1004 || s.Len() != 3 {
+		t.Errorf("after Seek(1): %d records %v, Len %d", n, buf[:n], s.Len())
 	}
 }
 
 // TestMachineSourceFill: the live source's batch path yields exactly
-// the records its Next path yields, in odd batch sizes, up to and
+// the records the machine steps, in odd batch sizes, up to and
 // including HALT, and nothing past it.
 func TestMachineSourceFill(t *testing.T) {
 	build := func() *vm.Machine {
@@ -368,15 +374,15 @@ func TestMachineSourceFill(t *testing.T) {
 		return vm.New(b.MustBuild(), nil)
 	}
 	var want []vm.DynInst
-	for src := (MachineSource{M: build()}); ; {
-		d, ok := src.Next()
-		if !ok {
+	for m := build(); ; {
+		d, err := m.Step()
+		if err != nil {
 			break
 		}
 		want = append(want, d)
 	}
 	if len(want) < 1000 || want[len(want)-1].Op != isa.HALT {
-		t.Fatalf("Next yielded %d records ending in %v, want a long stream ending in HALT", len(want), want[len(want)-1].Op)
+		t.Fatalf("Step yielded %d records ending in %v, want a long stream ending in HALT", len(want), want[len(want)-1].Op)
 	}
 	for _, batch := range []int{1, 7, 255, 2 * len(want)} {
 		src := MachineSource{M: build()}
@@ -390,13 +396,10 @@ func TestMachineSourceFill(t *testing.T) {
 			got = append(got, buf[:n]...)
 		}
 		if !slices.Equal(got, want) {
-			t.Errorf("batch %d: Fill yielded %d records, Next %d", batch, len(got), len(want))
+			t.Errorf("batch %d: Fill yielded %d records, Step %d", batch, len(got), len(want))
 		}
 		if n := src.Fill(buf); n != 0 {
 			t.Errorf("batch %d: Fill yielded %d records past HALT", batch, n)
-		}
-		if _, ok := src.Next(); ok {
-			t.Errorf("batch %d: Next yielded a record past HALT", batch)
 		}
 	}
 }

@@ -146,7 +146,7 @@ func (c *CPU) nextEventCycle() uint64 {
 	// mispredicted CTI) is gated on that CTI's issue, covered above; a
 	// full fetch queue is gated on dispatch; a dry source never fetches
 	// again.
-	if !c.fetchBlocked && c.fqLen < c.cfg.FetchQueueSize && (c.hasPending || !c.srcDone) {
+	if !c.fetchBlocked && c.fqLen < c.cfg.FetchQueueSize && !c.srcDone {
 		t := c.fetchResume
 		if t <= c.cycle {
 			t = c.cycle + 1

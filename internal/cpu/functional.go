@@ -92,13 +92,10 @@ type FunctionalState struct {
 	Train  []TrainEvent // oldest first, at most TrainRingCap events
 }
 
-// Stream is the seekable batch stream of committed instructions the
-// functional executor reads: trace.Replay, or the decoded slice
-// NewFunctional wraps.
+// Stream is a seekable Source of known length, which the functional
+// executor reads: trace.Replay, or a SliceSource.
 type Stream interface {
-	// Fill decodes the next records into dst and returns how many it
-	// decoded; 0 means the stream has ended.
-	Fill(dst []vm.DynInst) int
+	Source
 	Seek(pos uint64) // reposition the stream pos records in
 	Len() int        // records in the stream
 }
@@ -124,24 +121,8 @@ func NewFunctionalStream(memCfg mem.Config, gcfg GshareConfig, src Stream) *Func
 // simulator path calls it: it remains for the benchmark module's
 // functional probe, and adapts the slice to NewFunctionalStream.
 func NewFunctional(memCfg mem.Config, gcfg GshareConfig, insts []vm.DynInst) *Functional {
-	return NewFunctionalStream(memCfg, gcfg, &sliceStream{insts: insts})
+	return NewFunctionalStream(memCfg, gcfg, &SliceSource{Insts: insts})
 }
-
-// sliceStream is a Stream over decoded records.
-type sliceStream struct {
-	insts []vm.DynInst
-	pos   int
-}
-
-func (s *sliceStream) Fill(dst []vm.DynInst) int {
-	n := copy(dst, s.insts[s.pos:])
-	s.pos += n
-	return n
-}
-
-func (s *sliceStream) Seek(pos uint64) { s.pos = int(min(pos, uint64(len(s.insts)))) }
-
-func (s *sliceStream) Len() int { return len(s.insts) }
 
 // Pos returns the executor's position in the recording (instructions
 // executed since position zero, not counting restores).

@@ -28,17 +28,10 @@ func recordStream(tb testing.TB, w workload.Workload, n int) ([]vm.DynInst, *vm.
 	return insts, m
 }
 
-// replaySource serves a recording through the core's batch path (Fill,
-// like trace.Replay). Its Next fails the test: the core must never
-// fall back to pulling one record at a time from a batch source.
+// replaySource serves a recording by consuming it, a Source that is
+// not a Stream.
 type replaySource struct {
-	tb    testing.TB
 	insts []vm.DynInst
-}
-
-func (s *replaySource) Next() (vm.DynInst, bool) {
-	s.tb.Fatal("core called Next on a batch source")
-	return vm.DynInst{}, false
 }
 
 func (s *replaySource) Fill(dst []vm.DynInst) int {
@@ -63,7 +56,7 @@ func TestFunctionalFrontEndEquivalence(t *testing.T) {
 			memCfg := mem.DefaultConfig()
 
 			hier := mem.New(memCfg)
-			c := New(cfg, hier, sbuf.Null{}, &replaySource{tb: t, insts: insts})
+			c := New(cfg, hier, sbuf.Null{}, &replaySource{insts: insts})
 			c.Run(30_000)
 			fetched := c.Fetched()
 			if fetched <= 0 || fetched > len(insts) {
@@ -263,8 +256,8 @@ func TestResetMatchesNew(t *testing.T) {
 	bp := f.Snapshot().BP
 
 	hier := mem.New(memCfg)
-	c := New(cfg, hier, sbuf.Null{}, &replaySource{tb: t, insts: insts})
-	for _, src := range []Source{&SliceSource{Insts: insts[5_000:]}, &replaySource{tb: t, insts: insts[9_000:]}} {
+	c := New(cfg, hier, sbuf.Null{}, &replaySource{insts: insts})
+	for _, src := range []Source{&SliceSource{Insts: insts[5_000:]}, &replaySource{insts: insts[9_000:]}} {
 		// Stop partway, at a point with instructions in flight.
 		for stop := c.stats.Committed + 4_000; c.robCount == 0 || c.fqLen == 0; stop += 10 {
 			done, err := c.Advance(context.Background(), 0, stop)

@@ -21,7 +21,6 @@ func (f *fakeFetch) Prefetch(cycle, addr uint64) (uint64, bool) {
 	return cycle + f.latency, true
 }
 func (f *fakeFetch) BusFreeAt(cycle uint64) bool { return !f.busy[cycle] }
-func (f *fakeFetch) L1Resident(addr uint64) bool { return false }
 
 func TestNLPPrefetchesNextLine(t *testing.T) {
 	f := newFakeFetch(10)

@@ -234,7 +234,6 @@ type nopFetch struct{}
 
 func (nopFetch) Prefetch(cycle, addr uint64) (uint64, bool) { return cycle + 1, true }
 func (nopFetch) BusFreeAt(cycle uint64) bool                { return true }
-func (nopFetch) L1Resident(addr uint64) bool                { return false }
 
 // TestSettingsAreLive: within one ablation or extension table, no two
 // settings reach construction with the same workload, predictor and

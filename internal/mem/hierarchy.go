@@ -279,10 +279,6 @@ func (h *Hierarchy) NextMSHRReady(cycle uint64) (ready uint64, ok bool) {
 	return 0, false
 }
 
-// L1Resident reports whether addr's block is in the L1 data cache,
-// without perturbing LRU state or statistics.
-func (h *Hierarchy) L1Resident(addr uint64) bool { return h.L1D.Probe(addr) }
-
 // PrefetchInPage is Prefetch without the TLB access, for stream
 // buffers that cached the page translation (§4.5 of the paper).
 func (h *Hierarchy) PrefetchInPage(cycle, addr uint64) (ready uint64, l2hit bool) {

@@ -10,7 +10,6 @@ type benchFetch struct{}
 
 func (benchFetch) Prefetch(cycle, addr uint64) (uint64, bool) { return cycle + 16, true }
 func (benchFetch) BusFreeAt(cycle uint64) bool                { return cycle%2 == 0 }
-func (benchFetch) L1Resident(addr uint64) bool                { return false }
 
 // BenchmarkEngineTick measures the per-cycle cost of the stream-buffer
 // engine with all buffers active.

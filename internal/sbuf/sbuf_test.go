@@ -10,7 +10,6 @@ import (
 type fakeFetch struct {
 	latency   uint64
 	busBusyAt map[uint64]bool
-	resident  map[uint64]bool
 	issued    []uint64
 }
 
@@ -18,7 +17,6 @@ func newFakeFetch(latency uint64) *fakeFetch {
 	return &fakeFetch{
 		latency:   latency,
 		busBusyAt: make(map[uint64]bool),
-		resident:  make(map[uint64]bool),
 	}
 }
 
@@ -28,8 +26,6 @@ func (f *fakeFetch) Prefetch(cycle, addr uint64) (uint64, bool) {
 }
 
 func (f *fakeFetch) BusFreeAt(cycle uint64) bool { return !f.busBusyAt[cycle] }
-
-func (f *fakeFetch) L1Resident(addr uint64) bool { return f.resident[addr] }
 
 // seqEngine builds an engine over a sequential predictor with the
 // given policies — deterministic streams for the tests.
@@ -322,27 +318,6 @@ func TestHitBoostsPriority(t *testing.T) {
 	after := e.Snapshot(11)[0].Priority
 	if after != before+cfg.HitIncrement {
 		t.Errorf("priority %d -> %d, want +%d", before, after, cfg.HitIncrement)
-	}
-}
-
-func TestCheckL1BeforePrefetchDrops(t *testing.T) {
-	f := newFakeFetch(10)
-	cfg := DefaultConfig()
-	cfg.Alloc = AllocAlways
-	cfg.CheckL1BeforePrefetch = true
-	e := NewEngine(cfg, predict.NewSequential(cfg.BlockBytes), f)
-	f.resident[0x1020] = true
-	e.AllocationRequest(0, 0x40, 0x1000)
-	e.Tick(1) // predicts 0x1020
-	e.Tick(2) // prefetch attempt drops it; next predicts 0x1040
-	e.Tick(3)
-	for _, a := range f.issued {
-		if a == 0x1020 {
-			t.Error("prefetched a block resident in L1")
-		}
-	}
-	if len(f.issued) == 0 {
-		t.Error("no prefetches at all")
 	}
 }
 

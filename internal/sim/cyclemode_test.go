@@ -44,7 +44,6 @@ func randomConfig(seed int64) Config {
 
 	cfg.Opts.Buffers.NumBuffers = pick(2, 4, 8)
 	cfg.Opts.Buffers.EntriesPerBuffer = pick(2, 4)
-	cfg.Opts.Buffers.CheckL1BeforePrefetch = r.Intn(2) == 0
 	cfg.Opts.Buffers.CacheTLBInBuffer = r.Intn(2) == 0
 	return cfg
 }

@@ -102,16 +102,17 @@ func FuzzDecoder(f *testing.F) {
 		if !bytes.Equal(buf.Bytes(), data) {
 			t.Fatalf("accepted file stores back as %d different bytes", buf.Len())
 		}
-		// Seeking from the nearest mark equals stepping with Next.
+		// Seeking from the nearest mark equals stepping one record at a
+		// time.
 		k := uint64(len(data)) % uint64(rec.n+1)
 		batch := 1 + int(data[len(data)/2])%300
 		ref := rec.replay()
 		for i := uint64(0); i < k; i++ {
-			ref.Next()
+			next(ref)
 		}
 		want := drain(ref)
 		if got := fill(rec.replay().From(k), batch); !reflect.DeepEqual(got, want) || len(want) != rec.n-int(k) {
-			t.Fatalf("From(%d)+Fill(%d) gave %d records, Next %d, of %d", k, batch, len(got), len(want), rec.n)
+			t.Fatalf("From(%d)+Fill(%d) gave %d records, stepping %d, of %d", k, batch, len(got), len(want), rec.n)
 		}
 	})
 }
