@@ -142,9 +142,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usageError("%v", err)
 	}
-	if cfg.CPU.CycleMode == cpu.CycleModeAccurate && *cacheDir != "" {
-		return usageError("-cache-dir does not combine with -cycle-mode accurate: a stored cell's fingerprint leaves out the cycle mode, and accurate-mode result bytes carry zero skip telemetry (SkippedCycles, Jumps)")
-	}
 
 	if *all {
 		tables = intList{2}

@@ -101,6 +101,26 @@ func TestAblationsLeaveStoreUntouched(t *testing.T) {
 	}
 }
 
+// TestCycleModesStoreApart: an accurate run and an event run share a
+// -cache-dir without serving each other's cells, whose bytes differ in
+// the skip telemetry. The event run after the accurate one simulates
+// every cell and prints what a plain run prints, and the store then
+// holds each mode's 36 Figure 5 cells.
+func TestCycleModesStoreApart(t *testing.T) {
+	dir := t.TempDir()
+	mustRun(t, "-fig", "5", "-insts", "2000", "-cycle-mode", "accurate", "-cache-dir", dir)
+	event, stderr := mustRun(t, "-fig", "5", "-insts", "2000", "-cycle-mode", "event", "-cache-dir", dir)
+	if strings.Contains(stderr, "satisfied") {
+		t.Errorf("the event run was served cells the accurate run stored:\n%s", stderr)
+	}
+	if plain, _ := mustRun(t, "-fig", "5", "-insts", "2000"); event != plain {
+		t.Error("the event run's output differs from a plain run's")
+	}
+	if n := len(storeFiles(t, dir)); n != 72 {
+		t.Errorf("the store holds %d entries, want 36 per cycle mode", n)
+	}
+}
+
 // TestFlagMisuse: bad requests exit 2, and a -cache-dir that cannot be
 // a directory exits 1 before anything is simulated.
 func TestFlagMisuse(t *testing.T) {
@@ -112,7 +132,6 @@ func TestFlagMisuse(t *testing.T) {
 		{"-all", "-resume"},
 		{"-bench-json", "-cache-dir", dir},
 		{"-sample-accuracy", "-cache-dir", dir},
-		{"-fig", "5", "-insts", "2000", "-cycle-mode", "accurate", "-cache-dir", dir},
 		{},
 	} {
 		if code, _, stderr := runPsbtables(t, args...); code != 2 {

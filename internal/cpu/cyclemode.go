@@ -75,18 +75,24 @@ var envCycleMode struct {
 	accurate bool
 }
 
-// eventDriven resolves the mode (consulting PSB_CYCLE_MODE once per
-// process for CycleModeDefault) and reports whether the event-driven
-// fast-forward path is enabled.
-func (m CycleMode) eventDriven() bool {
+// Resolve returns the mode a run uses. CycleModeEvent and
+// CycleModeAccurate resolve to themselves. Any other value resolves to
+// CycleModeAccurate when the PSB_CYCLE_MODE environment variable says
+// "accurate" (read once per process), and to CycleModeEvent otherwise.
+func (m CycleMode) Resolve() CycleMode {
 	switch m {
-	case CycleModeEvent:
-		return true
-	case CycleModeAccurate:
-		return false
+	case CycleModeEvent, CycleModeAccurate:
+		return m
 	}
 	envCycleMode.once.Do(func() {
 		envCycleMode.accurate = strings.EqualFold(os.Getenv("PSB_CYCLE_MODE"), "accurate")
 	})
-	return !envCycleMode.accurate
+	if envCycleMode.accurate {
+		return CycleModeAccurate
+	}
+	return CycleModeEvent
 }
+
+// eventDriven reports whether the mode resolves to the event-driven
+// fast-forward path.
+func (m CycleMode) eventDriven() bool { return m.Resolve() == CycleModeEvent }

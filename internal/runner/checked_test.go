@@ -162,7 +162,10 @@ func TestRunCheckedCancelMarksPending(t *testing.T) {
 }
 
 // TestFingerprint: equal jobs agree, different jobs differ, and the
-// worker count is irrelevant to identity.
+// worker count is irrelevant to identity. The clock is keyed as it
+// resolves: an accurate job differs from an event job, whose results
+// carry skip telemetry, and a default job shares the fingerprint of the
+// mode it resolves to.
 func TestFingerprint(t *testing.T) {
 	cfg := smallCfg()
 	j := Job{Workload: workload.All()[0], Variant: core.PCStride, Config: cfg}
@@ -184,10 +187,15 @@ func TestFingerprint(t *testing.T) {
 	if j.Fingerprint() == tweaked.Fingerprint() {
 		t.Error("different budgets share a fingerprint")
 	}
-	mode := j
-	mode.Config.CPU.CycleMode = cpu.CycleModeAccurate
-	if j.Fingerprint() != mode.Fingerprint() {
-		t.Error("CycleMode changed the fingerprint; resume across -cycle-mode values would re-run everything")
+	event, accurate, resolved := j, j, j
+	event.Config.CPU.CycleMode = cpu.CycleModeEvent
+	accurate.Config.CPU.CycleMode = cpu.CycleModeAccurate
+	if event.Fingerprint() == accurate.Fingerprint() {
+		t.Error("event and accurate jobs share a fingerprint; a store would serve one's skip telemetry for the other")
+	}
+	resolved.Config.CPU.CycleMode = j.Config.CPU.CycleMode.Resolve()
+	if j.Fingerprint() != resolved.Fingerprint() {
+		t.Errorf("a default job's fingerprint differs from its resolved mode's (%s)", resolved.Config.CPU.CycleMode)
 	}
 	sampled := j
 	sampled.Config.SampleMode = sim.SampleOn

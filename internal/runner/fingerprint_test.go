@@ -24,13 +24,18 @@ func TestFingerprintGolden(t *testing.T) {
 		}
 		return w
 	}
+	// The clock is pinned, so PSB_CYCLE_MODE=accurate leaves every row
+	// but "accurate" where it is.
 	def := sim.Default()
+	def.CPU.CycleMode = cpu.CycleModeEvent
 
 	excluded := def
 	excluded.Workers = 8
 	excluded.TraceMode = sim.TraceDisk
 	excluded.TraceDir = "traces"
-	excluded.CPU.CycleMode = cpu.CycleModeAccurate
+
+	accurate := def
+	accurate.CPU.CycleMode = cpu.CycleModeAccurate
 
 	sampled := def
 	sampled.MaxInsts = 2_000_000
@@ -58,6 +63,7 @@ func TestFingerprintGolden(t *testing.T) {
 	}{
 		{"default", Job{bench("health"), core.PSBConfPriority, def}, "a6ab94be30fee338"},
 		{"excluded fields", Job{bench("health"), core.PSBConfPriority, excluded}, "a6ab94be30fee338"},
+		{"accurate", Job{bench("health"), core.PSBConfPriority, accurate}, "93e4cd977d1ac3be"},
 		{"sampled", Job{bench("deltablue"), core.PSBConfRR, sampled}, "ba7105ac6e926a21"},
 		{"fig4", Job{bench("burg"), core.None, fig4}, "e3638de7ece0c288"},
 		{"l1 override", Job{bench("gs"), core.PCStride, l1}, "15b7dc48911ff673"},
@@ -71,20 +77,50 @@ func TestFingerprintGolden(t *testing.T) {
 }
 
 // TestFingerprintKeyCoversConfig guards the frozen key layout: every
-// sim.Config field must have a same-named place in the key, or two
-// configurations that differ only in a new field would share a
-// fingerprint and serve each other's results. A new field that can
-// change a result needs a place in the key, which moves every
-// fingerprint (update TestFingerprintGolden on purpose). A new field
-// that cannot change a result belongs in ignored.
+// sim.Config field and every core.Options field (Buffers.*, SFM.*) must
+// have a same-named place in the key, or two configurations that differ
+// only in a new field would share a fingerprint and serve each other's
+// results. A new field that can change a result needs a place in the
+// key, which moves every fingerprint (update TestFingerprintGolden on
+// purpose). A new field that cannot change a result belongs in
+// ignored. Each option field must also reach the key: changing it alone
+// changes the fingerprint.
 func TestFingerprintKeyCoversConfig(t *testing.T) {
 	ignored := map[string]bool{}
-	key := reflect.TypeOf(fingerprintKey{}).Field(2).Type
-	cfg := reflect.TypeOf(sim.Config{})
-	for i := 0; i < cfg.NumField(); i++ {
-		name := cfg.Field(i).Name
-		if _, ok := key.FieldByName(name); !ok && !ignored[name] {
-			t.Errorf("sim.Config.%s has no place in the fingerprint key", name)
+	covered := func(name string, cfg, key reflect.Type) {
+		for i := 0; i < cfg.NumField(); i++ {
+			f := cfg.Field(i).Name
+			if _, ok := key.FieldByName(f); !ok && !ignored[f] {
+				t.Errorf("%s.%s has no place in the fingerprint key", name, f)
+			}
+		}
+	}
+	covered("sim.Config", reflect.TypeOf(sim.Config{}), reflect.TypeOf(fingerprintKey{}).Field(2).Type)
+	opts, frozen := reflect.TypeOf(core.Options{}), reflect.TypeOf(frozenOptions{})
+	covered("core.Options", opts, frozen)
+
+	base := Job{Workload: workload.All()[0], Variant: core.PSBConfPriority, Config: sim.Default()}
+	for i := 0; i < opts.NumField(); i++ {
+		part := opts.Field(i)
+		if f, ok := frozen.FieldByName(part.Name); ok {
+			covered("core.Options."+part.Name, part.Type, f.Type)
+		}
+		for k := 0; k < part.Type.NumField(); k++ {
+			j := base
+			v := reflect.ValueOf(&j.Config.Opts).Elem().Field(i).Field(k)
+			switch v.Kind() {
+			case reflect.Bool:
+				v.SetBool(!v.Bool())
+			case reflect.Int:
+				v.SetInt(v.Int() + 1)
+			case reflect.Uint:
+				v.SetUint(v.Uint() + 1)
+			default:
+				t.Fatalf("core.Options.%s.%s: no change for kind %s", part.Name, part.Type.Field(k).Name, v.Kind())
+			}
+			if j.Fingerprint() == base.Fingerprint() {
+				t.Errorf("core.Options.%s.%s does not reach the fingerprint", part.Name, part.Type.Field(k).Name)
+			}
 		}
 	}
 }
