@@ -223,12 +223,13 @@ func (p *progressLine) report(w string, v core.Variant, committed uint64) {
 }
 
 // traceLine describes the recordings the trace cache holds: their
-// bytes, the instructions recorded into them and, when none was loaded
-// from a trace directory, the bytes each of those instructions takes.
+// bytes, the instructions recorded into them and the bytes each
+// instruction they hold takes, recorded or loaded from a trace
+// directory.
 func traceLine(st trace.Stats) string {
 	line := fmt.Sprintf("trace cache: %.1f MiB held, %d instructions recorded", float64(st.Bytes)/(1<<20), st.RecordedInsts)
-	if st.RecordedInsts > 0 && st.DiskLoads == 0 {
-		line += fmt.Sprintf(", %.2f bytes/instruction", float64(st.Bytes)/float64(st.RecordedInsts))
+	if st.HeldInsts > 0 {
+		line += fmt.Sprintf(", %.2f bytes/instruction", float64(st.Bytes)/float64(st.HeldInsts))
 	}
 	return line + fmt.Sprintf(", %d hits / %d misses", st.Hits, st.Misses)
 }
