@@ -131,7 +131,8 @@ func findWay(set []CacheLineState, tag uint64) int {
 }
 
 // Probe reports whether addr's block is resident, without touching LRU
-// state or statistics. Used by prefetchers to avoid redundant requests.
+// state or statistics. No simulator path calls it: tests use it to
+// observe residency.
 func (c *Cache) Probe(addr uint64) bool {
 	return findWay(c.set(addr), addr>>c.blockShift) >= 0
 }

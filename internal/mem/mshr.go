@@ -167,15 +167,3 @@ func (f *MSHRFile) EarliestReady(cycle uint64) (ready uint64, ok bool) {
 	}
 	return ready, ok
 }
-
-// Cancel removes block's entry (used when an in-flight prefetch is
-// promoted into a demand MSHR).
-func (f *MSHRFile) Cancel(block uint64) {
-	for i := range f.slots {
-		if f.slots[i].valid && f.slots[i].block == block {
-			f.slots[i].valid = false
-			f.live--
-			return
-		}
-	}
-}

@@ -119,10 +119,12 @@ type machine struct {
 }
 
 // Scheme resolves variant v under cfg (core.Resolve), its stream-buffer
-// blocks and SFM block shift following the L1D line.
+// blocks and SFM block shift following the L1D line and its stream
+// buffers' pages the DTLB's.
 func (cfg Config) Scheme(v core.Variant) core.Scheme {
 	opts := cfg.Opts
 	opts.Buffers.BlockBytes = cfg.Mem.L1D.BlockBytes
+	opts.Buffers.PageBytes = cfg.Mem.PageBytes
 	opts.SFM.BlockShift = blockShift(cfg.Mem.L1D.BlockBytes)
 	return core.Resolve(v, opts)
 }

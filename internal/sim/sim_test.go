@@ -27,6 +27,19 @@ func get(t *testing.T, name string) workload.Workload {
 	return w
 }
 
+// TestSchemeFollowsMemory: a scheme's stream-buffer blocks follow the
+// L1D line and its buffer pages the DTLB's, whatever Opts says, so the
+// translation a buffer caches covers the page the DTLB maps.
+func TestSchemeFollowsMemory(t *testing.T) {
+	cfg := Default()
+	cfg.Mem.L1D.BlockBytes = 64
+	cfg.Mem.PageBytes = 8192
+	b := cfg.Scheme(core.PSBConfPriority).Buffers
+	if b.BlockBytes != 64 || b.PageBytes != 8192 {
+		t.Errorf("buffers of %d-byte blocks on %d-byte pages, want 64 and 8192", b.BlockBytes, b.PageBytes)
+	}
+}
+
 // TestHeadlinePSBBeatsBaseOnPointerApps is the paper's central result:
 // predictor-directed stream buffers speed up pointer-intensive
 // programs substantially over no prefetching.

@@ -38,9 +38,6 @@ func NewGuestMem() *GuestMem {
 // Pages returns the number of touched pages.
 func (m *GuestMem) Pages() int { return len(m.pages) }
 
-// Footprint returns the number of bytes of touched memory.
-func (m *GuestMem) Footprint() uint64 { return uint64(len(m.pages)) * PageBytes }
-
 // pageOf returns the page holding addr, allocating it when create is set;
 // otherwise an untouched page is nil.
 func (m *GuestMem) pageOf(addr uint64, create bool) *page {
