@@ -6,12 +6,14 @@
 // perfect-store-set memory disambiguation.
 //
 // The model is trace-driven over the committed-path dynamic
-// instruction stream from internal/vm, with fetch following the
-// branch predictor: a mispredicted control transfer stalls the front
-// end until the branch resolves plus the refill penalty. Wrong-path
-// memory references are not injected (see DESIGN.md); the prefetcher
-// under study is driven by the commit-order miss stream, exactly as
-// the paper's predictor is trained at write-back.
+// instruction stream from internal/vm, which arrives through one batch
+// contract, Source: the live MachineSource, a trace.Replay or a
+// SliceSource. Fetch follows the branch predictor: a mispredicted
+// control transfer stalls the front end until the branch resolves plus
+// the refill penalty. Wrong-path memory references are not injected
+// (see DESIGN.md); the prefetcher under study is driven by the
+// commit-order miss stream, exactly as the paper's predictor is
+// trained at write-back.
 package cpu
 
 import (
