@@ -78,7 +78,7 @@ type TrainEvent struct {
 
 // FunctionalState is a checkpoint of the functional executor: the
 // scheme-independent warm state at a trace position. It is what the
-// sample store persists and what detailed measurement intervals resume
+// sample store holds and what detailed measurement intervals resume
 // from.
 type FunctionalState struct {
 	Pos uint64

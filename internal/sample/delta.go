@@ -62,20 +62,6 @@ func newCkpt(base *ckpt, baseSt, st *cpu.FunctionalState, fresh uint64) *ckpt {
 	return ck
 }
 
-// sameShape reports whether b's arrays have a's lengths, so b can be
-// stored as a delta against a. States from one executor always do; a
-// loaded file differs only when it was crafted to, and then becomes a
-// root.
-func sameShape(a, b *cpu.FunctionalState) bool {
-	return len(a.Mem.L1D.Lines) == len(b.Mem.L1D.Lines) &&
-		len(a.Mem.L1I.Lines) == len(b.Mem.L1I.Lines) &&
-		len(a.Mem.L2.Lines) == len(b.Mem.L2.Lines) &&
-		len(a.Mem.DTLB.Pages) == len(b.Mem.DTLB.Pages) &&
-		len(a.Mem.DTLB.LastUse) == len(b.Mem.DTLB.LastUse) &&
-		len(a.BP.Counters) == len(b.BP.Counters) &&
-		len(a.BP.BTB) == len(b.BP.BTB)
-}
-
 // Changed indices. An array's delta says which of its n elements
 // changed in whichever of two codes is shorter: each index as a varint
 // of its gap past the index before (the first past -1), or a bitmap of
@@ -337,27 +323,25 @@ func (t *tagDelta) apply(st *mem.CacheState) {
 	}
 }
 
-// tlbDelta is the DTLB as a delta: its scalars, and its slots coded as
-// tag lines are, each slot's page as its tag. The page and stamp
-// arrays have one length in every state a TLB produces; the code spans
-// the longer, and each array takes only the slots it has.
+// tlbDelta is the DTLB as a delta: its scalars, and its n slots coded
+// as tag lines are, each slot's page as its tag. A TLB's page and
+// stamp arrays have one length.
 type tlbDelta struct {
-	clock           uint64
-	used, mru       int
-	nPages, nStamps int
-	dense           bool
-	slots           []byte
+	clock     uint64
+	used, mru int
+	n         int
+	dense     bool
+	slots     []byte
 }
 
 // diffTLB compares cur with base, whose arrays are nil in the zero
 // state.
 func diffTLB(base, cur *mem.TLBState) tlbDelta {
-	t := tlbDelta{clock: cur.Clock, used: cur.Used, mru: cur.MRU, nPages: len(cur.Pages), nStamps: len(cur.LastUse)}
-	n := max(t.nPages, t.nStamps)
-	c, size := newIndexCoder(n), 0
-	for i := range n {
-		page, stamp := slot(cur.Pages, i), slot(cur.LastUse, i)
-		if bp := slot(base.Pages, i); page != bp || stamp != slot(base.LastUse, i) {
+	t := tlbDelta{clock: cur.Clock, used: cur.Used, mru: cur.MRU, n: len(cur.Pages)}
+	c, size := newIndexCoder(t.n), 0
+	for i, page := range cur.Pages {
+		stamp := cur.LastUse[i]
+		if bp := at(base.Pages, i); page != bp || stamp != at(base.LastUse, i) {
 			c.count(i)
 			size += stampLen(t.clock-stamp, page != bp, page)
 		}
@@ -366,9 +350,9 @@ func diffTLB(base, cur *mem.TLBState) tlbDelta {
 		return t
 	}
 	t.slots = c.choose(size)
-	for i := range n {
-		page, stamp := slot(cur.Pages, i), slot(cur.LastUse, i)
-		if bp := slot(base.Pages, i); page != bp || stamp != slot(base.LastUse, i) {
+	for i, page := range cur.Pages {
+		stamp := cur.LastUse[i]
+		if bp := at(base.Pages, i); page != bp || stamp != at(base.LastUse, i) {
 			t.slots = appendStamp(c.put(t.slots, i), t.clock-stamp, page != bp, page)
 		}
 	}
@@ -376,28 +360,18 @@ func diffTLB(base, cur *mem.TLBState) tlbDelta {
 	return t
 }
 
-// slot returns s[i], or 0 past the end of s.
-func slot(s []uint64, i int) uint64 {
-	if i < len(s) {
-		return s[i]
-	}
-	return 0
-}
-
 // apply turns st, holding the base's DTLB, into the checkpoint's.
 func (t *tlbDelta) apply(st *mem.TLBState) {
 	st.Clock, st.Used, st.MRU = t.clock, t.used, t.mru
-	r, k := newIndexReader(t.slots, max(t.nPages, t.nStamps), t.dense)
+	r, k := newIndexReader(t.slots, t.n, t.dense)
 	for k < len(t.slots) {
 		var i int
 		var age, page uint64
 		var newPage bool
 		i, k = r.next(t.slots, k)
 		age, newPage, page, k = readStamp(t.slots, k)
-		if i < len(st.LastUse) {
-			st.LastUse[i] = t.clock - age
-		}
-		if newPage && i < len(st.Pages) {
+		st.LastUse[i] = t.clock - age
+		if newPage {
 			st.Pages[i] = page
 		}
 	}
@@ -469,8 +443,8 @@ func (d *delta) reset(st *cpu.FunctionalState) {
 	st.Mem.L1D.Lines = zeroed(st.Mem.L1D.Lines, d.l1d.n)
 	st.Mem.L1I.Lines = zeroed(st.Mem.L1I.Lines, d.l1i.n)
 	st.Mem.L2.Lines = zeroed(st.Mem.L2.Lines, d.l2.n)
-	st.Mem.DTLB.Pages = zeroed(st.Mem.DTLB.Pages, d.dtlb.nPages)
-	st.Mem.DTLB.LastUse = zeroed(st.Mem.DTLB.LastUse, d.dtlb.nStamps)
+	st.Mem.DTLB.Pages = zeroed(st.Mem.DTLB.Pages, d.dtlb.n)
+	st.Mem.DTLB.LastUse = zeroed(st.Mem.DTLB.LastUse, d.dtlb.n)
 	st.BP.Counters = zeroed(st.BP.Counters, d.counters.n)
 	st.BP.BTB = zeroed(st.BP.BTB, d.btb.n)
 	if st.Train == nil {
@@ -552,7 +526,7 @@ func zeroed[T any](s []T, n int) []T {
 }
 
 // fill returns dst holding a copy of src, reusing dst's buffer. It is
-// never nil, like the arrays of a snapshot or a decoded state.
+// never nil, like the arrays of a snapshot.
 func fill[T any](dst, src []T) []T {
 	if dst == nil {
 		dst = make([]T, 0, len(src))

@@ -9,8 +9,9 @@
 // its detailed measurement intervals from the same stored state. The
 // store is keyed like the trace cache — workload, seed, and a digest
 // of the warm-structure geometry — plus the interval-boundary position
-// within the stream, and persists checkpoints next to trace recordings
-// through the same temp-and-rename writer (internal/atomicfile).
+// within the stream. It lives in memory only: like SMARTS, every
+// process rebuilds its warm state by functional warming, so a sampled
+// result never depends on what an earlier process left behind.
 package sample
 
 import (
@@ -18,21 +19,14 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/atomicfile"
 	"repro/internal/cpu"
 	"repro/internal/mem"
 )
-
-// FileExt is the on-disk extension of persisted checkpoints.
-const FileExt = ".psbckpt"
 
 // Key identifies one workload's checkpoint stream. Two configurations
 // share checkpoints exactly when they share the committed instruction
@@ -44,11 +38,6 @@ type Key struct {
 	Seed     int64
 	// Geometry is GeometryDigest over the mem and gshare configuration.
 	Geometry string
-}
-
-// filename is the on-disk name of the key's checkpoint at pos.
-func (k Key) filename(pos uint64) string {
-	return fmt.Sprintf("%s-seed%d-pos%d-g%s%s", k.Workload, k.Seed, pos, k.Geometry, FileExt)
 }
 
 // GeometryDigest fingerprints the configuration of every structure a
@@ -71,11 +60,8 @@ func GeometryDigest(mc mem.Config, gc cpu.GshareConfig) string {
 type Stats struct {
 	// Hits counts requests answered by an existing in-memory
 	// checkpoint; Misses counts requests that had to advance the
-	// functional executor (or load from disk) to produce one.
+	// functional executor to produce one.
 	Hits, Misses uint64
-	// DiskLoads counts checkpoints restored from a checkpoint
-	// directory; DiskWrites counts .psbckpt files written.
-	DiskLoads, DiskWrites uint64
 	// FunctionalInsts is the total number of instructions executed by
 	// functional fast-forward on behalf of the store — the work every
 	// hit avoided repeating.
@@ -181,7 +167,7 @@ type Store struct {
 	mu      sync.Mutex
 	entries map[Key]*entry
 
-	hits, misses, diskLoads, diskWrites, functional, bytes atomic.Uint64
+	hits, misses, functional, bytes atomic.Uint64
 }
 
 var shared Store
@@ -196,8 +182,6 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Hits:            s.hits.Load(),
 		Misses:          s.misses.Load(),
-		DiskLoads:       s.diskLoads.Load(),
-		DiskWrites:      s.diskWrites.Load(),
 		FunctionalInsts: s.functional.Load(),
 		Bytes:           s.bytes.Load(),
 	}
@@ -254,33 +238,28 @@ func (s *Store) Release(c *Cursor) {
 	s.bytes.Add(stateBytes(&c.st))
 }
 
-// AtInfo attributes one At call: whether it hit a cached checkpoint,
-// whether the checkpoint came from disk, and how many instructions of
-// functional fast-forward the call performed (0 on any kind of hit).
+// AtInfo attributes one At call: whether it hit a stored checkpoint,
+// and how many instructions of functional fast-forward the call
+// performed (0 on a hit).
 type AtInfo struct {
 	Hit             bool
-	Disk            bool
 	FunctionalInsts uint64
 }
 
 // At moves c to the checkpoint for key k at stream position pos and
 // returns its state, fast-forwarding functionally to create the
-// checkpoint if no cached or persisted one exists. boot constructs a
-// cold executor positioned at the stream's start; it is only called
-// when work is actually needed. When dir is non-empty, checkpoints are
-// loaded from and persisted to
-// <dir>/<workload>-seed<seed>-pos<pos>-g<geom>.psbckpt.
+// checkpoint if the store holds none. boot constructs a cold executor
+// positioned at the stream's start; it is only called when work is
+// actually needed.
 //
 // Generation is incremental and singleflight per key: a request for
 // position P resumes the key's live executor (or the nearest earlier
 // checkpoint) rather than replaying from zero, and concurrent misses
 // on one key wait for a single generator. A generated checkpoint is
-// stored as a delta against the checkpoint the executor last matched;
-// a loaded one as a delta against c's checkpoint when that is earlier,
-// and as a root otherwise.
+// stored as a delta against the checkpoint the executor last matched.
 // The returned state belongs to c: it is read-only and stays valid
 // until c's next At.
-func (s *Store) At(c *Cursor, k Key, pos uint64, dir string, boot func() *cpu.Functional) (*cpu.FunctionalState, AtInfo, error) {
+func (s *Store) At(c *Cursor, k Key, pos uint64, boot func() *cpu.Functional) (*cpu.FunctionalState, AtInfo, error) {
 	e := s.entry(k)
 	if ck := e.lookup(pos); ck != nil {
 		s.hits.Add(1)
@@ -298,24 +277,6 @@ func (s *Store) At(c *Cursor, k Key, pos uint64, dir string, boot func() *cpu.Fu
 		return &c.st, AtInfo{Hit: true}, nil
 	}
 
-	if dir != "" {
-		if st, err := s.load(k, pos, dir); err == nil {
-			// A persisted checkpoint from an earlier process. Its train
-			// ring is stored whole: nothing tells which events are new.
-			// Corrupt or mismatched files fall through and are
-			// regenerated (and overwritten) below.
-			s.diskLoads.Add(1)
-			var base *ckpt
-			if c.e == e && c.ck != nil && c.ck.pos < pos && sameShape(&c.st, st) {
-				base = c.ck
-			}
-			ck := newCkpt(base, &c.st, st, uint64(len(st.Train)))
-			s.publish(e, ck)
-			c.seek(e, ck)
-			return &c.st, AtInfo{Disk: true}, nil
-		}
-	}
-
 	s.misses.Add(1)
 	held := e.genBytes()
 	defer func() { s.bytes.Add(e.genBytes() - held) }() // wraps to a subtraction when it shrank
@@ -326,8 +287,8 @@ func (s *Store) At(c *Cursor, k Key, pos uint64, dir string, boot func() *cpu.Fu
 	switch {
 	case b != nil && (e.f.Pos() > pos || b.pos > e.f.Pos()):
 		// Rewind an executor that ran past pos (an out-of-order
-		// request), or jump forward through a cached (e.g.
-		// disk-loaded) checkpoint ahead of it.
+		// request), or jump forward through a stored checkpoint ahead
+		// of it.
 		e.last.seek(e, b)
 		if err := e.f.Restore(&e.last.st); err != nil {
 			e.f = nil
@@ -351,11 +312,6 @@ func (s *Store) At(c *Cursor, k Key, pos uint64, dir string, boot func() *cpu.Fu
 	e.last.seek(e, ck)
 	e.trained = e.f.Trained()
 	s.publish(e, ck)
-	if dir != "" {
-		if err := s.store(k, dir, &c.st); err != nil {
-			return nil, AtInfo{}, err
-		}
-	}
 	return &c.st, AtInfo{FunctionalInsts: advanced}, nil
 }
 
@@ -397,36 +353,4 @@ func (s *Store) Profile(k Key, n uint64, boot func() *cpu.Functional) ([]uint32,
 	e.profiles[n] = p
 	s.bytes.Add(4 * uint64(cap(p)))
 	return p, advanced, nil
-}
-
-// load reads a persisted checkpoint, returning an error when the file
-// is missing, corrupt, or written under a different key or geometry.
-func (s *Store) load(k Key, pos uint64, dir string) (*cpu.FunctionalState, error) {
-	data, err := os.ReadFile(filepath.Join(dir, k.filename(pos)))
-	if err != nil {
-		return nil, err
-	}
-	st, err := Decode(data, k)
-	if err != nil {
-		return nil, err
-	}
-	if st.Pos != pos {
-		return nil, fmt.Errorf("sample: %s holds position %d", k.filename(pos), st.Pos)
-	}
-	return st, nil
-}
-
-// store persists a checkpoint via write-to-temp-then-rename, so a
-// crashed or concurrent writer never leaves a torn file behind.
-func (s *Store) store(k Key, dir string, st *cpu.FunctionalState) error {
-	name := k.filename(st.Pos)
-	err := atomicfile.Write(filepath.Join(dir, name), func(w io.Writer) error {
-		_, err := w.Write(Encode(k, st))
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("sample: writing %s: %w", name, err)
-	}
-	s.diskWrites.Add(1)
-	return nil
 }

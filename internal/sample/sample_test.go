@@ -1,11 +1,7 @@
 package sample
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
@@ -47,126 +43,6 @@ func bootFor(insts []vm.DynInst) func() *cpu.Functional {
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	insts := healthStream(t, 5_000)
-	f := bootFor(insts)()
-	f.AdvanceTo(3_000)
-	st := f.Snapshot()
-	k := testKey()
-
-	data := Encode(k, st)
-	got, err := Decode(data, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, st) {
-		t.Error("decoded checkpoint differs from original")
-	}
-
-	// Any flipped bit must be detected.
-	for _, i := range []int{0, 11, len(data) / 2, len(data) - 1} {
-		bad := append([]byte(nil), data...)
-		bad[i] ^= 0x40
-		if _, err := Decode(bad, k); err == nil {
-			t.Errorf("corruption at byte %d accepted", i)
-		}
-	}
-
-	// A checkpoint written for another key must be rejected.
-	other := k
-	other.Seed = 2
-	if _, err := Decode(data, other); err == nil {
-		t.Error("checkpoint accepted under the wrong key")
-	}
-	short := k
-	short.Geometry = "deadbeef"
-	if _, err := Decode(data, short); err == nil {
-		t.Error("checkpoint accepted under the wrong geometry")
-	}
-}
-
-// l1dLineOffset returns the byte offset of L1D line j in data, an
-// encoding of st, working back from the end of the file: the caches,
-// TLB and train ring that follow the L1D lines have fixed-size records.
-func l1dLineOffset(data []byte, st *cpu.FunctionalState, j int) int {
-	const lineBytes = 8 + 8 + 1 // tag, stamp, valid byte
-	tlb := st.Mem.DTLB
-	tail := 3*8 + 4 + 8*len(tlb.Pages) + 4 + 8*len(tlb.LastUse) + 4 + 16*len(st.Train) + sha256.Size
-	for _, c := range []mem.CacheState{st.Mem.L1D, st.Mem.L1I, st.Mem.L2} {
-		tail += 8 + 4 + lineBytes*len(c.Lines)
-	}
-	return len(data) - tail + 8 + 4 + lineBytes*j
-}
-
-// resum replaces data's trailing checksum with the one its body
-// deserves, so a deliberately edited checkpoint reaches the parser.
-func resum(data []byte) []byte {
-	out := append([]byte(nil), data...)
-	if len(out) < sha256.Size {
-		return out
-	}
-	body := out[:len(out)-sha256.Size]
-	sum := sha256.Sum256(body)
-	copy(out[len(body):], sum[:])
-	return out
-}
-
-// validLineStampZero returns a checkpoint of st whose first valid L1D
-// line keeps its valid byte but has its stamp zeroed, checksum
-// recomputed: well-formed bytes describing a line no cache can hold.
-func validLineStampZero(tb testing.TB, k Key, st *cpu.FunctionalState) []byte {
-	tb.Helper()
-	data := Encode(k, st)
-	for j, l := range st.Mem.L1D.Lines {
-		if l.LastUse == 0 {
-			continue
-		}
-		off := l1dLineOffset(data, st, j)
-		if binary.LittleEndian.Uint64(data[off:]) != l.Tag ||
-			binary.LittleEndian.Uint64(data[off+8:]) != l.LastUse || data[off+16] != 1 {
-			tb.Fatalf("L1D line %d is not at byte %d of the encoding", j, off)
-		}
-		bad := append([]byte(nil), data...)
-		clear(bad[off+8 : off+16])
-		return resum(bad)
-	}
-	tb.Fatal("checkpoint has no valid L1D line")
-	return nil
-}
-
-// TestCodecValidByte pins how the valid byte maps onto the 16-byte
-// line: the encoder derives it from the stamp, the decoder gives an
-// invalid line stamp 0, and a valid line with stamp 0 is corrupt.
-func TestCodecValidByte(t *testing.T) {
-	insts := healthStream(t, 5_000)
-	f := bootFor(insts)()
-	f.AdvanceTo(3_000)
-	st := f.Snapshot()
-	k := testKey()
-
-	if _, err := Decode(validLineStampZero(t, k, st), k); err == nil {
-		t.Error("valid line with stamp 0 accepted")
-	}
-
-	j := -1
-	for i, l := range st.Mem.L1D.Lines {
-		if l.LastUse != 0 {
-			j = i
-			break
-		}
-	}
-	data := Encode(k, st)
-	off := l1dLineOffset(data, st, j)
-	data[off+16] = 0 // clear the valid byte, keep the stamp
-	got, err := Decode(resum(data), k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l := got.Mem.L1D.Lines[j]; l.Tag != st.Mem.L1D.Lines[j].Tag || l.LastUse != 0 {
-		t.Errorf("invalid line decoded as %+v, want its tag with stamp 0", l)
-	}
-}
-
 // TestStoreIncrementalReuse pins the store's core economics: repeated
 // requests hit, forward requests advance incrementally (never from
 // zero), and rewinds restore the nearest earlier checkpoint.
@@ -177,7 +53,7 @@ func TestStoreIncrementalReuse(t *testing.T) {
 	k := testKey()
 	boot := bootFor(insts)
 
-	st0, info, err := s.At(&cur, k, 0, "", boot)
+	st0, info, err := s.At(&cur, k, 0, boot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,18 +64,18 @@ func TestStoreIncrementalReuse(t *testing.T) {
 		t.Errorf("position 0 checkpoint at pos %d", st0.Pos)
 	}
 
-	if _, info, err = s.At(&cur, k, 1_000, "", boot); err != nil || info.FunctionalInsts != 1_000 {
+	if _, info, err = s.At(&cur, k, 1_000, boot); err != nil || info.FunctionalInsts != 1_000 {
 		t.Fatalf("advance to 1000: info=%+v err=%v, want 1000 functional insts", info, err)
 	}
-	if _, info, err = s.At(&cur, k, 1_000, "", boot); err != nil || !info.Hit {
+	if _, info, err = s.At(&cur, k, 1_000, boot); err != nil || !info.Hit {
 		t.Fatalf("repeat at 1000: info=%+v err=%v, want hit", info, err)
 	}
 	// Incremental: 1000 -> 3000 costs 2000, not 3000.
-	if _, info, err = s.At(&cur, k, 3_000, "", boot); err != nil || info.FunctionalInsts != 2_000 {
+	if _, info, err = s.At(&cur, k, 3_000, boot); err != nil || info.FunctionalInsts != 2_000 {
 		t.Fatalf("advance to 3000: info=%+v err=%v, want 2000 functional insts", info, err)
 	}
 	// Rewind: restored from the checkpoint at 1000, so 500 insts.
-	if _, info, err = s.At(&cur, k, 1_500, "", boot); err != nil || info.FunctionalInsts != 500 {
+	if _, info, err = s.At(&cur, k, 1_500, boot); err != nil || info.FunctionalInsts != 500 {
 		t.Fatalf("rewind to 1500: info=%+v err=%v, want 500 functional insts", info, err)
 	}
 
@@ -209,72 +85,8 @@ func TestStoreIncrementalReuse(t *testing.T) {
 	}
 
 	// Beyond the recording: an explicit error, not a silent short state.
-	if _, _, err := s.At(&cur, k, 10_000, "", boot); err == nil {
+	if _, _, err := s.At(&cur, k, 10_000, boot); err == nil {
 		t.Error("position beyond the recording accepted")
-	}
-}
-
-func TestStoreDiskPersistence(t *testing.T) {
-	insts := healthStream(t, 3_000)
-	k := testKey()
-	dir := t.TempDir()
-
-	var s1 Store
-	want, info, err := s1.At(new(Cursor), k, 2_000, dir, bootFor(insts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Hit || info.Disk {
-		t.Errorf("first generation: info=%+v, want miss", info)
-	}
-	if s1.Stats().DiskWrites != 1 {
-		t.Errorf("disk writes = %d, want 1", s1.Stats().DiskWrites)
-	}
-	name := filepath.Join(dir, k.filename(2_000))
-	if _, err := os.Stat(name); err != nil {
-		t.Fatalf("checkpoint file not written: %v", err)
-	}
-
-	// A fresh store (fresh process) loads from disk without functional
-	// work.
-	var s2 Store
-	got, info, err := s2.At(new(Cursor), k, 2_000, dir, bootFor(insts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Disk || info.FunctionalInsts != 0 {
-		t.Errorf("disk restore: info=%+v, want disk hit with zero work", info)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("disk-restored checkpoint differs from generated one")
-	}
-	if s2.Stats().DiskLoads != 1 {
-		t.Errorf("disk loads = %d, want 1", s2.Stats().DiskLoads)
-	}
-
-	// Corruption self-heals: the store regenerates and overwrites.
-	data, err := os.ReadFile(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(name, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var s3 Store
-	healed, info, err := s3.At(new(Cursor), k, 2_000, dir, bootFor(insts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Disk || info.FunctionalInsts != 2_000 {
-		t.Errorf("corrupt file: info=%+v, want full regeneration", info)
-	}
-	if !reflect.DeepEqual(healed, want) {
-		t.Error("regenerated checkpoint differs")
-	}
-	var s4 Store
-	if _, info, err = s4.At(new(Cursor), k, 2_000, dir, bootFor(insts)); err != nil || !info.Disk {
-		t.Errorf("after healing: info=%+v err=%v, want disk hit (file overwritten)", info, err)
 	}
 }
 
@@ -318,7 +130,7 @@ func TestStoreBytes(t *testing.T) {
 	runtime.KeepAlive(f)
 
 	cur := s.Cursor(k)
-	st, _, err := s.At(cur, k, 20_000, "", boot)
+	st, _, err := s.At(cur, k, 20_000, boot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +146,7 @@ func TestStoreBytes(t *testing.T) {
 	}
 	for pos := uint64(40_000); pos < 200_000; pos += 20_000 {
 		held := s.Stats().Bytes
-		if _, _, err := s.At(cur, k, pos, "", boot); err != nil {
+		if _, _, err := s.At(cur, k, pos, boot); err != nil {
 			t.Fatal(err)
 		}
 		if added := s.Stats().Bytes - held; added == 0 || added >= whole/10 {
@@ -393,7 +205,7 @@ func TestStoreConcurrentCursors(t *testing.T) {
 				c := s.Cursor(k)
 				for i := range pos {
 					p := pos[(i*(2*g+1)+g)%len(pos)] // a different stride per reader
-					st, _, err := s.At(c, k, p, "", boot)
+					st, _, err := s.At(c, k, p, boot)
 					if err != nil {
 						t.Error(err)
 						return
@@ -424,7 +236,7 @@ func TestStoreDepthBound(t *testing.T) {
 	k := testKey()
 	const n = 2*(maxDepth+1) + 1
 	for i := uint64(0); i < n; i++ {
-		if _, _, err := s.At(&cur, k, 16*i, "", bootFor(insts)); err != nil {
+		if _, _, err := s.At(&cur, k, 16*i, bootFor(insts)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -432,46 +244,6 @@ func TestStoreDepthBound(t *testing.T) {
 		if want := i % (maxDepth + 1); ck.depth != want || (ck.base == nil) != (want == 0) {
 			t.Errorf("checkpoint %d: depth %d (root %v), want %d", i, ck.depth, ck.base == nil, want)
 		}
-	}
-}
-
-// TestStoreLoadsMisshapenFile: a checksummed file for the right key
-// whose arrays have the wrong length cannot become a delta against the
-// reading cursor's checkpoint. It becomes a root and is returned as
-// decoded, so the caller's restore reports the mismatch.
-func TestStoreLoadsMisshapenFile(t *testing.T) {
-	insts := healthStream(t, 3_000)
-	k := testKey()
-	dir := t.TempDir()
-	var gen Store
-	var cur Cursor
-	for _, pos := range []uint64{1_000, 2_000} {
-		if _, _, err := gen.At(&cur, k, pos, dir, bootFor(insts)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f := bootFor(insts)()
-	f.AdvanceTo(2_000)
-	bad := f.Snapshot()
-	bad.Mem.L1D.Lines = bad.Mem.L1D.Lines[:len(bad.Mem.L1D.Lines)/2]
-	if err := os.WriteFile(filepath.Join(dir, k.filename(2_000)), Encode(k, bad), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var load Store
-	var c Cursor
-	if _, info, err := load.At(&c, k, 1_000, dir, bootFor(insts)); err != nil || !info.Disk {
-		t.Fatalf("loading 1000: info=%+v err=%v", info, err)
-	}
-	st, info, err := load.At(&c, k, 2_000, dir, bootFor(insts))
-	if err != nil || !info.Disk {
-		t.Fatalf("loading 2000: info=%+v err=%v", info, err)
-	}
-	if !reflect.DeepEqual(st, bad) {
-		t.Error("misshapen checkpoint not returned as decoded")
-	}
-	if ck := load.entry(k).ckpts[1]; ck.base != nil {
-		t.Error("misshapen checkpoint stored as a delta")
 	}
 }
 
@@ -575,7 +347,7 @@ func BenchmarkCursorWalk(b *testing.B) {
 	k := testKey()
 	var pos []uint64
 	for p := uint64(0); p < n; p += period {
-		if _, _, err := s.At(new(Cursor), k, p, "", boot); err != nil {
+		if _, _, err := s.At(new(Cursor), k, p, boot); err != nil {
 			b.Fatal(err)
 		}
 		pos = append(pos, p)
@@ -589,7 +361,7 @@ func BenchmarkCursorWalk(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range pos {
-			if _, _, err := s.At(c, k, p, "", boot); err != nil {
+			if _, _, err := s.At(c, k, p, boot); err != nil {
 				b.Fatal(err)
 			}
 		}

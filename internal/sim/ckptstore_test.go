@@ -59,10 +59,10 @@ func newStoreCase(t *testing.T, w workload.Workload, cfg Config) storeCase {
 // request asks s for every position in order, checking each returned
 // state against the straight executor's snapshot before the next
 // request.
-func (c storeCase) request(t *testing.T, s *sample.Store, order []uint64, dir string) {
+func (c storeCase) request(t *testing.T, s *sample.Store, order []uint64) {
 	var cur sample.Cursor
 	for _, p := range order {
-		st, _, err := s.At(&cur, c.key, p, dir, c.boot)
+		st, _, err := s.At(&cur, c.key, p, c.boot)
 		if err != nil {
 			t.Error(err)
 			return
@@ -75,10 +75,9 @@ func (c storeCase) request(t *testing.T, s *sample.Store, order []uint64, dir st
 }
 
 // TestStoreMatchesStraightSnapshots is the checkpoint store's
-// differential test: whatever order checkpoints are requested in,
-// from one goroutine or four sharing a store, and whether they are
-// generated or loaded from disk, each must equal the snapshot a
-// straight functional pass takes at the same position.
+// differential test: whatever order checkpoints are requested in, from
+// one goroutine or four sharing a store, each must equal the snapshot
+// a straight functional pass takes at the same position.
 func TestStoreMatchesStraightSnapshots(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates every workload's checkpoints many times")
@@ -95,37 +94,23 @@ func TestStoreMatchesStraightSnapshots(t *testing.T) {
 			rand.New(rand.NewSource(18)).Shuffle(len(shuffled), func(i, j int) {
 				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 			})
-			for _, o := range []struct {
-				name  string
-				order []uint64
-			}{{"ascending", c.pos}, {"descending", desc}, {"shuffled", shuffled}} {
+			for _, order := range [][]uint64{c.pos, desc, shuffled} {
 				var s sample.Store
-				c.request(t, &s, o.order, "")
+				c.request(t, &s, order)
 
 				// Four goroutines share one store, each walking the
 				// order from its own starting point.
 				var shared sample.Store
 				var wg sync.WaitGroup
 				for g := 0; g < 4; g++ {
-					rot := slices.Concat(o.order[g*len(o.order)/4:], o.order[:g*len(o.order)/4])
+					rot := slices.Concat(order[g*len(order)/4:], order[:g*len(order)/4])
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						c.request(t, &shared, rot, "")
+						c.request(t, &shared, rot)
 					}()
 				}
 				wg.Wait()
-
-				// Disk round trip: one store persists every checkpoint,
-				// a fresh one loads them all back.
-				dir := t.TempDir()
-				var gen, load sample.Store
-				c.request(t, &gen, o.order, dir)
-				c.request(t, &load, o.order, dir)
-				if st := load.Stats(); st.DiskLoads != uint64(len(c.pos)) || st.Misses != 0 {
-					t.Errorf("%s: reloading store loaded %d of %d checkpoints with %d misses",
-						o.name, st.DiskLoads, len(c.pos), st.Misses)
-				}
 			}
 		})
 	}

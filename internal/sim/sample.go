@@ -12,8 +12,6 @@ import (
 	"repro/internal/predict"
 	"repro/internal/sample"
 	"repro/internal/sbuf"
-	"repro/internal/trace"
-	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -77,16 +75,6 @@ func (c Config) sampleSpec() (period, length, warmup uint64) {
 	return period, length, warmup
 }
 
-// SampleCheckpointDir returns where this configuration persists
-// functional checkpoints: alongside the trace recordings in TraceDir
-// under disk tracing, nowhere otherwise.
-func (c Config) SampleCheckpointDir() string {
-	if c.TraceMode == TraceDisk {
-		return c.TraceDir
-	}
-	return ""
-}
-
 // rewarm readies m for one measurement interval: the hierarchy and
 // core return in place to the checkpoint's warm state, over src, and a
 // fresh prefetcher from newPF is warmed by replaying the checkpoint's
@@ -117,9 +105,7 @@ func (m *machine) rewarm(newPF func(sbuf.Fetcher) sbuf.Prefetcher, src cpu.Sourc
 // Result covers the intervals measured before the abort.
 func runSampled(ctx context.Context, w workload.Workload, v core.Variant, cfg Config, newPF func(sbuf.Fetcher) sbuf.Prefetcher) (Result, error) {
 	period, length, warmup := cfg.sampleSpec()
-	dir := cfg.SampleCheckpointDir()
-	rep, err := trace.Shared().Source(TraceKey(w, cfg), TraceNeed(cfg), dir,
-		func() *vm.Machine { return w.Build(cfg.Seed) })
+	rep, err := recording(w, cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -178,12 +164,12 @@ func runSampled(ctx context.Context, w workload.Workload, v core.Variant, cfg Co
 	sched := sampleSchedule(profile, cfg.MaxInsts, period, length, warmup)
 
 	for _, iv := range sched {
-		st, ai, err := store.At(cur, key, iv.ck, dir, boot)
+		st, ai, err := store.At(cur, key, iv.ck, boot)
 		if err != nil {
 			runErr = err
 			break
 		}
-		if ai.Hit || ai.Disk {
+		if ai.Hit {
 			ckHits++
 		} else {
 			ckMisses++

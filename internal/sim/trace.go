@@ -106,13 +106,20 @@ func traceNeed(cfg Config) (need uint64, ok bool) {
 }
 
 // source returns the instruction stream for one run: the live
-// functional machine when tracing is off, otherwise a replay that
-// decodes the shared cache's recording in batches (recording it first
-// if this is the key's first run).
+// functional machine when tracing is off, otherwise the recording's
+// replay.
 func source(w workload.Workload, cfg Config) (cpu.Source, error) {
 	if cfg.TraceMode == TraceOff {
 		return cpu.MachineSource{M: w.Build(cfg.Seed)}, nil
 	}
+	return recording(w, cfg)
+}
+
+// recording returns a replay that decodes the shared cache's recording
+// of the run's stream in batches, recording it first if this is the
+// key's first run. Under disk tracing the recording is loaded from and
+// saved to TraceDir.
+func recording(w workload.Workload, cfg Config) (*trace.Replay, error) {
 	dir := ""
 	if cfg.TraceMode == TraceDisk {
 		dir = cfg.TraceDir
