@@ -67,8 +67,8 @@ func TestCacheDirResume(t *testing.T) {
 	}
 
 	resumed, stderr := mustRun(t, "-all", "-insts", "20000", "-parallel", "4", "-cache-dir", dir)
-	if !strings.Contains(stderr, "satisfied 72 cell(s); 48 simulated") {
-		t.Errorf("resumed run did not report 72 stored and 48 simulated cells:\n%s", stderr)
+	if !strings.Contains(stderr, "satisfied 42 cell(s); 48 simulated") {
+		t.Errorf("resumed run did not report 42 stored and 48 simulated cells:\n%s", stderr)
 	}
 	if n := len(storeFiles(t, dir)); n != 90 {
 		t.Errorf("full run left %d entries, want the suite's 90 distinct cells", n)

@@ -16,13 +16,16 @@ import (
 // one-shot sessions with default options. A Session accumulates
 // failure and cache-hit accounting across every table it builds, so a
 // driver can render the whole suite and then report what (if anything)
-// went wrong, once.
+// went wrong, once. It also keeps every cell it finished, by
+// fingerprint, and serves the tables' repeated cells from them, so
+// each distinct cell is simulated once per session.
 type Session struct {
 	Ctx  context.Context
 	Cfg  sim.Config
 	Opts runner.Options
 
 	failures []*runner.JobError
+	done     map[string]sim.Result // finished cells by fingerprint
 	cached   int
 	ran      int
 }
@@ -41,11 +44,29 @@ func oneShot(cfg sim.Config) *Session {
 
 // run executes one batch of jobs through the checked runner and folds
 // the batch's failures and cache hits into the session's accounting.
+// A job whose fingerprint the session finished, or that repeats an
+// earlier job of the batch, is not submitted: it takes that cell.
 // Cancellation is not an error here: the partially-filled cells come
 // back marked and the tables render them as ERR.
 func (s *Session) run(jobs []runner.Job) []runner.CellResult {
-	cells, _ := runner.ForWorkers(s.Cfg.Workers).RunChecked(s.Ctx, jobs, s.Opts)
-	for _, c := range cells {
+	cells := make([]runner.CellResult, len(jobs))
+	fps := make([]string, len(jobs))
+	first := make(map[string]int) // fingerprint -> its job in todo
+	var todo []runner.Job
+	for i, j := range jobs {
+		fps[i] = j.Fingerprint()
+		if res, ok := s.done[fps[i]]; ok {
+			cells[i] = runner.CellResult{Result: res}
+		} else if _, ok := first[fps[i]]; !ok {
+			first[fps[i]] = len(todo)
+			todo = append(todo, j)
+		}
+	}
+	ran, _ := runner.ForWorkers(s.Cfg.Workers).RunChecked(s.Ctx, todo, s.Opts)
+	if s.done == nil {
+		s.done = make(map[string]sim.Result)
+	}
+	for _, c := range ran {
 		switch {
 		case c.Err != nil:
 			s.failures = append(s.failures, c.Err)
@@ -53,6 +74,16 @@ func (s *Session) run(jobs []runner.Job) []runner.CellResult {
 			s.cached++
 		default:
 			s.ran++
+		}
+	}
+	for i, fp := range fps {
+		k, ok := first[fp]
+		if !ok {
+			continue
+		}
+		cells[i] = ran[k]
+		if ran[k].Err == nil {
+			s.done[fp] = ran[k].Result
 		}
 	}
 	return cells

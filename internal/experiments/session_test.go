@@ -10,6 +10,7 @@ import (
 	"repro/internal/results"
 	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -118,6 +119,45 @@ func TestSessionStoreResume(t *testing.T) {
 	}
 	if first != second {
 		t.Error("resumed tables differ byte-for-byte from the original run")
+	}
+}
+
+// TestSessionSimulatesEachCellOnce: Figure 10's default geometry and
+// Figure 11's NoDis columns ask for cells the matrix already holds. A
+// session that builds all three simulates each distinct fingerprint
+// once, and renders the tables a session per table renders.
+func TestSessionSimulatesEachCellOnce(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Workers = 2
+	asked, distinct := 0, make(map[string]bool)
+	count := func(jobs []runner.Job) []runner.CellResult {
+		for _, j := range jobs {
+			asked++
+			distinct[j.Fingerprint()] = true
+		}
+		return make([]runner.CellResult, len(jobs))
+	}
+	runMatrixWith(cfg, count)
+	fig10With(cfg, count)
+	fig11With(cfg, count)
+	if asked == len(distinct) {
+		t.Fatalf("the tables ask for %d cells, all distinct: nothing repeats", asked)
+	}
+
+	render := func(m *Matrix, fig10, fig11 *stats.Table) string {
+		return Table2(m).String() + Fig5(m).String() + fig10.String() + fig11.String()
+	}
+	s := NewSession(context.Background(), cfg, runner.DefaultOptions())
+	got := render(s.Matrix(), s.Fig10(), s.Fig11())
+	if len(s.Failures()) != 0 {
+		t.Fatal(s.FailureReport())
+	}
+	if s.Ran() != len(distinct) || s.Cached() != 0 {
+		t.Errorf("session simulated %d cell(s) and served %d from a store, want the %d distinct of %d asked and 0",
+			s.Ran(), s.Cached(), len(distinct), asked)
+	}
+	if want := render(RunMatrix(cfg), Fig10(cfg), Fig11(cfg)); got != want {
+		t.Errorf("tables from one session differ from a session per table:\n%s\nwant:\n%s", got, want)
 	}
 }
 
