@@ -103,8 +103,11 @@ func DefaultOptions() Options { return Options{Retries: 1} }
 // machine statistic, but its results carry zero skip telemetry
 // (CPU.SkippedCycles and CPU.Jumps), so their bytes differ. Every other
 // job hashes the mode as CycleModeDefault, so stored event-mode
-// fingerprints do not move. Result stores, serve caches and peer fills
-// are keyed by this.
+// fingerprints do not move. The options are keyed as
+// sim.Config.ResolvedOpts resolves them, so a stream-buffer block or
+// page size, or an SFM block shift, that the memory configuration
+// overrides does not move the fingerprint. Result stores, serve caches
+// and peer fills are keyed by this.
 func (j Job) Fingerprint() string {
 	var key fingerprintKey
 	key.Workload = j.Workload.Name
@@ -116,7 +119,7 @@ func (j Job) Fingerprint() string {
 		c.CPU.CycleMode = cpu.CycleModeAccurate
 	}
 	c.Mem = j.Config.Mem
-	c.Opts = freezeOptions(j.Config.Opts)
+	c.Opts = freezeOptions(j.Config.ResolvedOpts())
 	c.MaxInsts = j.Config.MaxInsts
 	c.Seed = j.Config.Seed
 	c.CollectFig4 = j.Config.CollectFig4

@@ -1,11 +1,14 @@
 package runner
 
 import (
+	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/results"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -83,9 +86,11 @@ func TestFingerprintGolden(t *testing.T) {
 // results. A new field that can change a result needs a place in the
 // key, which moves every fingerprint (update TestFingerprintGolden on
 // purpose). A new field that cannot change a result belongs in
-// ignored. Each option field must also reach the key: changing it alone
-// changes the fingerprint.
+// ignored. Each option field must also reach the key, changing the
+// fingerprint when changed alone, except the three the memory
+// configuration decides (sim.Config.ResolvedOpts), which must not.
 func TestFingerprintKeyCoversConfig(t *testing.T) {
+	resolved := map[string]bool{"Buffers.BlockBytes": true, "Buffers.PageBytes": true, "SFM.BlockShift": true}
 	ignored := map[string]bool{}
 	covered := func(name string, cfg, key reflect.Type) {
 		for i := 0; i < cfg.NumField(); i++ {
@@ -118,9 +123,46 @@ func TestFingerprintKeyCoversConfig(t *testing.T) {
 			default:
 				t.Fatalf("core.Options.%s.%s: no change for kind %s", part.Name, part.Type.Field(k).Name, v.Kind())
 			}
-			if j.Fingerprint() == base.Fingerprint() {
-				t.Errorf("core.Options.%s.%s does not reach the fingerprint", part.Name, part.Type.Field(k).Name)
+			name := part.Name + "." + part.Type.Field(k).Name
+			if moved := j.Fingerprint() != base.Fingerprint(); moved == resolved[name] {
+				t.Errorf("core.Options.%s: fingerprint moved %v, want %v", name, moved, !resolved[name])
 			}
+		}
+	}
+}
+
+// TestFingerprintKeysResolvedGeometry: the memory configuration decides
+// the stream buffers' block and page sizes and the SFM block shift
+// (sim.Config.ResolvedOpts), so a job that sets them to other values
+// runs the default machine. It must share the default job's
+// fingerprint and its results.Encode bytes.
+func TestFingerprintKeysResolvedGeometry(t *testing.T) {
+	cfg := sim.Default()
+	cfg.MaxInsts = 20_000
+	base := Job{Workload: workload.All()[0], Variant: core.PSBConfPriority, Config: cfg}
+	want, err := sim.RunChecked(context.Background(), base.Workload, base.Variant, base.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*core.Options)
+	}{
+		{"Buffers.BlockBytes", func(o *core.Options) { o.Buffers.BlockBytes = 64 }},
+		{"Buffers.PageBytes", func(o *core.Options) { o.Buffers.PageBytes = 8192 }},
+		{"SFM.BlockShift", func(o *core.Options) { o.SFM.BlockShift = 6 }},
+	} {
+		j := base
+		tc.edit(&j.Config.Opts)
+		if j.Fingerprint() != base.Fingerprint() {
+			t.Errorf("%s: fingerprint %s, want the default job's %s", tc.name, j.Fingerprint(), base.Fingerprint())
+		}
+		got, err := sim.RunChecked(context.Background(), j.Workload, j.Variant, j.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(results.Encode(got), results.Encode(want)) {
+			t.Errorf("%s: result bytes differ from the default job's", tc.name)
 		}
 	}
 }

@@ -118,15 +118,22 @@ type machine struct {
 	hist *predict.DeltaHistogram
 }
 
-// Scheme resolves variant v under cfg (core.Resolve), its stream-buffer
-// blocks and SFM block shift following the L1D line and its stream
-// buffers' pages the DTLB's.
-func (cfg Config) Scheme(v core.Variant) core.Scheme {
+// ResolvedOpts returns Opts with the fields the memory configuration
+// decides: the stream-buffer blocks and SFM block shift follow the L1D
+// line, and the stream buffers' pages the DTLB's. Scheme builds from
+// it and job fingerprints key it, so configurations that differ only
+// in what those fields say share one machine and one fingerprint.
+func (cfg Config) ResolvedOpts() core.Options {
 	opts := cfg.Opts
 	opts.Buffers.BlockBytes = cfg.Mem.L1D.BlockBytes
 	opts.Buffers.PageBytes = cfg.Mem.PageBytes
 	opts.SFM.BlockShift = blockShift(cfg.Mem.L1D.BlockBytes)
-	return core.Resolve(v, opts)
+	return opts
+}
+
+// Scheme resolves variant v under cfg's resolved options (core.Resolve).
+func (cfg Config) Scheme(v core.Variant) core.Scheme {
+	return core.Resolve(v, cfg.ResolvedOpts())
 }
 
 // build constructs a fresh machine for one run, its prefetcher made by
