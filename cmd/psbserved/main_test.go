@@ -45,7 +45,7 @@ func TestFlagMisuse(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-trace", "disk"}, "needs -trace-dir"},
+		{[]string{"-trace", "disk"}, "unknown trace mode"},
 		{[]string{"-trace", "off", "-trace-dir", t.TempDir()}, "-trace-dir would be ignored"},
 		{[]string{"-faults", "sim-panic=2"}, "sim-panic"},
 		{[]string{"-faults", "nonsense"}, "nonsense"},

@@ -2,10 +2,10 @@
 // share and resolves them into a simulation configuration. psbsim and
 // psbtables take all twelve; psbserved takes six and psbtrace three.
 // Each flag's name, default and help text is declared here once, and
-// so are the rules that combine them: -trace-dir implies disk tracing,
-// the sampling knobs count only under -sample, and a configuration
-// that does not validate — a zero instruction budget, which no
-// benchmark completes, among them — is flag misuse.
+// so are the rules that combine them: -trace off with -trace-dir is
+// misuse, the sampling knobs count only under -sample, and a
+// configuration that does not validate — a zero instruction budget,
+// which no benchmark completes, among them — is flag misuse.
 package cli
 
 import (
@@ -47,7 +47,7 @@ func BindStream(fs *flag.FlagSet) *Flags {
 	f := &Flags{Trace: sim.TraceMemory.String()}
 	fs.Uint64Var(&f.Insts, "insts", def.MaxInsts, "instruction budget: instructions each workload runs for")
 	fs.Int64Var(&f.Seed, "seed", def.Seed, "workload layout seed")
-	fs.StringVar(&f.TraceDir, "trace-dir", "", "directory for .psbtrace recordings, shared by every run and binary that names it (implies -trace disk)")
+	fs.StringVar(&f.TraceDir, "trace-dir", "", "directory for .psbtrace recordings, shared by every run and binary that names it")
 	return f
 }
 
@@ -56,7 +56,7 @@ func BindStream(fs *flag.FlagSet) *Flags {
 // jobTimeout) and -retries.
 func BindServe(fs *flag.FlagSet, jobTimeout time.Duration) *Flags {
 	f := BindStream(fs)
-	fs.StringVar(&f.Trace, "trace", sim.TraceMemory.String(), "instruction stream source: off = live functional execution per cell, memory = record each workload once and replay (bit-identical), disk = memory plus .psbtrace persistence in -trace-dir")
+	fs.StringVar(&f.Trace, "trace", sim.TraceMemory.String(), "instruction stream source: off = live functional execution per cell, memory = record each workload once and replay (bit-identical; -trace-dir persists the recordings)")
 	fs.DurationVar(&f.JobTimeout, "job-timeout", jobTimeout, "wall-clock budget per simulation attempt (0 = unlimited)")
 	fs.IntVar(&f.Retries, "retries", runner.DefaultOptions().Retries, "re-runs allowed per cell after a panic or timeout")
 	return f
@@ -106,22 +106,15 @@ func (f *Flags) Config(base sim.Config) (sim.Config, runner.Options, error) {
 	return cfg, runner.Options{Timeout: f.JobTimeout, Retries: f.Retries}, nil
 }
 
-// traceMode resolves the -trace and -trace-dir pair. A directory
-// implies disk mode, so it upgrades the default memory mode. Disk mode
-// without a directory is an error, and so is a directory with tracing
-// off, which would silently record nothing.
+// traceMode resolves the -trace and -trace-dir pair. A directory with
+// tracing off is an error: it would silently record nothing.
 func traceMode(mode, dir string) (sim.TraceMode, error) {
 	m, err := sim.ParseTraceMode(mode)
 	if err != nil {
 		return sim.TraceOff, err
 	}
-	switch {
-	case dir != "" && m == sim.TraceMemory:
-		m = sim.TraceDisk
-	case dir != "" && m == sim.TraceOff:
+	if dir != "" && m == sim.TraceOff {
 		return sim.TraceOff, errors.New("-trace off records nothing, so -trace-dir would be ignored; drop one of the two")
-	case dir == "" && m == sim.TraceDisk:
-		return sim.TraceOff, errors.New("-trace disk needs -trace-dir to name the recording directory")
 	}
 	return m, nil
 }

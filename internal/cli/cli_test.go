@@ -41,13 +41,13 @@ func TestConfig(t *testing.T) {
 			opts: runner.Options{Timeout: 2 * time.Minute}},
 
 		{args: []string{"-trace", "memory"}, cfg: def, opts: defOpts},
-		{args: []string{"-trace-dir", "traces"}, // a directory implies disk
-			cfg: with(func(c *sim.Config) { c.TraceMode, c.TraceDir = sim.TraceDisk, "traces" }), opts: defOpts},
-		{args: []string{"-trace", "disk", "-trace-dir", "traces"},
-			cfg: with(func(c *sim.Config) { c.TraceMode, c.TraceDir = sim.TraceDisk, "traces" }), opts: defOpts},
+		{args: []string{"-trace-dir", "traces"},
+			cfg: with(func(c *sim.Config) { c.TraceDir = "traces" }), opts: defOpts},
+		{args: []string{"-trace", "memory", "-trace-dir", "traces"},
+			cfg: with(func(c *sim.Config) { c.TraceDir = "traces" }), opts: defOpts},
 		{args: []string{"-trace", "off"}, cfg: with(func(c *sim.Config) { c.TraceMode = sim.TraceOff }), opts: defOpts},
 		{args: []string{"-trace", "off", "-trace-dir", "traces"}, err: "-trace-dir would be ignored"},
-		{args: []string{"-trace", "disk"}, err: "needs -trace-dir"},
+		{args: []string{"-trace", "disk"}, err: "unknown trace mode"},
 		{args: []string{"-trace", "tape"}, err: "unknown trace mode"},
 		{args: []string{"-trace", "tape", "-trace-dir", "traces"}, err: "unknown trace mode"},
 
@@ -73,14 +73,14 @@ func TestConfig(t *testing.T) {
 
 		{args: nil, bind: "serve", cfg: def, opts: runner.Options{Timeout: 5 * time.Minute, Retries: 1}},
 		{args: []string{"-insts", "60000", "-trace-dir", "traces", "-job-timeout", "0", "-retries", "2"}, bind: "serve",
-			cfg:  with(func(c *sim.Config) { c.MaxInsts, c.TraceMode, c.TraceDir = 60_000, sim.TraceDisk, "traces" }),
+			cfg:  with(func(c *sim.Config) { c.MaxInsts, c.TraceDir = 60_000, "traces" }),
 			opts: runner.Options{Retries: 2}},
 		{args: []string{"-parallel", "2"}, bind: "serve", err: "not defined"},
 		{args: []string{"-sample"}, bind: "serve", err: "not defined"},
 
 		{args: nil, bind: "stream", cfg: def},
 		{args: []string{"-insts", "20000", "-seed", "2", "-trace-dir", "traces"}, bind: "stream",
-			cfg: with(func(c *sim.Config) { c.MaxInsts, c.Seed, c.TraceMode, c.TraceDir = 20_000, 2, sim.TraceDisk, "traces" })},
+			cfg: with(func(c *sim.Config) { c.MaxInsts, c.Seed, c.TraceDir = 20_000, 2, "traces" })},
 		// A zero budget runs to program completion, which no benchmark
 		// reaches.
 		{args: []string{"-insts", "0"}, bind: "stream", err: "invalid configuration"},

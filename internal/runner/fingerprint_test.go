@@ -34,7 +34,7 @@ func TestFingerprintGolden(t *testing.T) {
 
 	excluded := def
 	excluded.Workers = 8
-	excluded.TraceMode = sim.TraceDisk
+	excluded.TraceMode = sim.TraceMemory
 	excluded.TraceDir = "traces"
 
 	accurate := def

@@ -34,7 +34,7 @@ type Config struct {
 	// Base is the default simulation configuration requests override
 	// field by field. Its trace mode decides how the server sources
 	// instruction streams (TraceMemory keeps recordings warm across
-	// requests; TraceDisk persists them).
+	// requests; a TraceDir persists them).
 	Base sim.Config
 	// Workers is the simulation concurrency (<= 0 selects one worker
 	// per available CPU).

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -51,28 +52,45 @@ func TestReplayEquivalenceFig4(t *testing.T) {
 	}
 }
 
-// TestReplayEquivalenceDisk exercises the persistent path end to end:
-// record to a trace directory, then a second run loads the .psbtrace
-// file and must still match live execution exactly.
+// TestReplayEquivalenceDisk runs the persisting path: a run that
+// records into a trace directory, and a second that replays the
+// recording, must both match live execution exactly.
 func TestReplayEquivalenceDisk(t *testing.T) {
 	cfg := sim.Default()
 	cfg.MaxInsts = 25_000
 	// A fresh budget value keys this test's cache entries away from
-	// the in-memory entries other tests already recorded, so the disk
-	// path actually records and loads.
+	// the in-memory entries other tests already recorded, so the first
+	// traced run actually records and persists.
 	cfg.MaxInsts++
 
 	disk := cfg
-	disk.TraceMode = sim.TraceDisk
+	disk.TraceMode = sim.TraceMemory
 	disk.TraceDir = t.TempDir()
 
 	w := workload.All()[0]
 	v := core.PSBConfPriority
 	live := sim.Run(w, v, cfg)
 	first := sim.Run(w, v, disk)  // records + persists
-	second := sim.Run(w, v, disk) // replays (memory or disk)
+	second := sim.Run(w, v, disk) // replays the cache's recording
 	if !reflect.DeepEqual(live, first) || !reflect.DeepEqual(live, second) {
 		t.Fatal("disk-traced results differ from live execution")
+	}
+}
+
+// TestTraceDirPersists: a trace directory alone makes a run's
+// recording persist, whatever mode records it, so a Go caller that
+// names a directory finds the .psbtrace file there.
+func TestTraceDirPersists(t *testing.T) {
+	cfg := sim.Default()
+	cfg.MaxInsts = 25_002 // a key no other test records
+	cfg.TraceMode = sim.TraceMemory
+	cfg.TraceDir = t.TempDir()
+
+	w := workload.All()[0]
+	sim.Run(w, core.None, cfg)
+	files, err := filepath.Glob(filepath.Join(cfg.TraceDir, "*.psbtrace"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("trace directory holds %v (err %v), want one .psbtrace file", files, err)
 	}
 }
 
@@ -81,11 +99,8 @@ func TestReplayEquivalenceDisk(t *testing.T) {
 func TestRunCheckedTraced(t *testing.T) {
 	cfg := sim.Default()
 	cfg.MaxInsts = 10_000
-	cfg.TraceMode = sim.TraceDisk
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("TraceDisk without TraceDir must fail validation")
-	}
-	cfg.TraceMode = sim.TraceMode(99)
+	cfg.TraceMode = sim.TraceMemory + 1 // unknown, even with a directory
+	cfg.TraceDir = t.TempDir()
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("unknown trace mode must fail validation")
 	}

@@ -38,13 +38,13 @@ type Config struct {
 	Workers int
 
 	// TraceMode selects how the run obtains its instruction stream:
-	// live functional execution (TraceOff), the process-wide trace
-	// cache (TraceMemory), or the cache backed by .psbtrace files in
-	// TraceDir (TraceDisk). Results are identical in every mode; see
+	// live functional execution (TraceOff) or the process-wide trace
+	// cache (TraceMemory). Results are identical in both modes; see
 	// internal/trace.
 	TraceMode TraceMode
-	// TraceDir is the trace directory TraceDisk loads from and saves
-	// to. Ignored in the other modes.
+	// TraceDir, when set, backs the trace cache with .psbtrace files:
+	// recordings are loaded from and saved to it. Ignored under
+	// TraceOff.
 	TraceDir string
 
 	// SampleMode turns on SMARTS-style sampled simulation: detailed

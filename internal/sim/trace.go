@@ -20,12 +20,11 @@ const (
 	TraceOff TraceMode = iota
 	// TraceMemory records each (workload, seed, MaxInsts) stream once
 	// in the process-wide trace cache and replays it for every other
-	// run sharing the key. Results are bit-identical to TraceOff.
+	// run sharing the key. Results are bit-identical to TraceOff. With
+	// a Config.TraceDir, recordings are also loaded from and saved to
+	// that directory as .psbtrace files, so repeat invocations skip
+	// functional execution entirely.
 	TraceMemory
-	// TraceDisk is TraceMemory plus persistence: recordings are loaded
-	// from and saved to Config.TraceDir as .psbtrace files, so repeat
-	// invocations skip functional execution entirely.
-	TraceDisk
 )
 
 // String renders the mode the way the -trace command-line flags spell
@@ -36,8 +35,6 @@ func (m TraceMode) String() string {
 		return "off"
 	case TraceMemory:
 		return "memory"
-	case TraceDisk:
-		return "disk"
 	}
 	return fmt.Sprintf("TraceMode(%d)", int(m))
 }
@@ -49,10 +46,8 @@ func ParseTraceMode(s string) (TraceMode, error) {
 		return TraceOff, nil
 	case "memory":
 		return TraceMemory, nil
-	case "disk":
-		return TraceDisk, nil
 	}
-	return TraceOff, fmt.Errorf("sim: unknown trace mode %q (want off, memory or disk)", s)
+	return TraceOff, fmt.Errorf("sim: unknown trace mode %q (want off or memory)", s)
 }
 
 // TraceKey is the trace-cache identity of a run: the committed path
@@ -117,11 +112,12 @@ func source(w workload.Workload, cfg Config) (cpu.Source, error) {
 
 // recording returns a replay that decodes the shared cache's recording
 // of the run's stream in batches, recording it first if this is the
-// key's first run. Under disk tracing the recording is loaded from and
-// saved to TraceDir.
+// key's first run. Unless tracing is off (a sampled run records
+// whatever TraceMode says), the recording is loaded from and saved to
+// TraceDir when one is set.
 func recording(w workload.Workload, cfg Config) (*trace.Replay, error) {
 	dir := ""
-	if cfg.TraceMode == TraceDisk {
+	if cfg.TraceMode != TraceOff {
 		dir = cfg.TraceDir
 	}
 	return trace.Shared().Source(TraceKey(w, cfg), TraceNeed(cfg), dir,

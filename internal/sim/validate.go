@@ -53,13 +53,9 @@ func (cfg Config) Validate() error {
 		return &ConfigError{Field: "MaxInsts",
 			Err: fmt.Errorf("instruction budget %d is too large: the stream it records (budget plus in-flight margin) overflows uint64", cfg.MaxInsts)}
 	}
-	if cfg.TraceMode < TraceOff || cfg.TraceMode > TraceDisk {
+	if cfg.TraceMode < TraceOff || cfg.TraceMode > TraceMemory {
 		return &ConfigError{Field: "TraceMode",
-			Err: fmt.Errorf("unknown trace mode %d (want off, memory or disk)", int(cfg.TraceMode))}
-	}
-	if cfg.TraceMode == TraceDisk && cfg.TraceDir == "" {
-		return &ConfigError{Field: "TraceDir",
-			Err: errors.New("disk trace mode requires a trace directory")}
+			Err: fmt.Errorf("unknown trace mode %d (want off or memory)", int(cfg.TraceMode))}
 	}
 	if cfg.SampleMode != SampleOff {
 		if cfg.SampleMode != SampleOn {
