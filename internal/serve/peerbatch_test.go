@@ -421,6 +421,89 @@ func TestClusterWarmPush(t *testing.T) {
 	}
 }
 
+// TestWarmPushFailover measures what warm-push saves when a node dies.
+// Every workload × variant cell is simulated on its owner, one owner
+// is killed and marked dead on both survivors (standing in for one
+// probe round), and each survivor is asked for every one of the dead
+// owner's cells. With warm-push on, the dead owner's ring successor
+// already holds each cell, so the survivors simulate none of them.
+// With it off, each cell is simulated once: by the survivor asked
+// first, or by the one it forwards to, and the other survivor fills
+// from that copy.
+func TestWarmPushFailover(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		queue int // Config.WarmPushQueue: 0 = default depth, -1 = off
+	}{{"on", 0}, {"off", -1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srvs, tss, kill := newTestClusterWith(t, 3, tinyCfg(), func(cfg *Config) { cfg.WarmPushQueue = tc.queue })
+			var owned [3][]string // request bodies, by owning node
+			for _, w := range workload.All() {
+				for _, v := range core.Variants() {
+					owner, _ := ownerIndex(t, srvs, tss, JobRequest{Bench: w.Name, Scheme: v.String()})
+					body := fmt.Sprintf(`{"bench":%q,"scheme":%q}`, w.Name, v.String())
+					if resp, raw := postSim(t, tss[owner], body); resp.StatusCode != http.StatusOK {
+						t.Fatalf("%s on its owner: status %d\n%s", body, resp.StatusCode, raw)
+					}
+					owned[owner] = append(owned[owner], body)
+				}
+			}
+			if tc.queue >= 0 {
+				// An owner counts a push as sent once the successor has
+				// accepted it, so this waits until every cell is warm.
+				cells := uint64(len(workload.All()) * len(core.Variants()))
+				for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+					var sent uint64
+					for _, s := range srvs {
+						sent += s.Stats().Peer.WarmPushSent
+					}
+					if sent == cells {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("owners counted %d of %d pushes as sent", sent, cells)
+					}
+				}
+			}
+
+			dead := 0
+			for i := range owned {
+				if len(owned[i]) > len(owned[dead]) {
+					dead = i
+				}
+			}
+			kill(dead)
+			srvs[dead] = nil
+			for _, s := range srvs {
+				if s != nil {
+					s.cluster.MarkDead(tss[dead].URL)
+				}
+			}
+			before := totalSims(srvs)
+			for _, body := range owned[dead] {
+				for i, ts := range tss {
+					if srvs[i] == nil {
+						continue
+					}
+					if resp, raw := postSim(t, ts, body); resp.StatusCode != http.StatusOK {
+						t.Fatalf("%s on survivor %d: status %d\n%s", body, i, resp.StatusCode, raw)
+					}
+				}
+			}
+			got := totalSims(srvs) - before
+			want := uint64(len(owned[dead]))
+			if tc.queue >= 0 {
+				want = 0
+			}
+			if got != want {
+				t.Errorf("survivors simulated %d of the dead owner's %d cells again, want %d",
+					got, len(owned[dead]), want)
+			}
+			t.Logf("warm-push %s: %d new simulations for the dead owner's %d cells", tc.name, got, len(owned[dead]))
+		})
+	}
+}
+
 // TestPeerBatchGuards covers the protocol edges: the endpoint is 404
 // on a standalone node, 508 past the hop budget, and a skewed
 // fingerprint fails only its own cell (409 status inside a 200
