@@ -78,9 +78,6 @@ func NewPipeline(latency uint64, depth int) *Pipeline {
 	return &Pipeline{latency: latency, interval: ii}
 }
 
-// Latency returns the pipeline's end-to-end latency.
-func (p *Pipeline) Latency() uint64 { return p.latency }
-
 // Start admits an access requested at cycle and returns when it begins
 // and when its result is available.
 func (p *Pipeline) Start(cycle uint64) (start, done uint64) {

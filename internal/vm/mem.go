@@ -177,9 +177,6 @@ func (a *Allocator) AllocPad(size, pad uint64) uint64 {
 	return addr
 }
 
-// Next returns the next address that would be allocated.
-func (a *Allocator) Next() uint64 { return a.next }
-
 // Reset rewinds the allocator to base (used to model phase-structured
 // heaps of short-lived objects, as in deltablue).
 func (a *Allocator) Reset(base uint64) {
