@@ -15,7 +15,6 @@
 //	psbtables -all -trace-dir traces/   # persist .psbtrace recordings and reuse them next run
 //	psbtables -all -cache-dir results/  # store each finished cell; a re-run simulates only what is missing
 //	psbtables -all -job-timeout 2m      # watchdog per simulation
-//	psbtables -bench-json > bench.json  # time the harness legs, print their JSON
 //	psbtables -all -cpuprofile cpu.out -memprofile mem.out
 //
 // A cell of Table 2 or Figures 4-11 that panics, deadlocks or times
@@ -32,7 +31,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -47,14 +45,11 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/cpu"
 	"repro/internal/experiments"
 	"repro/internal/results"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
-	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -88,7 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		extensions = fs.Bool("extensions", false, "run the extension studies (prior-work comparison, predictor shootout, loop unrolling, Markov order, per-buffer TLB)")
 		csv        = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		cacheDir   = fs.String("cache-dir", "", "result store directory: serve cells already stored there and store each finished one, so a re-run resumes (Table 2 and Figures 4-11 only; psbserved -cache-dir reads the same entries)")
-		benchJSON  = fs.Bool("bench-json", false, "time RunMatrix serial vs parallel, live vs traced, and print the timings as JSON on stdout")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		sampleAcc  = fs.Bool("sample-accuracy", false, "differential accuracy gate: run the full matrix exact and sampled, print per-cell IPC errors, fail if any exceeds -sample-tolerance")
@@ -121,17 +115,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return usageError("unknown table %d: the only reproducible table is 2 (the paper's Table 1 is prose)", tn)
 		}
 	}
-	if *benchJSON && (*all || *ablations || *extensions || len(figs) > 0 || len(tables) > 0) {
-		return usageError("-bench-json runs its own fixed matrix; drop -all/-fig/-table/-ablations/-extensions")
-	}
-	if *sampleAcc && (*all || *ablations || *extensions || *benchJSON || len(figs) > 0 || len(tables) > 0) {
-		return usageError("-sample-accuracy runs its own exact-vs-sampled matrix; drop the other modes")
-	}
-	if shared.Sample && (*benchJSON || *sampleAcc) {
-		return usageError("-sample does not combine with -bench-json or -sample-accuracy (they run their own sampled legs)")
-	}
-	if *cacheDir != "" && (*benchJSON || *sampleAcc) {
-		return usageError("-cache-dir does not combine with -bench-json or -sample-accuracy (they time and compare fresh simulations)")
+	if *sampleAcc && (*all || *ablations || *extensions || len(figs) > 0 || len(tables) > 0 ||
+		shared.Sample || *cacheDir != "") {
+		return usageError("-sample-accuracy compares its own fresh exact and sampled matrices; drop the other modes, -sample and -cache-dir")
 	}
 
 	if *sampleAcc {
@@ -147,8 +133,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tables = intList{2}
 		figs = intList{4, 5, 6, 7, 8, 9, 10, 11}
 	}
-	if len(tables) == 0 && len(figs) == 0 && !*ablations && !*extensions && !*benchJSON && !*sampleAcc {
-		return usageError("nothing to do: pass -all, -table N, -fig N, -ablations, -extensions or -bench-json")
+	if len(tables) == 0 && len(figs) == 0 && !*ablations && !*extensions && !*sampleAcc {
+		return usageError("nothing to do: pass -all, -table N, -fig N, -ablations, -extensions or -sample-accuracy")
 	}
 
 	if *cacheDir != "" {
@@ -189,13 +175,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *sampleAcc {
 		if err := sampleAccuracy(cfg, *sampleTol, stdout, stderr); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		return 0
-	}
-	if *benchJSON {
-		if err := benchRunner(cfg, stdout, stderr); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -291,222 +270,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 130
 	}
 	return 0
-}
-
-// benchRunner times six full RunMatrix configurations — serial and
-// all-cores with tracing off and with the in-memory trace cache, then
-// warm-cache serial legs in accurate and event cycle modes — plus the
-// functional and sampled legs, and prints the headline runner numbers
-// as JSON on stdout (CI's benchmark smoke asserts on them). The first
-// traced leg includes the one-time recording cost: the
-// cache starts cold, so its time is what a user sees on a first traced
-// invocation; every later leg measures the warm steady state, which is
-// also what makes the accurate-vs-event comparison apples-to-apples.
-// A failed cell in any leg fails the run: its timing would cover less
-// work than the other legs'.
-func benchRunner(cfg sim.Config, stdout, stderr io.Writer) error {
-	sims := len(workload.All()) * len(experiments.Schemes())
-
-	var failed int
-	matrix := func(workers int, tm sim.TraceMode, cm cpu.CycleMode) (float64, *experiments.Matrix) {
-		c := cfg
-		c.Workers = workers
-		c.TraceMode = tm
-		c.TraceDir = ""
-		c.CPU.CycleMode = cm
-		start := time.Now()
-		m := experiments.RunMatrix(c)
-		failed += m.Failed()
-		return time.Since(start).Seconds(), m
-	}
-
-	serialSec, _ := matrix(0, sim.TraceOff, cfg.CPU.CycleMode)
-	parSec, _ := matrix(-1, sim.TraceOff, cfg.CPU.CycleMode)
-	serialTracedSec, _ := matrix(0, sim.TraceMemory, cfg.CPU.CycleMode)
-	parTracedSec, _ := matrix(-1, sim.TraceMemory, cfg.CPU.CycleMode)
-	accurateSec, _ := matrix(0, sim.TraceMemory, cpu.CycleModeAccurate)
-	eventSec, em := matrix(0, sim.TraceMemory, cpu.CycleModeEvent)
-	if failed > 0 {
-		return fmt.Errorf("bench-json: %d cell(s) failed to simulate", failed)
-	}
-
-	// Functional fast-forward leg: the sampled engine's executor over
-	// replays of the same warm recordings, decoding them in batches as
-	// sampled runs do, with no timing model at all. Its throughput
-	// against the serial event leg is the headline fast-forward
-	// speedup. The Source calls sit outside the timed region (the
-	// recordings are warm from the traced legs above).
-	type funcLeg struct {
-		f *cpu.Functional
-	}
-	var funcLegs []funcLeg
-	for _, w := range workload.All() {
-		c := cfg
-		c.TraceMode = sim.TraceMemory
-		rep, err := trace.Shared().Source(sim.TraceKey(w, c), sim.TraceNeed(c), "",
-			func() *vm.Machine { return w.Build(c.Seed) })
-		if err != nil {
-			return err
-		}
-		funcLegs = append(funcLegs, funcLeg{f: cpu.NewFunctionalStream(c.Mem, c.CPU.Gshare, rep)})
-	}
-	funcStart := time.Now()
-	var funcInsts uint64
-	for _, l := range funcLegs {
-		funcInsts += l.f.AdvanceTo(cfg.MaxInsts)
-	}
-	funcSec := time.Since(funcStart).Seconds()
-
-	// Sampled leg: the full matrix under sampled simulation (serial,
-	// warm trace, event clock — the apples-to-apples peer of eventSec).
-	// Alongside the wall clock it yields the estimate-vs-exact IPC
-	// error against the event matrix and the checkpoint-sharing
-	// counters.
-	sampledCfg := cfg
-	sampledCfg.Workers = 0
-	sampledCfg.TraceMode = sim.TraceMemory
-	sampledCfg.TraceDir = ""
-	sampledCfg.CPU.CycleMode = cpu.CycleModeEvent
-	sampledCfg.SampleMode = sim.SampleOn
-	start := time.Now()
-	sm := experiments.RunMatrix(sampledCfg)
-	sampledSec := time.Since(start).Seconds()
-	if n := sm.Failed(); n > 0 {
-		return fmt.Errorf("bench-json: %d sampled cell(s) failed to simulate", n)
-	}
-	var maxRelErr float64
-	var ckHits, ckMisses, ffInsts uint64
-	for name, row := range sm.Results {
-		for v, r := range row {
-			est := r.Sampled
-			if est == nil {
-				continue
-			}
-			ckHits += est.CheckpointHits
-			ckMisses += est.CheckpointMisses
-			ffInsts += est.FunctionalInsts
-			if exact, ok := em.Results[name][v]; ok && exact.IPC() > 0 {
-				if rel := 100 * math.Abs(est.IPC-exact.IPC()) / exact.IPC(); rel > maxRelErr {
-					maxRelErr = rel
-				}
-			}
-		}
-	}
-	ts := trace.Shared().Stats()
-
-	// Aggregate the event loop's telemetry across the matrix.
-	var totalCycles, skipped, jumps, committed uint64
-	for _, row := range em.Results {
-		for _, r := range row {
-			totalCycles += r.CPU.Cycles
-			skipped += r.CPU.SkippedCycles
-			jumps += r.CPU.Jumps
-			committed += r.CPU.Committed
-		}
-	}
-	skipFrac := 0.0
-	if totalCycles > 0 {
-		skipFrac = float64(skipped) / float64(totalCycles)
-	}
-
-	workers := runner.ForWorkers(-1).Workers()
-	degraded := workers == 1
-	if degraded {
-		fmt.Fprintf(stderr,
-			"warning: only 1 worker available (GOMAXPROCS=%d); parallel legs are degraded to serial and their speedups are meaningless\n",
-			runtime.GOMAXPROCS(0))
-	}
-
-	totalInsts := float64(cfg.MaxInsts) * float64(sims)
-	out := struct {
-		Insts            uint64  `json:"insts_per_sim"`
-		Sims             int     `json:"sims"`
-		WorkersFlag      int     `json:"workers_flag"`
-		Workers          int     `json:"workers"`
-		GOMAXPROCS       int     `json:"gomaxprocs"`
-		Degraded         bool    `json:"degraded"`
-		CycleMode        string  `json:"cycle_mode"`
-		SerialSec        float64 `json:"serial_sec"`
-		ParallelSec      float64 `json:"parallel_sec"`
-		SerialTracedSec  float64 `json:"serial_traced_sec"`
-		ParTracedSec     float64 `json:"parallel_traced_sec"`
-		AccurateSec      float64 `json:"serial_traced_accurate_sec"`
-		EventSec         float64 `json:"serial_traced_event_sec"`
-		SampledSec       float64 `json:"sampled_sec"`
-		SpeedupSampled   float64 `json:"speedup_sampled"`
-		IPCRelErr        float64 `json:"ipc_rel_err"`
-		FuncInstsPerSec  float64 `json:"functional_insts_per_sec"`
-		SpeedupFunc      float64 `json:"speedup_functional"`
-		SampleCkptHits   uint64  `json:"sample_checkpoint_hits"`
-		SampleCkptMisses uint64  `json:"sample_checkpoint_misses"`
-		SampleFFInsts    uint64  `json:"sample_functional_insts"`
-		SimsPerSecPar    float64 `json:"sims_per_sec_parallel"`
-		SimsPerSecBest   float64 `json:"sims_per_sec_parallel_traced"`
-		InstsPerSecBest  float64 `json:"insts_per_sec_parallel_traced"`
-		InstsPerSecEvent float64 `json:"insts_per_sec_serial_event"`
-		SpeedupParallel  float64 `json:"speedup_parallel"`
-		SpeedupTrace     float64 `json:"speedup_trace"`
-		SpeedupCombined  float64 `json:"speedup_combined"`
-		SpeedupEvent     float64 `json:"speedup_event"`
-		TotalCycles      uint64  `json:"total_cycles"`
-		SkippedCycles    uint64  `json:"skipped_cycles"`
-		Jumps            uint64  `json:"jumps"`
-		SkipFraction     float64 `json:"skip_fraction"`
-		TraceHits        uint64  `json:"trace_hits"`
-		TraceMisses      uint64  `json:"trace_misses"`
-		TraceRecordedIns uint64  `json:"trace_recorded_insts"`
-	}{
-		Insts:            cfg.MaxInsts,
-		Sims:             sims,
-		WorkersFlag:      -1,
-		Workers:          workers,
-		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-		Degraded:         degraded,
-		CycleMode:        cfg.CPU.CycleMode.String(),
-		SerialSec:        serialSec,
-		ParallelSec:      parSec,
-		SerialTracedSec:  serialTracedSec,
-		ParTracedSec:     parTracedSec,
-		AccurateSec:      accurateSec,
-		EventSec:         eventSec,
-		SampledSec:       sampledSec,
-		SpeedupSampled:   eventSec / sampledSec,
-		IPCRelErr:        maxRelErr,
-		FuncInstsPerSec:  float64(funcInsts) / funcSec,
-		SpeedupFunc:      (float64(funcInsts) / funcSec) / (totalInsts / eventSec),
-		SampleCkptHits:   ckHits,
-		SampleCkptMisses: ckMisses,
-		SampleFFInsts:    ffInsts,
-		SimsPerSecPar:    float64(sims) / parSec,
-		SimsPerSecBest:   float64(sims) / parTracedSec,
-		InstsPerSecBest:  totalInsts / parTracedSec,
-		InstsPerSecEvent: totalInsts / eventSec,
-		SpeedupParallel:  serialSec / parSec,
-		SpeedupTrace:     serialSec / serialTracedSec,
-		SpeedupCombined:  serialSec / parTracedSec,
-		SpeedupEvent:     accurateSec / eventSec,
-		TotalCycles:      totalCycles,
-		SkippedCycles:    skipped,
-		Jumps:            jumps,
-		SkipFraction:     skipFrac,
-		TraceHits:        ts.Hits,
-		TraceMisses:      ts.Misses,
-		TraceRecordedIns: ts.RecordedInsts,
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr,
-		"bench-json: %d sims, serial %.2fs, parallel %.2fs (%d workers), traced serial %.2fs, traced parallel %.2fs, accurate %.2fs vs event %.2fs (%.2fx, %.0f%% cycles skipped)\n",
-		sims, serialSec, parSec, out.Workers, serialTracedSec, parTracedSec,
-		accurateSec, eventSec, out.SpeedupEvent, skipFrac*100)
-	fmt.Fprintf(stderr,
-		"sampled: %.2fs (%.2fx vs event), max IPC err %.2f%%, functional %.2fM insts/s (%.1fx vs serial event), checkpoints %d hit / %d miss\n",
-		sampledSec, out.SpeedupSampled, maxRelErr,
-		out.FuncInstsPerSec/1e6, out.SpeedupFunc, ckHits, ckMisses)
-	fmt.Fprintln(stdout, string(b))
-	return nil
 }
 
 // sampleAccuracy is the differential gate behind CI's sample-accuracy

@@ -130,7 +130,7 @@ func TestFlagMisuse(t *testing.T) {
 		{"-table", "1"},
 		{"-all", "-checkpoint", "x"},
 		{"-all", "-resume"},
-		{"-bench-json", "-cache-dir", dir},
+		{"-sample-accuracy", "-sample"},
 		{"-sample-accuracy", "-cache-dir", dir},
 		{},
 	} {
